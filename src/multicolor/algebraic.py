@@ -316,15 +316,10 @@ def basic_program(params: TowerParams) -> NodeProgram:
 def run_basic(
     g: Graph, depth: int = 0, slack=2, max_degree: int | None = None
 ) -> Multicoloring:
-    """Deterministic tower multicoloring of g via the simulator harness."""
-    delta = g.max_degree() if max_degree is None else max_degree
-    if delta < g.max_degree():
-        raise InvalidParams(
-            f"declared degree bound {delta} below actual max degree {g.max_degree()}"
-        )
-    params = choose_tower(g.id_space, delta, depth, slack)
-    coloring, _ = simulator.run_one_shot(g, basic_program(params))
-    return coloring
+    """The coloring of run_one_shot(g, "algebraic-basic", ...) with these options."""
+    return simulator.run_one_shot(
+        g, "algebraic-basic", depth=depth, slack=slack, max_degree=max_degree
+    )[0]
 
 
 # ---------------------------------------------------------------------------
@@ -503,25 +498,18 @@ def weighted_program(scheme: WeightedScheme) -> NodeProgram:
 def run_weighted(
     g: Graph, eps, depth: int = 0, slack=2, max_degree: int | None = None
 ) -> Multicoloring:
-    """Degree-adaptive weighted multicoloring of g via the simulator harness."""
-    delta = g.max_degree() if max_degree is None else max_degree
-    if delta < g.max_degree():
-        raise InvalidParams(
-            f"declared degree bound {delta} below actual max degree {g.max_degree()}"
-        )
-    scheme = build_weighted_scheme(g.id_space, max(1, delta), eps, depth, slack)
-    coloring, _ = simulator.run_one_shot(g, weighted_program(scheme))
-    return coloring
+    """The coloring of run_one_shot(g, "algebraic-weighted", ...) with these options."""
+    return simulator.run_one_shot(
+        g, "algebraic-weighted", eps=eps, depth=depth, slack=slack, max_degree=max_degree
+    )[0]
 
 
-def _build_basic(g: Graph, seed=None, depth=0, slack=2, **_):
-    return basic_program(choose_tower(g.id_space, g.max_degree(), depth, slack))
+def _build_basic(g: Graph, max_degree: int, seed=None, depth=0, slack=2, **_):
+    return basic_program(choose_tower(g.id_space, max_degree, depth, slack))
 
 
-def _build_weighted(g: Graph, seed=None, eps=0.5, depth=0, slack=2, **_):
-    scheme = build_weighted_scheme(
-        g.id_space, max(1, g.max_degree()), eps, depth, slack
-    )
+def _build_weighted(g: Graph, max_degree: int, seed=None, eps=0.5, depth=0, slack=2, **_):
+    scheme = build_weighted_scheme(g.id_space, max(1, max_degree), eps, depth, slack)
     return weighted_program(scheme)
 
 

@@ -29,6 +29,7 @@ from .errors import InvalidParams, TooLarge
 from .graph import Graph, OneHopView
 from .rng import keyed_rng
 from .simulator import NodeProgram
+from .verifier import nbr_vertex_count
 
 __all__ = [
     "randomized_palette_size",
@@ -45,7 +46,6 @@ __all__ = [
     "certified_family",
     "run_shared",
     "shared_program",
-    "neighborhood_view_count",
 ]
 
 
@@ -171,26 +171,24 @@ def run_randomized(
     max_degree: int | None = None,
     tie_break_by_id: bool = False,
 ) -> Multicoloring:
-    """One-shot randomized multicoloring of g via the simulator harness."""
-    delta = g.max_degree() if max_degree is None else max_degree
-    if delta < g.max_degree():
-        raise InvalidParams(
-            f"declared degree bound {delta} below actual max degree {g.max_degree()}"
-        )
-    program = randomized_program(g.n, delta, eps, tie_break_by_id)
-    coloring, _ = simulator.run_one_shot(g, program, seed)
-    return coloring
+    """The coloring of run_one_shot(g, "randomized", seed, ...) with these options."""
+    opts = dict(max_degree=max_degree, tie_break_by_id=tie_break_by_id)
+    return simulator.run_one_shot(g, "randomized", seed, eps=eps, **opts)[0]
 
 
 # ---------------------------------------------------------------------------
 # shared-order construction
 
 
+_MAX_ORDER_RANKS = 5 * 10**7  # largest k * id_space an OrderFamily stores
+
+
 class OrderFamily:
     """k seeded global orders of [1..id_space], shared by all nodes.
 
     ranks[i][x-1] is the position of id x in order i; a node takes color i+1
-    when its rank is below every neighbor's rank in order i.
+    when its rank is below every neighbor's rank in order i. The k * id_space
+    ranks are materialized, so families beyond _MAX_ORDER_RANKS are refused.
     """
 
     def __init__(self, k: int, id_space: int, seed: int):
@@ -198,6 +196,11 @@ class OrderFamily:
             raise InvalidParams("order count must be >= 1")
         if id_space < 1:
             raise InvalidParams("id space must be >= 1")
+        if k * id_space > _MAX_ORDER_RANKS:
+            raise TooLarge(
+                f"{k} orders over {id_space} ids need {k * id_space} ranks, "
+                f"above the guard of {_MAX_ORDER_RANKS}"
+            )
         self.k = k
         self.id_space = id_space
         self.seed = seed
@@ -264,14 +267,6 @@ def select_by_orders(view: OneHopView, family: OrderFamily) -> frozenset[int]:
     return frozenset(won)
 
 
-def neighborhood_view_count(id_space: int, max_degree: int) -> int:
-    """Number of one-hop views (x, Gamma) with 1 <= |Gamma| <= max_degree."""
-    return sum(
-        id_space * math.comb(id_space - 1, d)
-        for d in range(1, max_degree + 1)
-    )
-
-
 @dataclass(frozen=True)
 class FamilyCertificate:
     """Outcome of exhaustively checking every view against its quota."""
@@ -314,7 +309,7 @@ def certify_family(
     arithmetic end to end.
     """
     e = _check_eps(eps)
-    n_views = neighborhood_view_count(family.id_space, max_degree)
+    n_views = nbr_vertex_count(family.id_space, max_degree)
     if n_views > max_views:
         raise TooLarge(f"{n_views} views exceed the guard of {max_views}")
     k = family.k
@@ -416,65 +411,49 @@ def run_shared(
     certify_attempts: int = 0,
     max_views: int = 10**7,
 ) -> Multicoloring:
-    """One-shot shared-order multicoloring of g via the simulator harness.
+    """The coloring of run_one_shot(g, "shared-order", seed, ...) with these options."""
+    opts = dict(factor=factor, certify_attempts=certify_attempts, max_views=max_views)
+    return simulator.run_one_shot(
+        g, "shared-order", seed, eps=eps, max_degree=max_degree, **opts
+    )[0]
 
-    With certify_attempts > 0 the family is exhaustively certified for every
-    view over the id space first (resampling on failure), which is only
-    feasible for small (N, Delta).
-    """
-    delta = g.max_degree() if max_degree is None else max_degree
-    if delta < g.max_degree():
-        raise InvalidParams(
-            f"declared degree bound {delta} below actual max degree {g.max_degree()}"
-        )
+
+def _build_randomized(
+    g: Graph, max_degree: int, seed=None, eps=0.5, tie_break_by_id=False, **_
+):
+    return randomized_program(g.n, max_degree, eps, tie_break_by_id)
+
+
+def _build_shared(
+    g: Graph,
+    max_degree: int,
+    seed=None,
+    eps=0.5,
+    factor=1,
+    certify_attempts=0,
+    max_views=10**7,
+    **_,
+):
     meta: dict = {
         "epsilon": float(Fraction(eps)),
-        "max_degree": delta,
+        "max_degree": max_degree,
         "factor": factor,
-        "certified": False,
+        "certified": certify_attempts > 0,
     }
     if certify_attempts > 0:
         family, cert, attempts = certified_family(
-            g.id_space, delta, eps, seed, certify_attempts, factor, max_views
+            g.id_space, max_degree, eps, seed, certify_attempts, factor, max_views
         )
         if not cert.passed:
             raise InvalidParams(
                 f"no certified family within {attempts} attempts; "
                 f"worst view holds {cert.worst_count}/{cert.palette_size}"
             )
-        meta.update(certified=True, attempts=attempts)
+        meta["attempts"] = attempts
     else:
-        k = shared_palette_size(g.id_space, delta, eps, factor)
+        k = shared_palette_size(g.id_space, max_degree, eps, factor)
         family = OrderFamily(k, g.id_space, keyed_rng(seed, "attempt", 0).getrandbits(64))
-    program = shared_program(family, meta)
-    coloring, _ = simulator.run_one_shot(g, program, seed)
-    return coloring
-
-
-def _build_randomized(g: Graph, seed=None, eps=0.5, tie_break_by_id=False, **_):
-    return randomized_program(g.n, g.max_degree(), eps, tie_break_by_id)
-
-
-def _build_shared(g: Graph, seed=None, eps=0.5, factor=1, certify_attempts=0, **_):
-    delta = g.max_degree()
-    if certify_attempts > 0:
-        family, cert, attempts = certified_family(
-            g.id_space, delta, eps, seed, certify_attempts, factor
-        )
-        if not cert.passed:
-            raise InvalidParams("family failed certification")
-        return shared_program(
-            family,
-            {"epsilon": float(Fraction(eps)), "max_degree": delta,
-             "factor": factor, "certified": True, "attempts": attempts},
-        )
-    k = shared_palette_size(g.id_space, delta, eps, factor)
-    family = OrderFamily(k, g.id_space, keyed_rng(seed, "attempt", 0).getrandbits(64))
-    return shared_program(
-        family,
-        {"epsilon": float(Fraction(eps)), "max_degree": delta,
-         "factor": factor, "certified": False},
-    )
+    return shared_program(family, meta)
 
 
 simulator.register_builder("randomized", _build_randomized)

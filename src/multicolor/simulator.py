@@ -64,7 +64,6 @@ class NodeTrace:
     node_id: int
     sent: NodeEnvelope
     received: tuple[NodeEnvelope, ...]
-    colors: frozenset[int]
 
 
 @dataclass(frozen=True)
@@ -96,14 +95,25 @@ def registered_algorithms() -> tuple[str, ...]:
     return tuple(sorted(_BUILDERS))
 
 
-def build_program(name: str, g: Graph, seed: int | None = None, **opts) -> NodeProgram:
-    """Instantiate a registered node computation for a graph's global facts."""
+def build_program(
+    name: str, g: Graph, seed: int | None = None, max_degree: int | None = None, **opts
+) -> NodeProgram:
+    """Instantiate a registered node computation for a graph's global facts.
+
+    The palette is set up for max_degree, which defaults to g's max degree
+    and may not be below it. Options of other constructions are ignored.
+    """
     try:
         builder = _BUILDERS[name]
     except KeyError:
         known = ", ".join(registered_algorithms()) or "(none registered)"
         raise InvalidParams(f"unknown algorithm {name!r}; known: {known}") from None
-    return builder(g, seed=seed, **opts)
+    delta = g.max_degree() if max_degree is None else max_degree
+    if delta < g.max_degree():
+        raise InvalidParams(
+            f"declared degree bound {delta} below actual max degree {g.max_degree()}"
+        )
+    return builder(g, delta, seed=seed, **opts)
 
 
 def _make_bits(program: NodeProgram, node_id: int, seed: int | None) -> tuple:
@@ -135,12 +145,10 @@ def run_one_shot(
     inboxes = {
         v: tuple(envelopes[u] for u in sorted(g.neighbors(v))) for v in ids
     }
-    traces = {}
-    assignment = {}
-    for v in ids:
-        colors = frozenset(program.compute(envelopes[v], inboxes[v]))
-        assignment[v] = colors
-        traces[v] = NodeTrace(v, envelopes[v], inboxes[v], colors)
+    assignment = {
+        v: frozenset(program.compute(envelopes[v], inboxes[v])) for v in ids
+    }
+    traces = {v: NodeTrace(v, envelopes[v], inboxes[v]) for v in ids}
 
     coloring = Multicoloring(
         palette_size=program.palette_size,

@@ -71,7 +71,7 @@ def to_schedule(m: Multicoloring, g: Graph) -> TdmaSchedule:
     }
     return TdmaSchedule(
         frame_length=m.palette_size,
-        slots={v: tuple(sorted(cols)) for v, cols in m.assignment.items()},
+        slots=m.assignment,
         meta=meta,
     )
 

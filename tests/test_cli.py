@@ -169,6 +169,18 @@ def test_stats_prints_per_degree_rows(graph_file, tmp_path, capsys):
     assert "valid=True" in out
 
 
+def test_run_refuses_an_order_family_too_large_to_store(tmp_path, capsys):
+    path = tmp_path / "wide.edges"
+    path.write_text("# N=1000000\n1 2\n")
+    code = main(
+        ["run", "--algo", "shared-order", "--seed", "1",
+         "-g", str(path), "-o", str(tmp_path / "m.json")]
+    )
+    assert code == 3
+    assert "ranks" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_unknown_algorithm_is_a_usage_error(graph_file, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["run", "--algo", "nope", "-g", str(graph_file),

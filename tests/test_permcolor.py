@@ -1,6 +1,7 @@
 """Randomized draws and shared-order families, with exhaustive certificates."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations
 
@@ -17,6 +18,7 @@ from multicolor import (
     certify_family,
     generate_draws,
     gnp_graph,
+    parse_edge_list,
     randomized_palette_size,
     run_randomized,
     run_shared,
@@ -25,7 +27,8 @@ from multicolor import (
     shared_palette_size,
     verify,
 )
-from multicolor.permcolor import min_colors_required, neighborhood_view_count
+from multicolor.permcolor import min_colors_required
+from multicolor.verifier import nbr_vertex_count as neighborhood_view_count
 
 
 # -- palette sizes ---------------------------------------------------------
@@ -353,6 +356,19 @@ def test_run_shared_rejects_low_degree_bound():
     g = gnp_graph(25, 0.2, 60, seed=2)
     with pytest.raises(InvalidParams):
         run_shared(g, 0.5, seed=1, max_degree=0)
+
+
+def test_run_shared_refuses_a_family_too_large_to_store():
+    # 443 orders over a million ids: refused before a single rank is stored
+    g = parse_edge_list("# N=1000000\n1 2\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge):
+            run_shared(g, 0.5, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
 
 
 def test_chernoff_regime_failure_rate():

@@ -126,6 +126,26 @@ def test_build_program_forwards_options():
     assert prog.meta["epsilon"] == 0.25
 
 
+RUNS = {
+    "randomized": lambda g, **kw: permcolor.run_randomized(g, 0.5, seed=3, **kw),
+    "shared-order": lambda g, **kw: permcolor.run_shared(g, 0.5, seed=3, **kw),
+    "algebraic-basic": lambda g, **kw: algebraic.run_basic(g, **kw),
+    "algebraic-weighted": lambda g, **kw: algebraic.run_weighted(g, 0.5, **kw),
+}
+
+
+@pytest.mark.parametrize("name", registered_algorithms())
+def test_build_program_honours_the_declared_degree_bound(name):
+    g = gnp_graph(20, 0.2, 40, seed=6)
+    delta = g.max_degree()
+    prog = build_program(name, g, seed=3, max_degree=delta + 4)
+    assert prog.meta["max_degree"] == delta + 4
+    assert prog.palette_size == RUNS[name](g, max_degree=delta + 4).palette_size
+    assert prog.palette_size > build_program(name, g, seed=3).palette_size
+    with pytest.raises(InvalidParams, match="declared degree bound"):
+        build_program(name, g, seed=3, max_degree=delta - 1)
+
+
 # -- replay_view ----------------------------------------------------------
 
 
