@@ -13,6 +13,9 @@ Weighted union: one basic instance per degree scale 2^i is replicated with a
 weight that balances palette mass across scales; a node of degree delta only
 draws from instances with 2^i >= delta, so low-degree nodes keep a larger
 share of the combined palette.
+
+Colors are computed as 1-based palette indices; the tuples of tower_colors and
+the (color, instance, copy) triples of weighted_colors are views of them.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from fractions import Fraction
 from . import simulator
 from .coloring import Multicoloring
 from .errors import Infeasible, InvalidParams
-from .gf import PrimeField, encode_value, next_prime
+from .gf import PrimeField, next_prime
 from .graph import Graph, OneHopView
 from .simulator import NodeProgram
 
@@ -171,10 +174,6 @@ def choose_tower(id_space: int, max_degree: int, depth: int = 0, slack=2) -> Tow
     q >= slack * Delta * d wins; ties prefer the smaller degree. slack may be
     a scalar or one value per level, each > 1.
     """
-    if id_space < 1:
-        raise InvalidParams("id space must be >= 1")
-    if max_degree < 0:
-        raise InvalidParams("max degree must be >= 0")
     ell = clamp_depth(id_space, max_degree, depth)
     if isinstance(slack, (list, tuple)):
         if len(slack) < ell + 1:
@@ -218,50 +217,49 @@ def _check_view(view: OneHopView, params: TowerParams) -> None:
             raise InvalidParams(f"id {y} outside [1, {params.id_space}]")
 
 
-def tower_colors(view: OneHopView, params: TowerParams) -> frozenset[tuple[int, ...]]:
-    """All colors (alpha_0..alpha_ell, beta) the node keeps for this view.
+def tower_color_indices(view: OneHopView, params: TowerParams) -> frozenset[int]:
+    """All colors the node keeps for this view, as 1-based palette indices.
 
     A branch is dropped as soon as the node's value collides with some
     neighbor's value, since equal values stay equal down the rest of the
-    tower; surviving leaves are exactly the selected colors.
+    tower; surviving leaves are exactly the selected colors. Each is emitted
+    as prefix * q_ell + beta + 1, prefix being the mixed-radix alpha_0..alpha_ell.
     """
     _check_view(view, params)
-    ids = [view.node_id] + sorted(view.neighbors)
     qs, ds = params.qs, params.ds
     depth = params.depth
-    fields = [PrimeField(q) for q in qs]
-    enc_cache: list[dict[int, tuple[int, ...]]] = [{} for _ in qs]
+    q_last = qs[-1]
+    out: list[int] = []
 
-    def coeffs_for(level: int, value: int) -> tuple[int, ...]:
-        cache = enc_cache[level]
-        got = cache.get(value)
-        if got is None:
-            got = encode_value(value, fields[level], ds[level]).coeffs
-            cache[value] = got
-        return got
-
-    out: list[tuple[int, ...]] = []
-
-    def descend(level: int, values: list[int], prefix: tuple[int, ...]) -> None:
-        q = qs[level]
-        rows = [coeffs_for(level, v) for v in values]
+    def descend(level: int, values: list[int], prefix: int) -> None:
+        q, d = qs[level], ds[level]
+        # base-q digits, highest first; TowerParams guarantees v < q^(d+1)
+        rows = [[v // q**k % q for k in range(d, -1, -1)] for v in values]
         for alpha in range(q):
             nxt = []
-            for coeffs in rows:
+            for digits in rows:
                 acc = 0
-                for c in reversed(coeffs):
-                    acc = (acc * alpha + c) % q
-                nxt.append(acc)
+                for c in digits:
+                    acc = acc * alpha + c  # Horner, reduced once below
+                nxt.append(acc % q)
             own = nxt[0]
-            if any(b == own for b in nxt[1:]):
+            if own in nxt[1:]:
                 continue
+            idx = prefix * q + alpha
             if level == depth:
-                out.append(prefix + (alpha, own))
+                out.append(idx * q_last + own + 1)
             else:
-                descend(level + 1, nxt, prefix + (alpha,))
+                descend(level + 1, nxt, idx)
 
-    descend(0, [x - 1 for x in ids], ())
+    descend(0, [x - 1 for x in (view.node_id, *view.neighbors)], 0)
     return frozenset(out)
+
+
+def tower_colors(view: OneHopView, params: TowerParams) -> frozenset[tuple[int, ...]]:
+    """The kept colors of tower_color_indices as (alpha_0..alpha_ell, beta)."""
+    return frozenset(
+        tower_color_from_index(params, i) for i in tower_color_indices(view, params)
+    )
 
 
 def tower_color_index(params: TowerParams, color: tuple[int, ...]) -> int:
@@ -288,13 +286,6 @@ def tower_color_from_index(params: TowerParams, index: int) -> tuple[int, ...]:
         idx, r = divmod(idx, radix)
         digits.append(r)
     return tuple(reversed(digits))
-
-
-def tower_color_indices(view: OneHopView, params: TowerParams) -> frozenset[int]:
-    """Selected colors as 1-based palette indices."""
-    return frozenset(
-        tower_color_index(params, c) for c in tower_colors(view, params)
-    )
 
 
 def basic_program(params: TowerParams) -> NodeProgram:
@@ -443,8 +434,6 @@ def weighted_colors(
     (all of them when delta <= 1), taking every copy j in [1, weight_i] of
     each color its tower keeps.
     """
-    if view.node_id > scheme.id_space:
-        raise InvalidParams(f"id {view.node_id} outside [1, {scheme.id_space}]")
     lo = scheme.lowest_instance(view.degree)
     out = []
     for i in range(lo, scheme.levels + 1):
@@ -473,10 +462,23 @@ def weighted_color_index(
 
 
 def weighted_color_indices(view: OneHopView, scheme: WeightedScheme) -> frozenset[int]:
-    """Selected weighted colors as 1-based palette indices."""
-    return frozenset(
-        weighted_color_index(scheme, wc) for wc in weighted_colors(view, scheme)
-    )
+    """Selected weighted colors as 1-based palette indices.
+
+    Instance i owns the w_i * P_i slots after those of every instance t < i;
+    copy j of its tower color c sits at offset_i + (j-1)*P_i + c, the layout of
+    weighted_color_index.
+    """
+    lo = scheme.lowest_instance(view.degree)
+    out: list[int] = []
+    offset = 0
+    for i, (inst, w) in enumerate(zip(scheme.instances, scheme.weights), start=1):
+        size = inst.palette_size
+        if i >= lo:
+            kept = tower_color_indices(view, inst)
+            for shift in range(offset, offset + w * size, size):
+                out.extend(c + shift for c in kept)
+        offset += w * size
+    return frozenset(out)
 
 
 def weighted_program(scheme: WeightedScheme) -> NodeProgram:

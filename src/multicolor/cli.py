@@ -60,15 +60,11 @@ def cmd_gen(args) -> int:
 def cmd_run(args) -> int:
     g = _load_graph(args.graph)
     seed = _resolve_seed(args.seed)
-    opts = {"eps": args.eps}
-    if args.algo == "randomized":
-        opts["tie_break_by_id"] = args.tie_break_id
-    if args.algo == "shared-order":
-        opts.update(factor=args.factor, certify_attempts=args.certify)
-    if args.algo.startswith("algebraic"):
-        opts = {"depth": args.ell, "slack": args.slack}
-        if args.algo == "algebraic-weighted":
-            opts["eps"] = args.eps
+    # each builder reads its own options and ignores the rest
+    opts = {
+        "eps": args.eps, "tie_break_by_id": args.tie_break_id, "factor": args.factor,
+        "certify_attempts": args.certify, "depth": args.ell, "slack": args.slack,
+    }
     coloring, trace = simulator.run_one_shot(g, args.algo, seed, **opts)
     Path(args.output).write_text(coloring_to_json(coloring))
     report = verifier.verify(g, coloring, eps=args.eps if args.algo in ("randomized", "shared-order") else None)

@@ -56,8 +56,8 @@ def coloring_to_json(m: Multicoloring) -> str:
 
 
 def coloring_from_json(text: str) -> Multicoloring:
-    payload = json.loads(text)
     try:
+        payload = json.loads(text)
         return Multicoloring(
             palette_size=int(payload["palette_size"]),
             assignment={

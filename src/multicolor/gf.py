@@ -75,20 +75,6 @@ class PrimeField:
             raise InvalidElement(f"{a!r} is not an element of GF({self.q})")
         return a
 
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.q
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.q
-
-    def mul(self, a: int, b: int) -> int:
-        return a * b % self.q
-
-    def inv(self, a: int) -> int:
-        if a % self.q == 0:
-            raise InvalidElement("zero has no multiplicative inverse")
-        return pow(a, -1, self.q)
-
 
 @dataclass(frozen=True)
 class Poly:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, islice
+from itertools import islice
 
 from . import simulator
 from .coloring import Multicoloring
@@ -29,7 +29,7 @@ from .errors import InvalidParams, TooLarge
 from .graph import Graph, OneHopView
 from .rng import keyed_rng
 from .simulator import NodeProgram
-from .verifier import nbr_vertex_count
+from .verifier import _iter_views, nbr_vertex_count
 
 __all__ = [
     "randomized_palette_size",
@@ -321,23 +321,20 @@ def certify_family(
     worst: tuple[int, tuple[int, ...], int] | None = None  # (x, gamma, count)
     worst_metric = None  # count*(d+1), proportional to the achieved ratio
     checked = 0
-    for x in range(1, family.id_space + 1):
-        row = family.beats_row(x)
-        others = [y for y in range(1, family.id_space + 1) if y != x]
-        for d in range(1, max_degree + 1):
-            need = required[d]
-            for gamma in combinations(others, d):
-                lost = 0
-                for y in gamma:
-                    lost |= row[y - 1]
-                count = k - (full & lost).bit_count()
-                checked += 1
-                if count < need:
-                    failures += 1
-                metric = count * (d + 1)
-                if worst_metric is None or metric < worst_metric:
-                    worst_metric = metric
-                    worst = (x, gamma, count)
+    for x, gamma in _iter_views(family.id_space, max_degree):
+        row = family.beats_row(x)  # cached while x stays the same
+        lost = 0
+        for y in gamma:
+            lost |= row[y - 1]
+        count = k - (full & lost).bit_count()
+        checked += 1
+        d = len(gamma)
+        if count < required[d]:
+            failures += 1
+        metric = count * (d + 1)
+        if worst_metric is None or metric < worst_metric:
+            worst_metric = metric
+            worst = (x, gamma, count)
     return FamilyCertificate(
         passed=failures == 0,
         id_space=family.id_space,

@@ -130,8 +130,8 @@ def schedule_to_json(s: TdmaSchedule) -> str:
 
 
 def schedule_from_json(text: str) -> TdmaSchedule:
-    payload = json.loads(text)
     try:
+        payload = json.loads(text)
         return TdmaSchedule(
             frame_length=int(payload["frame_length"]),
             slots={

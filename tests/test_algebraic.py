@@ -180,7 +180,11 @@ def test_tower_matches_brute_force_single_level():
     for _ in range(60):
         ids = rng.sample(range(1, 26), rng.randrange(1, 4))
         view = OneHopView(ids[0], frozenset(ids[1:]))
-        assert tower_colors(view, p) == brute_force_tower(view, p)
+        expected = brute_force_tower(view, p)
+        assert tower_colors(view, p) == expected
+        assert tower_color_indices(view, p) == {
+            tower_color_index(p, c) for c in expected
+        }
 
 
 def test_tower_matches_brute_force_two_levels():
@@ -189,7 +193,11 @@ def test_tower_matches_brute_force_two_levels():
     for _ in range(40):
         ids = rng.sample(range(1, 26), rng.randrange(1, 4))
         view = OneHopView(ids[0], frozenset(ids[1:]))
-        assert tower_colors(view, p) == brute_force_tower(view, p)
+        expected = brute_force_tower(view, p)
+        assert tower_colors(view, p) == expected
+        assert tower_color_indices(view, p) == {
+            tower_color_index(p, c) for c in expected
+        }
 
 
 def test_count_never_falls_below_the_guarantee():
@@ -333,6 +341,7 @@ def test_weighted_index_round_trip_and_disjointness():
         assert all(1 <= i <= s.palette_size for i in idx)
         for wc in out:
             assert 1 <= weighted_color_index(s, wc) <= s.palette_size
+        assert idx == {weighted_color_index(s, wc) for wc in out}
         indices[v] = idx
     for a, b in g.edges():
         assert not indices[a] & indices[b]

@@ -5,8 +5,9 @@ import json
 import pytest
 
 from multicolor.cli import main
-from multicolor.coloring import coloring_from_json
+from multicolor.coloring import coloring_from_json, coloring_to_json
 from multicolor.graph import parse_edge_list
+from multicolor.simulator import run_one_shot
 from multicolor.tdma import schedule_from_json
 
 ALGOS = ("randomized", "shared-order", "algebraic-basic", "algebraic-weighted")
@@ -59,6 +60,12 @@ def test_run_writes_a_valid_coloring(graph_file, tmp_path, capsys, algo):
     summary = json.loads(trace.read_text())
     assert summary["algorithm"] == algo
     assert summary["message_count"] == 2 * g.edge_count()
+    # the CLI defaults, passed to every algorithm alike
+    expected, _ = run_one_shot(
+        g, algo, 9, eps=0.5, tie_break_by_id=False, factor=1,
+        certify_attempts=0, depth=0, slack=2.0,
+    )
+    assert out.read_text() == coloring_to_json(expected)
 
 
 def test_run_draws_a_seed_when_none_is_given(graph_file, tmp_path, capsys):
@@ -84,6 +91,14 @@ def test_verify_accepts_then_rejects_a_tampered_coloring(graph_file, tmp_path, c
     capsys.readouterr()
     assert main(["verify", "-g", str(graph_file), "-c", str(out)]) == 1
     assert '"valid": false' in capsys.readouterr().out
+
+
+def test_malformed_coloring_json_is_an_input_error(graph_file, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    for argv in (["verify"], ["stats"], ["export", "-o", str(tmp_path / "s.json")]):
+        assert main(argv + ["-g", str(graph_file), "-c", str(bad)]) == 2
+    assert "malformed coloring JSON" in capsys.readouterr().err
 
 
 def test_nbrgraph_reports_size_and_chromatic_number(capsys):

@@ -39,6 +39,8 @@ def test_json_round_trip():
 
 def test_json_rejects_malformed_payloads():
     with pytest.raises(InvalidParams):
+        coloring_from_json("{not json")
+    with pytest.raises(InvalidParams):
         coloring_from_json('{"palette_size": 4}')
     with pytest.raises(InvalidParams):
         coloring_from_json('{"palette_size": 4, "assignment": {"1": "abc"}}')

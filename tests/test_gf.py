@@ -67,28 +67,6 @@ def test_prime_field_check_bounds():
         f.check(-1)
 
 
-def test_inverse_of_zero_is_refused():
-    with pytest.raises(InvalidElement):
-        PrimeField(11).inv(0)
-
-
-small_primes = st.sampled_from([2, 3, 5, 7, 11, 13, 101])
-
-
-@given(small_primes, st.data())
-def test_field_axioms(q, data):
-    f = PrimeField(q)
-    elt = st.integers(min_value=0, max_value=q - 1)
-    a, b, c = data.draw(elt), data.draw(elt), data.draw(elt)
-    assert f.add(a, b) == f.add(b, a)
-    assert f.mul(a, b) == f.mul(b, a)
-    assert f.mul(a, f.mul(b, c)) == f.mul(f.mul(a, b), c)
-    assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
-    assert f.sub(f.add(a, b), b) == a
-    if a != 0:
-        assert f.mul(a, f.inv(a)) == 1
-
-
 def test_poly_validation():
     f = PrimeField(5)
     with pytest.raises(InvalidParams):

@@ -96,6 +96,8 @@ def test_json_round_trip_is_exact():
     assert schedule_from_json(text) == s
     assert schedule_to_json(schedule_from_json(text)) == text
     with pytest.raises(InvalidParams):
+        schedule_from_json("{not json")
+    with pytest.raises(InvalidParams):
         schedule_from_json('{"frame_length": 3}')
     with pytest.raises(InvalidParams):
         schedule_from_json('{"frame_length": 3, "nodes": [{"id": "a"}]}')
