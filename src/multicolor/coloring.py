@@ -32,7 +32,9 @@ class Multicoloring:
             {v: frozenset(cols) for v, cols in self.assignment.items()},
         )
         for v, cols in self.assignment.items():
-            for c in cols:
+            if not cols:
+                continue
+            for c in (min(cols), max(cols)):
                 if not 1 <= c <= self.palette_size:
                     raise InvalidParams(
                         f"node {v}: color {c} outside [1, {self.palette_size}]"

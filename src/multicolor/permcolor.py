@@ -7,7 +7,11 @@ Randomized: every node privately draws k numbers uniform from [1, k*n^4] and
 takes the colors where its draw is strictly smallest among its neighborhood.
 Ties waste the color on both sides (kept, since they are rare by design); an
 optional flag breaks ties toward the smaller id instead. Draw values exceed
-64 bits once k*n^4 does, so draws are plain Python integers throughout.
+64 bits once k*n^4 does, so draws are plain Python integers throughout. The
+draws are cut from one bulk read of 32-bit words of the node's keyed stream
+and equal, value for value, k calls of randrange(1, k*n^4 + 1) on it. A node
+sieves its colors one neighbor at a time, so it compares only at the colors
+it still holds.
 
 Shared-order: all nodes know k seeded global orders of the id space and a
 node takes color i when it precedes all its neighbors in order i. Whether a
@@ -19,9 +23,13 @@ derived seed rather than grown.
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from functools import lru_cache
+from itertools import compress, repeat
+from operator import add
 
 from . import simulator
 from .coloring import Multicoloring
@@ -91,15 +99,64 @@ class RandomDraws:
     draws: tuple[int, ...]
 
 
+@lru_cache(maxsize=8)
+def _draw_masks(words: int, shift: int, count: int) -> tuple[int, int]:
+    """Masks over count groups of `words` 32-bit words, least significant first.
+
+    The first keeps each group's low words; the second keeps the top bits
+    of its last word that getrandbits(32*words - shift) would return.
+    """
+    size = 4 * words
+    low = ((1 << 32 * (words - 1)) - 1).to_bytes(size, "little")
+    top = (0xFFFFFFFF >> shift << shift << 32 * (words - 1)).to_bytes(size, "little")
+    return int.from_bytes(low * count, "little"), int.from_bytes(top * count, "little")
+
+
+def _candidates(bits: int, words: int, shift: int, count: int) -> list[int]:
+    """The count values getrandbits(32*words - shift) cuts from these words.
+
+    getrandbits(b) takes ceil(b/32) words of the stream, least significant
+    first, and keeps only the top bits of the last one; the masks do the same
+    to every group of a bulk read at once.
+    """
+    keep_low, keep_top = _draw_masks(words, shift, count)
+    size = 4 * words
+    raw = ((bits & keep_low) | ((bits & keep_top) >> shift)).to_bytes(size * count, "little")
+    if words > 2:
+        return [int.from_bytes(raw[i : i + size], "little") for i in range(0, len(raw), size)]
+    values = array("I" if words == 1 else "Q", raw)
+    if sys.byteorder == "big":
+        values.byteswap()
+    return values.tolist()
+
+
 def generate_draws(node_id: int, k: int, n: int, seed: int) -> RandomDraws:
-    """Draw k values uniform in [1, k*n^4] from the node's keyed stream."""
+    """Draw k values uniform in [1, k*n^4] from the node's keyed stream.
+
+    The values are exactly those of k calls of randrange(1, k*n^4 + 1) on the
+    stream: each is 1 plus a getrandbits(b) value below k*n^4, b the bit
+    length of k*n^4, and rejected values are drawn again. The words come in
+    bulk reads sized for the expected number of candidates; words read past
+    the k-th accepted draw are never used, as the stream is not read again.
+    """
     if k < 1:
         raise InvalidParams("palette size must be >= 1")
     if n < 1:
         raise InvalidParams("node count must be >= 1")
     hi = k * n**4
-    rng = keyed_rng(seed, "draws", node_id)
-    return RandomDraws(node_id, tuple(rng.randrange(1, hi + 1) for _ in range(k)))
+    b = hi.bit_length()
+    words = (b + 31) // 32
+    shift = 32 * words - b
+    getrandbits = keyed_rng(seed, "draws", node_id).getrandbits
+    values: list[int] = []
+    while len(values) < k:
+        need = k - len(values)
+        # a candidate is accepted with probability hi / 2^b >= 1/2
+        count = (need << b) // hi + 3 * math.isqrt(need) + 8
+        cands = _candidates(getrandbits(32 * words * count), words, shift, count)
+        values += compress(cands, map(hi.__gt__, cands))
+    del values[k:]
+    return RandomDraws(node_id, tuple(map(add, values, repeat(1))))
 
 
 def select_colors(
@@ -110,7 +167,9 @@ def select_colors(
     """Colors where own draw is strictly below every neighbor draw.
 
     On an exact tie nobody takes the color, unless tie_break_by_id is set, in
-    which case the smallest node id among the tied minimum wins.
+    which case the smallest node id among the tied minimum wins. The colors
+    still held are sieved one neighbor at a time, about k*H(deg+1) compares
+    for independent draws instead of k*(deg+1).
     """
     k = len(own.draws)
     for nb in neighbors:
@@ -118,20 +177,16 @@ def select_colors(
             raise InvalidParams(
                 f"draw count mismatch: node {nb.node_id} has {len(nb.draws)}, expected {k}"
             )
-    if not neighbors:
-        return frozenset(range(1, k + 1))
-    won = []
-    columns = zip(own.draws, *(nb.draws for nb in neighbors))
-    for i, col in enumerate(columns, start=1):
-        own_d = col[0]
-        m = min(islice(col, 1, None))
-        if own_d < m:
-            won.append(i)
-        elif tie_break_by_id and own_d == m:
-            tied = [nb.node_id for nb in neighbors if nb.draws[i - 1] == m]
-            if all(own.node_id < t for t in tied):
-                won.append(i)
-    return frozenset(won)
+    mine = own.draws
+    alive = range(k)
+    for nb in neighbors:
+        theirs = nb.draws
+        if tie_break_by_id and own.node_id < nb.node_id:
+            # a tie with a larger id keeps the color
+            alive = [i for i in alive if mine[i] <= theirs[i]]
+        else:
+            alive = [i for i in alive if mine[i] < theirs[i]]
+    return frozenset(i + 1 for i in alive)
 
 
 def randomized_program(
@@ -188,7 +243,8 @@ class OrderFamily:
 
     ranks[i][x-1] is the position of id x in order i; a node takes color i+1
     when its rank is below every neighbor's rank in order i. The k * id_space
-    ranks are materialized, so families beyond _MAX_ORDER_RANKS are refused.
+    ranks are materialized, one array("I") row per order, so families beyond
+    _MAX_ORDER_RANKS are refused.
     """
 
     def __init__(self, k: int, id_space: int, seed: int):
@@ -210,7 +266,7 @@ class OrderFamily:
         for _ in range(k):
             order = ids[:]
             rng.shuffle(order)
-            rank = [0] * id_space
+            rank = array("I", [0]) * id_space  # ranks < _MAX_ORDER_RANKS < 2^32
             for pos, x in enumerate(order):
                 rank[x - 1] = pos
             ranks.append(rank)
@@ -236,9 +292,9 @@ class OrderFamily:
         for i, rank in enumerate(self.ranks):
             bit = 1 << i
             rx = rank[x - 1]
-            for y in range(1, self.id_space + 1):
-                if rank[y - 1] < rx:
-                    row[y - 1] |= bit
+            for y, ry in enumerate(rank):
+                if ry < rx:
+                    row[y] |= bit
         self._beats_row_id = x
         self._beats_row = row
         return row
@@ -258,13 +314,12 @@ def select_by_orders(view: OneHopView, family: OrderFamily) -> frozenset[int]:
     family._check_id(view.node_id)
     for y in view.neighbors:
         family._check_id(y)
-    x = view.node_id
-    won = []
-    for i, rank in enumerate(family.ranks, start=1):
-        rx = rank[x - 1]
-        if all(rx < rank[y - 1] for y in view.neighbors):
-            won.append(i)
-    return frozenset(won)
+    ranks = family.ranks
+    x = view.node_id - 1
+    alive = range(family.k)
+    for y in view.neighbors:
+        alive = [i for i in alive if ranks[i][x] < ranks[i][y - 1]]
+    return frozenset(i + 1 for i in alive)
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ nothing beyond the one-hop view to query.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -39,7 +40,8 @@ class NodeEnvelope:
 
     def payload_bytes(self) -> int:
         """Size of the bits under a minimal big-endian integer encoding."""
-        return sum(max(1, (b.bit_length() + 7) // 8) for b in self.bits)
+        lengths = Counter(map(int.bit_length, self.bits))
+        return sum(count * max(1, (bl + 7) // 8) for bl, count in lengths.items())
 
 
 @dataclass(frozen=True)
@@ -68,12 +70,17 @@ class NodeTrace:
 
 @dataclass(frozen=True)
 class RoundTrace:
-    """What happened on the wire during one run."""
+    """What happened on the wire during one run.
+
+    payload_bytes_total counts every delivered copy: each node's payload
+    once per neighbor it reaches.
+    """
 
     algorithm: str
     nodes: dict[int, NodeTrace]
     message_count: int
     max_payload_bytes: int
+    payload_bytes_total: int
 
     def summary(self) -> dict:
         return {
@@ -81,6 +88,7 @@ class RoundTrace:
             "nodes": len(self.nodes),
             "message_count": self.message_count,
             "max_payload_bytes": self.max_payload_bytes,
+            "payload_bytes_total": self.payload_bytes_total,
         }
 
 
@@ -149,6 +157,7 @@ def run_one_shot(
         v: frozenset(program.compute(envelopes[v], inboxes[v])) for v in ids
     }
     traces = {v: NodeTrace(v, envelopes[v], inboxes[v]) for v in ids}
+    payloads = {v: e.payload_bytes() for v, e in envelopes.items()}
 
     coloring = Multicoloring(
         palette_size=program.palette_size,
@@ -159,9 +168,8 @@ def run_one_shot(
         algorithm=program.name,
         nodes=traces,
         message_count=sum(len(inb) for inb in inboxes.values()),
-        max_payload_bytes=max(
-            (e.payload_bytes() for e in envelopes.values()), default=0
-        ),
+        max_payload_bytes=max(payloads.values(), default=0),
+        payload_bytes_total=sum(payloads[v] * len(inboxes[v]) for v in ids),
     )
     return coloring, trace
 

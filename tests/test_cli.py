@@ -61,11 +61,12 @@ def test_run_writes_a_valid_coloring(graph_file, tmp_path, capsys, algo):
     assert summary["algorithm"] == algo
     assert summary["message_count"] == 2 * g.edge_count()
     # the CLI defaults, passed to every algorithm alike
-    expected, _ = run_one_shot(
+    expected, rounds = run_one_shot(
         g, algo, 9, eps=0.5, tie_break_by_id=False, factor=1,
         certify_attempts=0, depth=0, slack=2.0,
     )
     assert out.read_text() == coloring_to_json(expected)
+    assert summary["payload_bytes_total"] == rounds.payload_bytes_total
 
 
 def test_run_draws_a_seed_when_none_is_given(graph_file, tmp_path, capsys):

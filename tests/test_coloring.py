@@ -12,6 +12,10 @@ def test_colors_must_fit_palette():
         Multicoloring(3, {1: {4}})
     with pytest.raises(InvalidParams):
         Multicoloring(3, {1: {0}})
+    with pytest.raises(InvalidParams, match="node 2: color 7 outside"):
+        Multicoloring(3, {1: {1}, 2: {2, 3, 7}})
+    with pytest.raises(InvalidParams, match="color -1 outside"):
+        Multicoloring(3, {1: {-1, 2, 9}})
     with pytest.raises(InvalidParams):
         Multicoloring(0, {})
 

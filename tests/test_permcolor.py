@@ -1,9 +1,10 @@
 """Randomized draws and shared-order families, with exhaustive certificates."""
 
+import hashlib
 import math
 import tracemalloc
 from fractions import Fraction
-from itertools import permutations
+from itertools import islice, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,8 +28,12 @@ from multicolor import (
     shared_palette_size,
     verify,
 )
+from multicolor.coloring import coloring_to_json
 from multicolor.permcolor import min_colors_required
+from multicolor.rng import keyed_rng
+from multicolor.simulator import run_one_shot
 from multicolor.verifier import nbr_vertex_count as neighborhood_view_count
+from test_acceptance import capped_graph
 
 
 # -- palette sizes ---------------------------------------------------------
@@ -93,6 +98,30 @@ def test_draws_monte_carlo_mean():
     hi = 10**4 * 10**4
     mean = sum(d.draws) / len(d.draws)
     assert abs(mean - (1 + hi) / 2) / ((1 + hi) / 2) < 0.05
+
+
+@pytest.mark.parametrize(
+    "k, n, bits",
+    [
+        (1, 1, 1),
+        (5, 1, 3),
+        (8, 2**7, 32),
+        (15, 2**7, 32),
+        (16, 2**7, 33),
+        (2819, 1000, 52),
+        (8, 2**15, 64),
+        (16, 2**15, 65),
+        (40, 2**16, 70),
+        (30, 2**40, 165),
+    ],
+)
+def test_draws_equal_one_randrange_per_color(k, n, bits):
+    hi = k * n**4
+    assert hi.bit_length() == bits
+    for node_id, seed in ((1, 0), (17, 9)):
+        rng = keyed_rng(seed, "draws", node_id)
+        expected = tuple(rng.randrange(1, hi + 1) for _ in range(k))
+        assert generate_draws(node_id, k, n, seed).draws == expected
 
 
 def test_draws_domain_checks():
@@ -166,6 +195,40 @@ def test_two_node_partition_identity(du, dv, tie_break):
         assert len(su) + len(sv) == len(du) - ties
 
 
+def column_min_selection(own, neighbors, tie_break_by_id):
+    """The strict-minimum rule, one color column at a time."""
+    if not neighbors:
+        return frozenset(range(1, len(own.draws) + 1))
+    won = []
+    columns = zip(own.draws, *(nb.draws for nb in neighbors))
+    for i, col in enumerate(columns, start=1):
+        own_d = col[0]
+        m = min(islice(col, 1, None))
+        if own_d < m:
+            won.append(i)
+        elif tie_break_by_id and own_d == m:
+            tied = [nb.node_id for nb in neighbors if nb.draws[i - 1] == m]
+            if all(own.node_id < t for t in tied):
+                won.append(i)
+    return frozenset(won)
+
+
+@settings(max_examples=300)
+@given(
+    st.integers(1, 8),
+    st.lists(st.integers(1, 8), max_size=5),
+    st.integers(1, 12),
+    st.booleans(),
+    st.data(),
+)
+def test_sieve_equals_the_column_minimum(own_id, nb_ids, k, tie_break, data):
+    # draws from {1, 2, 3}, so ties are common; ids may even repeat
+    draws = st.lists(st.integers(1, 3), min_size=k, max_size=k).map(tuple)
+    own = RandomDraws(own_id, data.draw(draws))
+    nbs = tuple(RandomDraws(v, data.draw(draws)) for v in nb_ids)
+    assert select_colors(own, nbs, tie_break) == column_min_selection(own, nbs, tie_break)
+
+
 @settings(max_examples=100)
 @given(draws_strategy, draws_strategy, draws_strategy)
 def test_selection_is_monotone_under_neighbor_removal(do, da, db):
@@ -229,6 +292,23 @@ def test_select_by_orders_matches_mask_interface():
             mask = fam.select_mask(x, gamma)
             colors = select_by_orders(OneHopView(x, frozenset(gamma)), fam)
             assert colors == {i + 1 for i in range(20) if mask >> i & 1}
+
+
+@settings(max_examples=200)
+@given(
+    st.integers(1, 6), st.integers(2, 10), st.integers(0, 2**32), st.data()
+)
+def test_select_by_orders_equals_every_order_rule(k, id_space, seed, data):
+    fam = OrderFamily(k, id_space, seed)
+    x = data.draw(st.integers(1, id_space))
+    others = [y for y in range(1, id_space + 1) if y != x]
+    gamma = data.draw(st.sets(st.sampled_from(others), max_size=4))
+    expected = frozenset(
+        i
+        for i, rank in enumerate(fam.ranks, start=1)
+        if all(rank[x - 1] < rank[y - 1] for y in gamma)
+    )
+    assert select_by_orders(OneHopView(x, frozenset(gamma)), fam) == expected
 
 
 def test_degree_zero_view_wins_every_order():
@@ -335,6 +415,23 @@ def test_certified_family_passes_first_attempt_here():
     fam2, cert2, _ = certified_family(8, 2, 0.75, seed=1, max_attempts=3)
     assert fam2.ranks == fam.ranks
     assert cert2 == cert
+
+
+# SHA-256 of coloring_to_json on criterion 2's graph at seed 0, taken when
+# each draw was one randrange call and each selection a column minimum. Any
+# change to the draw stream, the orders or either selection rule shows here.
+GOLDEN_CRITERION_2 = {
+    "randomized": "6f50ba2bf2ff98c1a640900b75f1b251e69baffe503ccc1c35ec9f58f8672633",
+    "shared-order": "98764600eaed8e4af11a7467e825323d4e9d579c07340d8fb3638f2da6163c38",
+}
+
+
+@pytest.mark.parametrize("algo", sorted(GOLDEN_CRITERION_2))
+def test_criterion_2_colorings_are_byte_stable(algo):
+    g = capped_graph(gnp_graph(200, 0.03, 200, seed=11), cap=8)
+    m, _ = run_one_shot(g, algo, 0, eps=0.5)
+    digest = hashlib.sha256(coloring_to_json(m).encode()).hexdigest()
+    assert digest == GOLDEN_CRITERION_2[algo]
 
 
 def test_run_shared_produces_a_valid_coloring():

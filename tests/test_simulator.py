@@ -35,6 +35,7 @@ def test_payload_bytes():
     assert NodeEnvelope(1, (255,)).payload_bytes() == 1
     assert NodeEnvelope(1, (256,)).payload_bytes() == 2
     assert NodeEnvelope(1, (2**64, 1)).payload_bytes() == 10
+    assert NodeEnvelope(1, (0, 1, 255, 256, 2**64, 2**64, 1)).payload_bytes() == 24
 
 
 def test_all_four_algorithms_are_registered():
@@ -91,6 +92,17 @@ def test_randomized_run_is_reproducible():
     assert a[1] == b[1]
     c = run_one_shot(g, "randomized", seed=12, eps=1.0)
     assert a[0] != c[0]
+
+
+def test_payload_total_counts_every_delivered_copy():
+    g = gnp_graph(30, 0.2, 30, seed=4)
+    _, trace = run_one_shot(g, "randomized", seed=3, eps=1.0)
+    sent = {v: t.sent.payload_bytes() for v, t in trace.nodes.items()}
+    assert trace.payload_bytes_total == sum(sent[v] * g.degree(v) for v in sent) > 0
+    assert trace.max_payload_bytes == max(sent.values())
+    assert trace.summary()["payload_bytes_total"] == trace.payload_bytes_total
+    _, det = run_one_shot(g, "algebraic-basic")
+    assert det.payload_bytes_total == 0
 
 
 def test_randomized_needs_a_seed():

@@ -56,6 +56,8 @@ def test_schedule_validation_and_normalization():
         TdmaSchedule(4, {1: (5,)})
     with pytest.raises(InvalidParams):
         TdmaSchedule(4, {1: (0,)})
+    with pytest.raises(InvalidParams, match="node 2: slot 9 outside"):
+        TdmaSchedule(4, {1: (), 2: (2, 9, 3)})
 
 
 def test_everyone_transmits_always_on_an_edgeless_graph():
