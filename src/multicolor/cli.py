@@ -93,16 +93,20 @@ def cmd_verify(args) -> int:
 
 
 def cmd_nbrgraph(args) -> int:
-    ng = verifier.neighborhood_graph(args.N, args.Delta, max_views=args.max_views)
-    line = f"vertices={ng.vertex_count} edges={ng.edge_count}"
+    line = (
+        f"vertices={verifier.nbr_vertex_count(args.N, args.Delta)} "
+        f"edges={verifier.nbr_edge_count(args.N, args.Delta)}"
+    )
     if args.chi:
+        ng = verifier.neighborhood_graph(args.N, args.Delta, max_views=args.max_views)
         line += f" chi={verifier.chromatic_number(ng)}"
     print(line)
     if args.certify:
         seed = _resolve_seed(args.seed)
         if args.certify == "shared-order":
             family, cert, attempts = permcolor.certified_family(
-                args.N, args.Delta, args.eps, seed, max_attempts=args.attempts
+                args.N, args.Delta, args.eps, seed, max_attempts=args.attempts,
+                max_views=args.max_views,
             )
             if not cert.passed:
                 print(f"certify=FAIL attempts={attempts} failures={cert.failures}")

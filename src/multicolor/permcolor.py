@@ -37,7 +37,7 @@ from .errors import InvalidParams, TooLarge
 from .graph import Graph, OneHopView
 from .rng import keyed_rng
 from .simulator import NodeProgram
-from .verifier import _iter_views, nbr_vertex_count
+from .verifier import MAX_VIEWS, _iter_views
 
 __all__ = [
     "randomized_palette_size",
@@ -354,7 +354,7 @@ def certify_family(
     family: OrderFamily,
     max_degree: int,
     eps,
-    max_views: int = 10**7,
+    max_views: int = MAX_VIEWS,
 ) -> FamilyCertificate:
     """Check that every possible view up to max_degree meets its color quota.
 
@@ -364,9 +364,7 @@ def certify_family(
     arithmetic end to end.
     """
     e = _check_eps(eps)
-    n_views = nbr_vertex_count(family.id_space, max_degree)
-    if n_views > max_views:
-        raise TooLarge(f"{n_views} views exceed the guard of {max_views}")
+    views = _iter_views(family.id_space, max_degree, max_views)
     k = family.k
     full = (1 << k) - 1
     required = {
@@ -376,7 +374,7 @@ def certify_family(
     worst: tuple[int, tuple[int, ...], int] | None = None  # (x, gamma, count)
     worst_metric = None  # count*(d+1), proportional to the achieved ratio
     checked = 0
-    for x, gamma in _iter_views(family.id_space, max_degree):
+    for x, gamma in views:
         row = family.beats_row(x)  # cached while x stays the same
         lost = 0
         for y in gamma:
@@ -411,7 +409,7 @@ def certified_family(
     seed: int,
     max_attempts: int = 3,
     factor: int = 1,
-    max_views: int = 10**7,
+    max_views: int = MAX_VIEWS,
 ) -> tuple[OrderFamily, FamilyCertificate, int]:
     """Build an order family and certify it, resampling the seed on failure.
 
@@ -461,10 +459,9 @@ def run_shared(
     max_degree: int | None = None,
     factor: int = 1,
     certify_attempts: int = 0,
-    max_views: int = 10**7,
 ) -> Multicoloring:
     """The coloring of run_one_shot(g, "shared-order", seed, ...) with these options."""
-    opts = dict(factor=factor, certify_attempts=certify_attempts, max_views=max_views)
+    opts = dict(factor=factor, certify_attempts=certify_attempts)
     return simulator.run_one_shot(
         g, "shared-order", seed, eps=eps, max_degree=max_degree, **opts
     )[0]
@@ -483,7 +480,6 @@ def _build_shared(
     eps=0.5,
     factor=1,
     certify_attempts=0,
-    max_views=10**7,
     **_,
 ):
     meta: dict = {
@@ -494,7 +490,7 @@ def _build_shared(
     }
     if certify_attempts > 0:
         family, cert, attempts = certified_family(
-            g.id_space, max_degree, eps, seed, certify_attempts, factor, max_views
+            g.id_space, max_degree, eps, seed, certify_attempts, factor
         )
         if not cert.passed:
             raise InvalidParams(

@@ -16,8 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
-from typing import Callable
+from itertools import combinations, filterfalse, islice
+from typing import Callable, Iterator
 
 from .coloring import Multicoloring
 from .errors import Incomplete, InvalidParams, TooLarge
@@ -75,6 +75,9 @@ def verify(
     g: Graph, m: Multicoloring, eps=None, violation_cap: int = 100
 ) -> VerificationReport:
     """Check edge disjointness and palette fractions of m on g."""
+    if eps is not None and not 0 <= eps <= 1:  # also refuses nan
+        raise InvalidParams(f"epsilon {eps} outside [0, 1]")
+    e = Fraction(eps) if eps is not None else None
     missing = [v for v in g.node_ids() if v not in m.assignment]
     extra = [v for v in m.assignment if not g.has_node(v)]
     if missing or extra:
@@ -95,7 +98,6 @@ def verify(
     worst_ratio = None
     rho: dict[int, Fraction] = {}
     target_ok = True
-    e = Fraction(eps) if eps is not None else None
     for v in g.node_ids():
         d = g.degree(v)
         ratio = fractions[v] * (d + 1)
@@ -126,6 +128,8 @@ def verify(
 
 def nbr_vertex_count(id_space: int, max_degree: int) -> int:
     """Closed-form vertex count: sum over delta of N * C(N-1, delta)."""
+    if id_space < 1 or max_degree < 0:
+        raise InvalidParams("need id_space >= 1 and max_degree >= 0")
     return sum(
         id_space * math.comb(id_space - 1, d) for d in range(1, max_degree + 1)
     )
@@ -143,13 +147,28 @@ def nbr_edge_count(id_space: int, max_degree: int) -> int:
     return math.comb(id_space, 2) * rests * rests
 
 
-def _iter_views(id_space: int, max_degree: int):
-    """Yield (x, gamma) over all views, grouped by x, degree ascending."""
+MAX_VIEWS = 10**7  # default view budget of every sweep
+
+
+def _iter_views(id_space: int, max_degree: int, max_views: int = MAX_VIEWS):
+    """All views (x, gamma), grouped by x, degree ascending.
+
+    The one view enumeration and the one place its budget is enforced: the
+    count is checked when this is called, before any view is made, and only
+    then is the generator returned.
+    """
+    total = nbr_vertex_count(id_space, max_degree)
+    if total > max_views:
+        raise TooLarge(f"{total} views exceed the guard of {max_views}")
     ids = range(1, id_space + 1)
-    for x in ids:
-        others = [y for y in ids if y != x]
-        for d in range(1, max_degree + 1):
-            yield from ((x, gamma) for gamma in combinations(others, d))
+
+    def views():
+        for x in ids:
+            others = [y for y in ids if y != x]
+            for d in range(1, max_degree + 1):
+                yield from ((x, gamma) for gamma in combinations(others, d))
+
+    return views()
 
 
 @dataclass(frozen=True)
@@ -195,14 +214,8 @@ def neighborhood_graph(
     id_space: int, max_degree: int, max_views: int = 10**6
 ) -> NeighborhoodGraph:
     """Materialize the neighborhood graph; guarded by a view budget."""
-    if id_space < 1 or max_degree < 0:
-        raise InvalidParams("need id_space >= 1 and max_degree >= 0")
-    total = nbr_vertex_count(id_space, max_degree)
-    if total > max_views:
-        raise TooLarge(f"{total} views exceed the guard of {max_views}")
-    vertices = tuple(
-        OneHopView(x, frozenset(gamma)) for x, gamma in _iter_views(id_space, max_degree)
-    )
+    views = _iter_views(id_space, max_degree, max_views)
+    vertices = tuple(OneHopView(x, frozenset(gamma)) for x, gamma in views)
     return NeighborhoodGraph(id_space, max_degree, vertices)
 
 
@@ -212,25 +225,22 @@ def neighborhood_graph(
 
 def chromatic_number(ng: NeighborhoodGraph | Graph, max_vertices: int = 10**4) -> int:
     """Exact chromatic number via DSATUR branch and bound."""
-    if isinstance(ng, NeighborhoodGraph):
-        nv = ng.vertex_count
-        edges = ng.edge_list()
-    else:
-        ids = ng.node_ids()
-        pos = {v: i for i, v in enumerate(ids)}
-        nv = len(ids)
-        edges = [(pos[a], pos[b]) for a, b in ng.edges()]
+    nv = ng.vertex_count if isinstance(ng, NeighborhoodGraph) else ng.n
     if nv > max_vertices:
         raise TooLarge(f"{nv} vertices exceed the guard of {max_vertices}")
     if nv == 0:
         return 0
+    if isinstance(ng, NeighborhoodGraph):
+        edges = ng.edge_list()
+    else:
+        pos = {v: i for i, v in enumerate(ng.node_ids())}
+        edges = [(pos[a], pos[b]) for a, b in ng.edges()]
+    if not edges:
+        return 1
     adj = [0] * nv
     for i, j in edges:
         adj[i] |= 1 << j
         adj[j] |= 1 << i
-    if not edges:
-        return 1
-
     degree = [a.bit_count() for a in adj]
 
     # greedy clique for the lower bound
@@ -238,76 +248,51 @@ def chromatic_number(ng: NeighborhoodGraph | Graph, max_vertices: int = 10**4) -
     for v in sorted(range(nv), key=lambda v: -degree[v]):
         if all(adj[v] >> u & 1 for u in clique):
             clique.append(v)
-    lower = len(clique)
-
-    # DSATUR greedy for the upper bound
-    def dsatur_greedy() -> int:
-        color = [0] * nv
-        neighbor_colors: list[set[int]] = [set() for _ in range(nv)]
-        for _ in range(nv):
-            v = max(
-                (u for u in range(nv) if not color[u]),
-                key=lambda u: (len(neighbor_colors[u]), degree[u]),
-            )
-            c = 1
-            while c in neighbor_colors[v]:
-                c += 1
-            color[v] = c
-            w = adj[v]
-            while w:
-                u = (w & -w).bit_length() - 1
-                neighbor_colors[u].add(c)
-                w &= w - 1
-        return max(color)
-
-    best = dsatur_greedy()
-    if best == lower:
-        return best
 
     color = [0] * nv
     # seed the search with the clique: those colors are forced anyway
     for i, v in enumerate(clique):
         color[v] = i + 1
-
-    def expand(colored: int, used: int) -> None:
-        nonlocal best
-        if used >= best:
-            return
-        if colored == nv:
+    # Depth-first branch and bound on an explicit stack, since a view graph
+    # can hold more vertices than the recursion limit. With no bound yet the
+    # first dive is a plain DSATUR coloring; once best reaches the clique
+    # size, every branch is cut by used >= best.
+    best = nv + 1
+    used = len(clique)
+    stack: list[tuple[int, Iterator[int], int]] = []  # vertex, colors left, used before
+    while True:
+        if used < best and len(clique) + len(stack) == nv:
             best = used
-            return
-        # most saturated uncolored vertex, ties by degree
-        pick, pick_sat = -1, (-1, -1)
-        for v in range(nv):
-            if color[v]:
-                continue
-            seen = set()
-            w = adj[v]
-            while w:
-                u = (w & -w).bit_length() - 1
-                if color[u]:
-                    seen.add(color[u])
-                w &= w - 1
-            sat = (len(seen), degree[v])
-            if sat > pick_sat:
-                pick, pick_sat = v, sat
-        v = pick
-        forbidden = set()
-        w = adj[v]
-        while w:
-            u = (w & -w).bit_length() - 1
-            if color[u]:
-                forbidden.add(color[u])
-            w &= w - 1
-        for c in range(1, min(used + 1, best - 1) + 1):
-            if c in forbidden:
-                continue
-            color[v] = c
-            expand(colored + 1, max(used, c))
+        elif used < best:
+            # most saturated uncolored vertex, ties by degree
+            pick, pick_sat, forbidden = -1, (-1, -1), set()
+            for v in range(nv):
+                if color[v]:
+                    continue
+                seen = set()
+                w = adj[v]
+                while w:
+                    u = (w & -w).bit_length() - 1
+                    if color[u]:
+                        seen.add(color[u])
+                    w &= w - 1
+                sat = (len(seen), degree[v])
+                if sat > pick_sat:
+                    pick, pick_sat, forbidden = v, sat, seen
+            options = range(1, min(used + 1, best - 1) + 1)
+            stack.append((pick, filterfalse(forbidden.__contains__, options), used))
+        # next untried color, backtracking past exhausted vertices
+        while stack:
+            v, options, before = stack[-1]
+            c = next(options, 0)
+            if c:
+                color[v] = c
+                used = max(before, c)
+                break
             color[v] = 0
-
-    expand(len(clique), len(clique))
-    return best
+            stack.pop()
+        else:
+            return best
 
 
 # ---------------------------------------------------------------------------
@@ -339,8 +324,8 @@ def certify_on_neighborhood(
     id_space: int,
     max_degree: int,
     palette_size: int,
-    min_colors: Callable[[int], int] | dict[int, int] | None = None,
-    max_views: int = 10**7,
+    min_colors: Callable[[int], int] | None = None,
+    max_views: int = MAX_VIEWS,
     violation_cap: int = 100,
 ) -> NeighborhoodCertificate:
     """Evaluate a deterministic algorithm on every view and certify it.
@@ -349,22 +334,18 @@ def certify_on_neighborhood(
     enumerating edges: group the views by (own id a, witnessed neighbor b)
     and union their color masks; every edge joins some group (a, b) with the
     group (b, a), so all edges are conflict-free if and only if every such
-    union pair is disjoint. On failure the offending groups are rescanned to
-    name concrete view pairs.
+    union pair is disjoint. On failure one more sweep collects the groups of
+    the first violation_cap offending pairs, each of which holds at least one
+    violation, and joins them to name concrete view pairs.
 
     view_colors may return an int bitmask (bit i-1 = color i) or an iterable
-    of 1-based colors. min_colors, if given, is the per-degree minimum count
-    each view must keep.
+    of 1-based colors. min_colors, if given, maps a degree to the minimum
+    count each view of that degree must keep.
     """
-    total = nbr_vertex_count(id_space, max_degree)
-    if total > max_views:
-        raise TooLarge(f"{total} views exceed the guard of {max_views}")
-    if min_colors is None:
-        need = None
-    elif callable(min_colors):
+    views = _iter_views(id_space, max_degree, max_views)
+    need = None
+    if min_colors is not None:
         need = {d: min_colors(d) for d in range(1, max_degree + 1)}
-    else:
-        need = dict(min_colors)
 
     def as_mask(result) -> int:
         if isinstance(result, int):
@@ -378,7 +359,7 @@ def certify_on_neighborhood(
     min_by_degree: dict[int, int] = {}
     bound_failures = 0
     checked = 0
-    for x, gamma in _iter_views(id_space, max_degree):
+    for x, gamma in views:
         view = OneHopView(x, frozenset(gamma))
         mask = as_mask(view_colors(view))
         if mask >> palette_size:
@@ -390,38 +371,36 @@ def certify_on_neighborhood(
         count = mask.bit_count()
         if d not in min_by_degree or count < min_by_degree[d]:
             min_by_degree[d] = count
-        if need is not None and count < need.get(d, 0):
+        if need is not None and count < need[d]:
             bound_failures += 1
         for b in gamma:
             key = (x, b)
             unions[key] = unions.get(key, 0) | mask
 
-    violations: list[tuple[OneHopView, OneHopView, int]] = []
     bad_pairs = [
         (a, b)
         for (a, b) in unions
         if a < b and (b, a) in unions and unions[(a, b)] & unions[(b, a)]
     ]
-    for a, b in bad_pairs:
-        if len(violations) >= violation_cap:
-            break
-        left = [
-            (OneHopView(x, frozenset(gamma)), as_mask(view_colors(OneHopView(x, frozenset(gamma)))))
-            for x, gamma in _iter_views(id_space, max_degree)
-            if x == a and b in gamma
-        ]
-        right = [
-            (OneHopView(x, frozenset(gamma)), as_mask(view_colors(OneHopView(x, frozenset(gamma)))))
-            for x, gamma in _iter_views(id_space, max_degree)
-            if x == b and a in gamma
-        ]
-        for u_view, u_mask in left:
-            for v_view, v_mask in right:
-                shared = u_mask & v_mask
-                if shared and len(violations) < violation_cap:
-                    violations.append(
-                        (u_view, v_view, shared.bit_length())  # one shared color
-                    )
+    named = bad_pairs[:violation_cap]
+    groups: dict[tuple[int, int], list[tuple[OneHopView, int]]] = {
+        key: [] for a, b in named for key in ((a, b), (b, a))
+    }
+    if groups:
+        for x, gamma in _iter_views(id_space, max_degree, max_views):
+            hits = [groups[x, b] for b in gamma if (x, b) in groups]
+            if hits:
+                view = OneHopView(x, frozenset(gamma))
+                entry = (view, as_mask(view_colors(view)))
+                for group in hits:
+                    group.append(entry)
+    conflicts = (
+        (u_view, v_view, (u_mask & v_mask).bit_length())  # one shared color
+        for a, b in named
+        for u_view, u_mask in groups[a, b]
+        for v_view, v_mask in groups[b, a]
+        if u_mask & v_mask
+    )
     return NeighborhoodCertificate(
         id_space=id_space,
         max_degree=max_degree,
@@ -432,5 +411,5 @@ def certify_on_neighborhood(
         bound_ok=bound_failures == 0,
         min_count_by_degree=min_by_degree,
         bound_failures=bound_failures,
-        violations=violations,
+        violations=list(islice(conflicts, violation_cap)),
     )

@@ -94,6 +94,17 @@ def test_verify_accepts_then_rejects_a_tampered_coloring(graph_file, tmp_path, c
     assert '"valid": false' in capsys.readouterr().out
 
 
+def test_verify_refuses_an_epsilon_outside_the_unit_interval(graph_file, tmp_path, capsys):
+    out = tmp_path / "coloring.json"
+    assert main(
+        ["run", "--algo", "algebraic-basic", "--seed", "1",
+         "-g", str(graph_file), "-o", str(out)]
+    ) == 0
+    capsys.readouterr()
+    assert main(["verify", "-g", str(graph_file), "-c", str(out), "--eps", "5"]) == 2
+    assert "epsilon" in capsys.readouterr().err
+
+
 def test_malformed_coloring_json_is_an_input_error(graph_file, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -127,9 +138,20 @@ def test_nbrgraph_certifies_the_tower_construction(capsys):
 
 
 def test_nbrgraph_respects_the_view_budget(capsys):
-    code = main(["nbrgraph", "--N", "30", "--Delta", "3", "--max-views", "1000"])
+    code = main(
+        ["nbrgraph", "--N", "30", "--Delta", "3", "--max-views", "1000", "--chi"]
+    )
     assert code == 3
     assert "error" in capsys.readouterr().err
+
+
+def test_nbrgraph_counts_in_closed_form_and_certifies_within_the_budget(capsys):
+    argv = ["nbrgraph", "--N", "30", "--Delta", "3", "--max-views", "1000"]
+    assert main(argv) == 0
+    assert "vertices=122670 edges=72057315" in capsys.readouterr().out
+    for algo in ("shared-order", "algebraic-basic"):
+        assert main(argv + ["--certify", algo, "--seed", "1"]) == 3
+        assert "exceed the guard of 1000" in capsys.readouterr().err
 
 
 def test_export_writes_schedule_and_csv(graph_file, tmp_path, capsys):

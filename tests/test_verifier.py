@@ -1,7 +1,10 @@
 """Coloring checks, the all-views graph, and exhaustive certificates."""
 
+import hashlib
 import itertools
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -69,6 +72,14 @@ def test_violation_cap_truncates_the_sample_but_not_the_count():
     assert len(r.violations) == 3
     assert r.violation_count == 5
     assert not r.valid
+
+
+def test_verify_refuses_an_epsilon_outside_the_unit_interval():
+    m = Multicoloring(2, {1: {1}, 2: {2}})
+    for eps in (5, -0.5, Fraction(3, 2), float("nan"), float("inf")):
+        with pytest.raises(InvalidParams):
+            verify(K2, m, eps=eps)
+    assert verify(K2, m, eps=1).meets_target is True
 
 
 def test_meets_target_is_none_without_an_epsilon():
@@ -153,6 +164,22 @@ def test_guards_refuse_oversized_instances():
         neighborhood_graph(0, 1)
 
 
+def test_chromatic_number_refuses_before_building_edges():
+    ng = neighborhood_graph(17, 3)
+    assert ng.vertex_count == 11832
+    with pytest.raises(TooLarge):
+        chromatic_number(ng)
+    assert ng._edges is None
+
+
+def test_certify_refuses_an_oversized_view_space_before_any_view():
+    def view_colors(view):
+        raise AssertionError(f"evaluated {view}")
+
+    with pytest.raises(TooLarge):
+        certify_on_neighborhood(view_colors, 30, 3, 8, max_views=1000)
+
+
 # -- exact chromatic number ------------------------------------------------------
 
 
@@ -169,13 +196,14 @@ def chi_oracle(nv: int, edges) -> int:
 
 def test_chromatic_number_matches_brute_force():
     rng = random.Random(1)
-    for _ in range(10):
-        nv = rng.randrange(1, 7)
+    for _ in range(40):
+        nv = rng.randrange(1, 8)
+        density = rng.random()
         edges = [
             (i, j)
             for i in range(nv)
             for j in range(i + 1, nv)
-            if rng.random() < 0.5
+            if rng.random() < density
         ]
         adj = {v + 1: set() for v in range(nv)}
         for i, j in edges:
@@ -193,6 +221,12 @@ def test_chromatic_number_known_graphs():
         ids = range(1, n + 1)
         adj = {v: {u for u in ids if u != v} for v in ids}
         assert chromatic_number(Graph(n, adj)) == n
+
+
+def test_chromatic_number_searches_deeper_than_the_recursion_limit():
+    ng = neighborhood_graph(40, 1)
+    assert ng.vertex_count == 1560 > sys.getrecursionlimit()
+    assert chromatic_number(ng) == 2  # every view has exactly one neighbor
 
 
 def test_chromatic_grid_on_small_view_graphs():
@@ -247,7 +281,7 @@ def test_certify_flags_missed_quotas():
         8,
         2,
         p.palette_size,
-        min_colors={1: p.palette_size, 2: 1},
+        min_colors={1: p.palette_size, 2: 1}.__getitem__,
     )
     assert cert.disjoint and not cert.bound_ok and not cert.passed
     assert cert.bound_failures == nbr_vertex_count(8, 1)
@@ -292,6 +326,31 @@ def test_union_certificate_agrees_with_edge_enumeration():
             assert cert.disjoint == explicit
             outcomes.add(explicit)
     assert outcomes == {True, False}
+
+
+def test_failure_rescan_evaluates_each_view_at_most_twice():
+    calls = Counter()
+
+    def view_colors(view):
+        calls[view] += 1
+        return keyed_one_bit_mask(7, 4096, view)
+
+    cert = certify_on_neighborhood(view_colors, 14, 3, 4096)
+    assert not cert.disjoint
+    assert len(calls) == nbr_vertex_count(14, 3)
+    assert max(calls.values()) == 2  # the sweep, then one rescan of the bad groups
+    for u, v, c in cert.violations:
+        assert is_nbr_edge(u, v)
+        assert keyed_one_bit_mask(7, 4096, u) == keyed_one_bit_mask(7, 4096, v) == 1 << (c - 1)
+    # the sample recorded from the per-pair rescan this sweep replaced
+    text = "\n".join(
+        f"{u.node_id}:{sorted(u.neighbors)} {v.node_id}:{sorted(v.neighbors)} {c}"
+        for u, v, c in cert.violations
+    )
+    assert len(cert.violations) == 100
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "ff7e373cdbd1c917b6dfeb94af36baa3d32de66d78e487475e6211687558b07b"
+    )
 
 
 def test_shared_orders_are_disjoint_on_every_view_pair():
