@@ -4,9 +4,11 @@ Basic construction: ids are encoded as degree-d0 polynomials over GF(q0), so
 two distinct nodes agree on at most d0 of the q0 evaluation points. Deeper
 levels re-encode the previous level's field value over a smaller field,
 shrinking the id space step by step. A color is one evaluation-point tuple
-(alpha_0..alpha_ell) together with the node's final value beta; a node keeps
-the color only if beta differs from every neighbor's final value, which makes
-adjacent color sets disjoint by construction and leaves each node at least
+(alpha_0..alpha_ell) together with a final value beta. M(x), the colors of x's
+neighbor-free view, pairs each point tuple with x's own beta. Equal values stay
+equal down the tower, so a neighbor y collides with x on a point tuple exactly
+when that color is in M(y), and a node keeps M(x) minus its neighbors' M(y):
+adjacent color sets are disjoint by construction, and each node keeps at least
 prod_i (q_i - Delta*d_i) colors out of q_ell * prod_i q_i.
 
 Weighted union: one basic instance per degree scale 2^i is replicated with a
@@ -23,11 +25,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache, partial
+from typing import Callable
 
 from . import simulator
 from .coloring import Multicoloring
 from .errors import Infeasible, InvalidParams
-from .gf import PrimeField, next_prime
+from .gf import is_prime, next_prime
 from .graph import Graph, OneHopView
 from .simulator import NodeProgram
 
@@ -51,6 +55,8 @@ __all__ = [
 ]
 
 _Q_CAP = 2**62  # defensive ceiling for the prime search
+# colors memoised per tower, about 40 B each in tuples: at most ~21 MB a tower
+_MEMO_COLORS = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -79,7 +85,8 @@ class TowerParams:
             raise InvalidParams("qs, ds, fs must be nonempty and equally long")
         domain = self.id_space
         for i, (q, d, f) in enumerate(zip(self.qs, self.ds, self.fs)):
-            PrimeField(q)  # primality check
+            if not is_prime(q):
+                raise InvalidParams(f"field order {q} is not prime")
             if d < 1:
                 raise InvalidParams(f"level {i}: degree bound {d} must be >= 1")
             if f <= 1:
@@ -97,6 +104,14 @@ class TowerParams:
     @property
     def depth(self) -> int:
         return len(self.qs) - 1
+
+    @cached_property
+    def _free_colors(self) -> Callable[[int], tuple[int, ...]]:
+        """M: id -> sorted palette indices of its neighbor-free view (ids unchecked),
+        memoised for the _MEMO_COLORS // prod(qs) most recently used ids."""
+        return lru_cache(_MEMO_COLORS // math.prod(self.qs))(
+            partial(_descend_free, self.qs, self.ds)
+        )
 
     @property
     def palette_size(self) -> int:
@@ -146,11 +161,9 @@ def clamp_depth(id_space: int, max_degree: int, depth: int) -> int:
     best = 0
     val = float(id_space)
     for level in range(depth + 1):
-        if val > bound:
-            best = level
-        else:
+        if val <= bound:
             break
-        val = math.log(val)
+        best, val = level, math.log(val)
     return best
 
 
@@ -175,34 +188,27 @@ def choose_tower(id_space: int, max_degree: int, depth: int = 0, slack=2) -> Tow
     a scalar or one value per level, each > 1.
     """
     ell = clamp_depth(id_space, max_degree, depth)
-    if isinstance(slack, (list, tuple)):
-        if len(slack) < ell + 1:
-            raise InvalidParams(f"need {ell + 1} slack values, got {len(slack)}")
-        fs = tuple(Fraction(f) for f in slack[: ell + 1])
-    else:
-        fs = tuple(Fraction(slack) for _ in range(ell + 1))
-    qs: list[int] = []
-    ds: list[int] = []
+    slacks = slack if isinstance(slack, (list, tuple)) else [slack] * (ell + 1)
+    if len(slacks) < ell + 1:
+        raise InvalidParams(f"need {ell + 1} slack values, got {len(slacks)}")
+    fs = tuple(Fraction(f) for f in slacks[: ell + 1])
+    levels: list[tuple[int, int]] = []  # (q_i, d_i)
     domain = id_space
-    for i in range(ell + 1):
-        f = fs[i]
-        best: tuple[int, int] | None = None
+    for i, f in enumerate(fs):
         d_max = max(1, math.ceil(math.log2(max(domain, 2))))
-        for d in range(1, d_max + 1):
-            lo = max(2, _iroot_ceil(domain, d + 1), math.ceil(f * max_degree * d))
-            q = next_prime(lo)
-            if q > _Q_CAP:
-                continue
-            if best is None or q < best[0]:
-                best = (q, d)
+        candidates = (
+            (next_prime(max(2, _iroot_ceil(domain, d + 1), math.ceil(f * max_degree * d))), d)
+            for d in range(1, d_max + 1)
+        )
+        best = min((c for c in candidates if c[0] <= _Q_CAP), default=None)
         if best is None:
             raise Infeasible(
                 f"level {i}: no usable prime for domain {domain}, slack {f}"
             )
-        qs.append(best[0])
-        ds.append(best[1])
+        levels.append(best)
         domain = best[0]
-    return TowerParams(id_space, max_degree, tuple(qs), tuple(ds), fs)
+    qs, ds = zip(*levels)
+    return TowerParams(id_space, max_degree, qs, ds, fs)
 
 
 def _check_view(view: OneHopView, params: TowerParams) -> None:
@@ -217,42 +223,40 @@ def _check_view(view: OneHopView, params: TowerParams) -> None:
             raise InvalidParams(f"id {y} outside [1, {params.id_space}]")
 
 
+def _descend_free(qs: tuple[int, ...], ds: tuple[int, ...], x: int) -> tuple[int, ...]:
+    """M(x) by a single-value descent: one leaf per alpha path, emitted as
+    prefix * q_ell + beta_x + 1, prefix being the mixed-radix alpha_0..alpha_ell."""
+    depth, q_last = len(qs) - 1, qs[-1]
+    out: list[int] = []
+
+    def descend(level: int, value: int, prefix: int) -> None:
+        q = qs[level]
+        # base-q digits, highest first; TowerParams ensures value < q^(d+1)
+        digits = [value // q**k % q for k in range(ds[level], -1, -1)]
+        for alpha in range(q):
+            acc = 0
+            for c in digits:
+                acc = acc * alpha + c  # Horner, reduced once below
+            idx = prefix * q + alpha
+            if level == depth:
+                out.append(idx * q_last + acc % q + 1)
+            else:
+                descend(level + 1, acc % q, idx)
+
+    descend(0, x - 1, 0)
+    return tuple(out)
+
+
 def tower_color_indices(view: OneHopView, params: TowerParams) -> frozenset[int]:
     """All colors the node keeps for this view, as 1-based palette indices.
 
-    A branch is dropped as soon as the node's value collides with some
-    neighbor's value, since equal values stay equal down the rest of the
-    tower; surviving leaves are exactly the selected colors. Each is emitted
-    as prefix * q_ell + beta + 1, prefix being the mixed-radix alpha_0..alpha_ell.
+    The exclusion rule M(x) minus the union of M(y) over the neighbors y: a
+    neighbor whose value equals the node's at some level keeps it equal down
+    the rest of the tower, so it blocks exactly the colors it shares with M(x).
     """
     _check_view(view, params)
-    qs, ds = params.qs, params.ds
-    depth = params.depth
-    q_last = qs[-1]
-    out: list[int] = []
-
-    def descend(level: int, values: list[int], prefix: int) -> None:
-        q, d = qs[level], ds[level]
-        # base-q digits, highest first; TowerParams guarantees v < q^(d+1)
-        rows = [[v // q**k % q for k in range(d, -1, -1)] for v in values]
-        for alpha in range(q):
-            nxt = []
-            for digits in rows:
-                acc = 0
-                for c in digits:
-                    acc = acc * alpha + c  # Horner, reduced once below
-                nxt.append(acc % q)
-            own = nxt[0]
-            if own in nxt[1:]:
-                continue
-            idx = prefix * q + alpha
-            if level == depth:
-                out.append(idx * q_last + own + 1)
-            else:
-                descend(level + 1, nxt, idx)
-
-    descend(0, [x - 1 for x in (view.node_id, *view.neighbors)], 0)
-    return frozenset(out)
+    free = params._free_colors
+    return frozenset(free(view.node_id)).difference(*map(free, view.neighbors))
 
 
 def tower_colors(view: OneHopView, params: TowerParams) -> frozenset[tuple[int, ...]]:
@@ -409,12 +413,8 @@ def build_weighted_scheme(
     weights = []
     for i in range(1, levels + 1):
         mass = Fraction(top, instances[i - 1].palette_size)
-        if e == 0:
-            boost: Fraction | float = Fraction(1)
-        elif e == 1:
-            boost = Fraction(max_degree, 2 ** (i - 1))
-        else:
-            boost = (max_degree / 2 ** (i - 1)) ** e
+        ratio = Fraction(max_degree, 2 ** (i - 1))
+        boost = ratio ** int(e) if e in (0, 1) else float(ratio) ** e  # exact at 0 and 1
         weights.append(math.ceil(boost * mass))
     return WeightedScheme(
         id_space=id_space,
@@ -435,13 +435,12 @@ def weighted_colors(
     each color its tower keeps.
     """
     lo = scheme.lowest_instance(view.degree)
-    out = []
-    for i in range(lo, scheme.levels + 1):
-        inst = scheme.instances[i - 1]
-        for c in tower_colors(view, inst):
-            for j in range(1, scheme.weights[i - 1] + 1):
-                out.append((c, i, j))
-    return frozenset(out)
+    return frozenset(
+        (c, i, j)
+        for i in range(lo, scheme.levels + 1)
+        for c in tower_colors(view, scheme.instances[i - 1])
+        for j in range(1, scheme.weights[i - 1] + 1)
+    )
 
 
 def weighted_color_index(

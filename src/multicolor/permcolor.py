@@ -58,10 +58,9 @@ __all__ = [
 
 
 def _check_eps(eps) -> Fraction:
-    e = Fraction(eps)
-    if not 0 < e <= 1:
+    if not 0 < eps <= 1:  # before Fraction(), which raises on nan and inf
         raise InvalidParams(f"epsilon {eps} outside (0, 1]")
-    return e
+    return Fraction(eps)
 
 
 def randomized_palette_size(n, max_degree: int, eps) -> int:
@@ -483,7 +482,7 @@ def _build_shared(
     **_,
 ):
     meta: dict = {
-        "epsilon": float(Fraction(eps)),
+        "epsilon": float(_check_eps(eps)),
         "max_degree": max_degree,
         "factor": factor,
         "certified": certify_attempts > 0,

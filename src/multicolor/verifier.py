@@ -223,8 +223,16 @@ def neighborhood_graph(
 # exact chromatic number (branch and bound on top of DSATUR)
 
 
+MAX_CHI_WORK = 2 * 10**7  # work budget of chromatic_number, a few seconds of search
+
+
 def chromatic_number(ng: NeighborhoodGraph | Graph, max_vertices: int = 10**4) -> int:
-    """Exact chromatic number via DSATUR branch and bound."""
+    """Exact chromatic number via DSATUR branch and bound.
+
+    Each branch step scans at most every vertex and both ends of every edge, so
+    it is charged vertices + 2 * edges of work; past MAX_CHI_WORK the search
+    raises TooLarge instead of running on.
+    """
     nv = ng.vertex_count if isinstance(ng, NeighborhoodGraph) else ng.n
     if nv > max_vertices:
         raise TooLarge(f"{nv} vertices exceed the guard of {max_vertices}")
@@ -242,6 +250,7 @@ def chromatic_number(ng: NeighborhoodGraph | Graph, max_vertices: int = 10**4) -
         adj[i] |= 1 << j
         adj[j] |= 1 << i
     degree = [a.bit_count() for a in adj]
+    step_work, work = nv + 2 * len(edges), 0
 
     # greedy clique for the lower bound
     clique: list[int] = []
@@ -264,6 +273,11 @@ def chromatic_number(ng: NeighborhoodGraph | Graph, max_vertices: int = 10**4) -
         if used < best and len(clique) + len(stack) == nv:
             best = used
         elif used < best:
+            work += step_work
+            if work > MAX_CHI_WORK:
+                raise TooLarge(
+                    f"chromatic number search exceeded its work budget of {MAX_CHI_WORK}"
+                )
             # most saturated uncolored vertex, ties by degree
             pick, pick_sat, forbidden = -1, (-1, -1), set()
             for v in range(nv):

@@ -1,5 +1,6 @@
 """Polynomial-tower colorings: parameter search, selection, weighted union."""
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -28,6 +29,7 @@ from multicolor import (
     weighted_colors,
 )
 from multicolor.algebraic import (
+    _MEMO_COLORS,
     tower_color_from_index,
     tower_color_index,
     tower_color_indices,
@@ -198,6 +200,54 @@ def test_tower_matches_brute_force_two_levels():
         assert tower_color_indices(view, p) == {
             tower_color_index(p, c) for c in expected
         }
+
+
+def random_views(rng, id_space, max_degree, count):
+    for _ in range(count):
+        ids = rng.sample(range(1, id_space + 1), rng.randrange(1, max_degree + 2))
+        yield OneHopView(ids[0], frozenset(ids[1:]))
+
+
+# SHA-256 of the sorted kept indices of 300 seeded random views, taken when the
+# selection pruned a multi-value descent. Keys are (N, Delta, depth asked),
+# values (depth clamp_depth allows, digest).
+GOLDEN_TOWER_VIEWS = {
+    (10**4, 8, 1): (1, "6c52470504f5982560e6dd30d299104a0b7d34284a4b05e55d03018699e33e45"),
+    (10**6, 8, 2): (1, "6208f38f99cdb343fb6ebfa7b2c4cae2bb23013212764eb67ad75495d60dc400"),
+    (10**7, 2, 2): (2, "a0a2a3e8837f4d40742e4d460257e53d89de540dec49ebfbd132a21c389ec16e"),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(GOLDEN_TOWER_VIEWS), ids=str)
+def test_tower_selection_is_byte_stable(shape):
+    depth, digest = GOLDEN_TOWER_VIEWS[shape]
+    id_space, max_degree, _ = shape
+    p = choose_tower(*shape)
+    assert p.depth == depth
+    h = hashlib.sha256()
+    for view in random_views(random.Random(0), id_space, max_degree, 300):
+        h.update(repr(sorted(tower_color_indices(view, p))).encode())
+    assert h.hexdigest() == digest
+
+
+def test_memo_stays_within_its_budget_under_eviction():
+    p = choose_tower(10**6, 8, depth=1)
+    memo = p._free_colors
+    limit = _MEMO_COLORS // math.prod(p.qs)
+    assert memo.cache_info().maxsize == limit
+    rng = random.Random(1)
+    views = list(random_views(rng, 10**6, 8, limit // 3))
+    for view in views:
+        tower_color_indices(view, p)
+        assert memo.cache_info().currsize <= limit
+    info = memo.cache_info()
+    assert info.currsize == limit and info.misses > limit  # entries were evicted
+    for view in rng.sample(views, 5) + list(random_views(rng, 10**6, 8, 5)):
+        expected = {tower_color_index(p, c) for c in brute_force_tower(view, p)}
+        assert tower_color_indices(view, p) == expected
+        assert memo.cache_info().currsize <= limit
+    fresh = choose_tower(10**6, 8, depth=1)  # the memo is no part of the value
+    assert (p, hash(p), repr(p)) == (fresh, hash(fresh), repr(fresh))
 
 
 def test_count_never_falls_below_the_guarantee():

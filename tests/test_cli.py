@@ -1,6 +1,7 @@
 """End-to-end command-line tests through main(argv)."""
 
 import json
+import time
 
 import pytest
 
@@ -118,6 +119,13 @@ def test_nbrgraph_reports_size_and_chromatic_number(capsys):
     assert "vertices=6 edges=3 chi=2" in capsys.readouterr().out
 
 
+def test_nbrgraph_refuses_a_chromatic_search_past_its_work_budget(capsys):
+    t0 = time.monotonic()
+    assert main(["nbrgraph", "--N", "7", "--Delta", "3", "--chi"]) == 3
+    assert time.monotonic() - t0 < 30  # the unbounded search ran for minutes
+    assert "work budget" in capsys.readouterr().err
+
+
 def test_nbrgraph_certifies_a_shared_order_family(capsys):
     code = main(
         ["nbrgraph", "--N", "6", "--Delta", "1", "--certify", "shared-order",
@@ -205,6 +213,17 @@ def test_stats_prints_per_degree_rows(graph_file, tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.splitlines()[0] == "degree,nodes,min_fraction,mean_fraction"
     assert "valid=True" in out
+
+
+@pytest.mark.parametrize("algo", ["randomized", "shared-order", "algebraic-weighted"])
+@pytest.mark.parametrize("eps", ["nan", "inf"])
+def test_run_refuses_a_non_finite_epsilon(graph_file, tmp_path, capsys, algo, eps):
+    code = main(
+        ["run", "--algo", algo, "--eps", eps, "--seed", "1",
+         "-g", str(graph_file), "-o", str(tmp_path / "m.json")]
+    )
+    assert code == 2
+    assert "epsilon" in capsys.readouterr().err
 
 
 def test_run_refuses_an_order_family_too_large_to_store(tmp_path, capsys):

@@ -56,6 +56,14 @@ def test_randomized_palette_domain_checks():
         randomized_palette_size(100, 4, 1.2)
 
 
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
+def test_palette_sizes_refuse_a_non_finite_epsilon(eps):
+    with pytest.raises(InvalidParams, match="epsilon"):
+        randomized_palette_size(100, 4, eps)
+    with pytest.raises(InvalidParams, match="epsilon"):
+        shared_palette_size(30, 3, eps)
+
+
 def test_shared_palette_frozen_values():
     assert shared_palette_size(30, 3, 0.5) == 436
     assert shared_palette_size(1000, 4, 0.5) == 1382
@@ -418,9 +426,12 @@ def test_certified_family_passes_first_attempt_here():
 
 
 # SHA-256 of coloring_to_json on criterion 2's graph at seed 0, taken when
-# each draw was one randrange call and each selection a column minimum. Any
-# change to the draw stream, the orders or either selection rule shows here.
+# each draw was one randrange call and each selection a column minimum, and
+# when the towers pruned a multi-value descent. Any change to the draw stream,
+# the orders or a selection rule shows here.
 GOLDEN_CRITERION_2 = {
+    "algebraic-basic": "5d318e4e7c2ef3d6aeb266f3883e19392ed96b910f0bb81862a7fd094055f90a",
+    "algebraic-weighted": "02737a25ae2c7d34d8aae95e45182978ac6ea35855c85946a9061dc2e865826a",
     "randomized": "6f50ba2bf2ff98c1a640900b75f1b251e69baffe503ccc1c35ec9f58f8672633",
     "shared-order": "98764600eaed8e4af11a7467e825323d4e9d579c07340d8fb3638f2da6163c38",
 }

@@ -24,6 +24,7 @@ from multicolor import (
     tower_colors,
     verify,
 )
+from multicolor import verifier
 from multicolor.algebraic import tower_color_indices
 from multicolor.verifier import nbr_edge_count, nbr_vertex_count
 
@@ -227,6 +228,15 @@ def test_chromatic_number_searches_deeper_than_the_recursion_limit():
     ng = neighborhood_graph(40, 1)
     assert ng.vertex_count == 1560 > sys.getrecursionlimit()
     assert chromatic_number(ng) == 2  # every view has exactly one neighbor
+
+
+def test_chromatic_number_refuses_a_search_past_its_work_budget(monkeypatch):
+    ng = neighborhood_graph(5, 3)  # 70 vertices and 490 edges: 1050 work per step
+    monkeypatch.setattr(verifier, "MAX_CHI_WORK", 10**6)
+    assert chromatic_number(ng) == 4
+    monkeypatch.setattr(verifier, "MAX_CHI_WORK", 20000)
+    with pytest.raises(TooLarge, match="work budget of 20000"):
+        chromatic_number(ng)
 
 
 def test_chromatic_grid_on_small_view_graphs():
