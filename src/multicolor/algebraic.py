@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 from typing import Callable
 
 from . import simulator
@@ -107,11 +107,8 @@ class TowerParams:
 
     @cached_property
     def _free_colors(self) -> Callable[[int], tuple[int, ...]]:
-        """M: id -> sorted palette indices of its neighbor-free view (ids unchecked),
-        memoised for the _MEMO_COLORS // prod(qs) most recently used ids."""
-        return lru_cache(_MEMO_COLORS // math.prod(self.qs))(
-            partial(_descend_free, self.qs, self.ds)
-        )
+        """M: id -> sorted palette indices of its neighbor-free view (ids unchecked)."""
+        return _memoised_free_colors(self.qs, self.ds)
 
     @property
     def palette_size(self) -> int:
@@ -161,9 +158,11 @@ def clamp_depth(id_space: int, max_degree: int, depth: int) -> int:
     best = 0
     val = float(id_space)
     for level in range(depth + 1):
-        if val <= bound:
+        if val > bound:
+            best = level
+        else:
             break
-        best, val = level, math.log(val)
+        val = math.log(val)
     return best
 
 
@@ -188,27 +187,34 @@ def choose_tower(id_space: int, max_degree: int, depth: int = 0, slack=2) -> Tow
     a scalar or one value per level, each > 1.
     """
     ell = clamp_depth(id_space, max_degree, depth)
-    slacks = slack if isinstance(slack, (list, tuple)) else [slack] * (ell + 1)
-    if len(slacks) < ell + 1:
-        raise InvalidParams(f"need {ell + 1} slack values, got {len(slacks)}")
-    fs = tuple(Fraction(f) for f in slacks[: ell + 1])
-    levels: list[tuple[int, int]] = []  # (q_i, d_i)
+    if isinstance(slack, (list, tuple)):
+        if len(slack) < ell + 1:
+            raise InvalidParams(f"need {ell + 1} slack values, got {len(slack)}")
+        fs = tuple(Fraction(f) for f in slack[: ell + 1])
+    else:
+        fs = tuple(Fraction(slack) for _ in range(ell + 1))
+    qs: list[int] = []
+    ds: list[int] = []
     domain = id_space
-    for i, f in enumerate(fs):
+    for i in range(ell + 1):
+        f = fs[i]
+        best: tuple[int, int] | None = None
         d_max = max(1, math.ceil(math.log2(max(domain, 2))))
-        candidates = (
-            (next_prime(max(2, _iroot_ceil(domain, d + 1), math.ceil(f * max_degree * d))), d)
-            for d in range(1, d_max + 1)
-        )
-        best = min((c for c in candidates if c[0] <= _Q_CAP), default=None)
+        for d in range(1, d_max + 1):
+            lo = max(2, _iroot_ceil(domain, d + 1), math.ceil(f * max_degree * d))
+            q = next_prime(lo)
+            if q > _Q_CAP:
+                continue
+            if best is None or q < best[0]:
+                best = (q, d)
         if best is None:
             raise Infeasible(
                 f"level {i}: no usable prime for domain {domain}, slack {f}"
             )
-        levels.append(best)
+        qs.append(best[0])
+        ds.append(best[1])
         domain = best[0]
-    qs, ds = zip(*levels)
-    return TowerParams(id_space, max_degree, qs, ds, fs)
+    return TowerParams(id_space, max_degree, tuple(qs), tuple(ds), fs)
 
 
 def _check_view(view: OneHopView, params: TowerParams) -> None:
@@ -223,28 +229,38 @@ def _check_view(view: OneHopView, params: TowerParams) -> None:
             raise InvalidParams(f"id {y} outside [1, {params.id_space}]")
 
 
-def _descend_free(qs: tuple[int, ...], ds: tuple[int, ...], x: int) -> tuple[int, ...]:
-    """M(x) by a single-value descent: one leaf per alpha path, emitted as
-    prefix * q_ell + beta_x + 1, prefix being the mixed-radix alpha_0..alpha_ell."""
-    depth, q_last = len(qs) - 1, qs[-1]
-    out: list[int] = []
+def _memoised_free_colors(
+    qs: tuple[int, ...], ds: tuple[int, ...]
+) -> Callable[[int], tuple[int, ...]]:
+    """M by a single-value descent: one leaf per alpha path, emitted as the
+    1-based mixed-radix index of (alpha_0..alpha_ell, beta_x).
 
-    def descend(level: int, value: int, prefix: int) -> None:
-        q = qs[level]
+    Below level 0 a subtree depends only on its (level, value), so each is
+    computed once and kept, at most depth * prod(qs) colors in all. Ids are
+    kept for the _MEMO_COLORS // prod(qs) most recently used.
+    """
+    depth = len(qs) - 1
+    # palette indices spanned by one alpha at each level
+    strides = [qs[-1] * math.prod(qs[i + 1 :]) for i in range(depth + 1)]
+
+    def leaves(level: int, value: int) -> tuple[int, ...]:
+        q, stride = qs[level], strides[level]
         # base-q digits, highest first; TowerParams ensures value < q^(d+1)
         digits = [value // q**k % q for k in range(ds[level], -1, -1)]
+        out: list[int] = []
         for alpha in range(q):
             acc = 0
             for c in digits:
                 acc = acc * alpha + c  # Horner, reduced once below
-            idx = prefix * q + alpha
             if level == depth:
-                out.append(idx * q_last + acc % q + 1)
+                out.append(alpha * stride + acc % q + 1)
             else:
-                descend(level + 1, acc % q, idx)
+                base = alpha * stride
+                out.extend([base + t for t in subtree(level + 1, acc % q)])
+        return tuple(out)
 
-    descend(0, x - 1, 0)
-    return tuple(out)
+    subtree = lru_cache(maxsize=None)(leaves)
+    return lru_cache(_MEMO_COLORS // math.prod(qs))(lambda x: leaves(0, x - 1))
 
 
 def tower_color_indices(view: OneHopView, params: TowerParams) -> frozenset[int]:
@@ -413,8 +429,12 @@ def build_weighted_scheme(
     weights = []
     for i in range(1, levels + 1):
         mass = Fraction(top, instances[i - 1].palette_size)
-        ratio = Fraction(max_degree, 2 ** (i - 1))
-        boost = ratio ** int(e) if e in (0, 1) else float(ratio) ** e  # exact at 0 and 1
+        if e == 0:
+            boost: Fraction | float = Fraction(1)
+        elif e == 1:
+            boost = Fraction(max_degree, 2 ** (i - 1))
+        else:
+            boost = (max_degree / 2 ** (i - 1)) ** e
         weights.append(math.ceil(boost * mass))
     return WeightedScheme(
         id_space=id_space,
@@ -435,12 +455,13 @@ def weighted_colors(
     each color its tower keeps.
     """
     lo = scheme.lowest_instance(view.degree)
-    return frozenset(
-        (c, i, j)
-        for i in range(lo, scheme.levels + 1)
-        for c in tower_colors(view, scheme.instances[i - 1])
-        for j in range(1, scheme.weights[i - 1] + 1)
-    )
+    out = []
+    for i in range(lo, scheme.levels + 1):
+        inst = scheme.instances[i - 1]
+        for c in tower_colors(view, inst):
+            for j in range(1, scheme.weights[i - 1] + 1):
+                out.append((c, i, j))
+    return frozenset(out)
 
 
 def weighted_color_index(
