@@ -59,6 +59,12 @@ _Q_CAP = 2**62  # defensive ceiling for the prime search
 _MEMO_COLORS = 1 << 19
 
 
+def _check_slack(slack) -> Fraction:
+    if not 1 < slack < math.inf:  # before Fraction(), which raises on nan and inf
+        raise InvalidParams(f"slack {slack} must be finite and > 1")
+    return Fraction(slack)
+
+
 @dataclass(frozen=True)
 class TowerParams:
     """Validated parameters of one polynomial tower.
@@ -76,7 +82,7 @@ class TowerParams:
     def __post_init__(self):
         object.__setattr__(self, "qs", tuple(self.qs))
         object.__setattr__(self, "ds", tuple(self.ds))
-        object.__setattr__(self, "fs", tuple(Fraction(f) for f in self.fs))
+        object.__setattr__(self, "fs", tuple(map(_check_slack, self.fs)))
         if self.id_space < 1:
             raise InvalidParams("id space must be >= 1")
         if self.max_degree < 0:
@@ -89,8 +95,6 @@ class TowerParams:
                 raise InvalidParams(f"field order {q} is not prime")
             if d < 1:
                 raise InvalidParams(f"level {i}: degree bound {d} must be >= 1")
-            if f <= 1:
-                raise InvalidParams(f"level {i}: slack {f} must be > 1")
             if q ** (d + 1) < domain:
                 raise InvalidParams(
                     f"level {i}: {q}^{d + 1} cannot encode a domain of {domain}"
@@ -183,21 +187,15 @@ def choose_tower(id_space: int, max_degree: int, depth: int = 0, slack=2) -> Tow
 
     Per level the candidate degree range is scanned and the smallest prime
     satisfying both the domain bound q^(d+1) >= domain and the slack bound
-    q >= slack * Delta * d wins; ties prefer the smaller degree. slack may be
-    a scalar or one value per level, each > 1.
+    q >= slack * Delta * d wins; ties prefer the smaller degree. Every level
+    uses the same slack, a finite number > 1.
     """
     ell = clamp_depth(id_space, max_degree, depth)
-    if isinstance(slack, (list, tuple)):
-        if len(slack) < ell + 1:
-            raise InvalidParams(f"need {ell + 1} slack values, got {len(slack)}")
-        fs = tuple(Fraction(f) for f in slack[: ell + 1])
-    else:
-        fs = tuple(Fraction(slack) for _ in range(ell + 1))
+    f = _check_slack(slack)
     qs: list[int] = []
     ds: list[int] = []
     domain = id_space
     for i in range(ell + 1):
-        f = fs[i]
         best: tuple[int, int] | None = None
         d_max = max(1, math.ceil(math.log2(max(domain, 2))))
         for d in range(1, d_max + 1):
@@ -214,7 +212,7 @@ def choose_tower(id_space: int, max_degree: int, depth: int = 0, slack=2) -> Tow
         qs.append(best[0])
         ds.append(best[1])
         domain = best[0]
-    return TowerParams(id_space, max_degree, tuple(qs), tuple(ds), fs)
+    return TowerParams(id_space, max_degree, tuple(qs), tuple(ds), (f,) * (ell + 1))
 
 
 def _check_view(view: OneHopView, params: TowerParams) -> None:
@@ -317,20 +315,15 @@ def basic_program(params: TowerParams) -> NodeProgram:
 
     return NodeProgram(
         name="algebraic-basic",
-        deterministic=True,
         palette_size=params.palette_size,
         compute=compute,
         meta={"tower": params.to_json_dict(), "max_degree": params.max_degree},
     )
 
 
-def run_basic(
-    g: Graph, depth: int = 0, slack=2, max_degree: int | None = None
-) -> Multicoloring:
-    """The coloring of run_one_shot(g, "algebraic-basic", ...) with these options."""
-    return simulator.run_one_shot(
-        g, "algebraic-basic", depth=depth, slack=slack, max_degree=max_degree
-    )[0]
+def run_basic(g: Graph, **opts) -> Multicoloring:
+    """The coloring of run_one_shot(g, "algebraic-basic", **opts)."""
+    return simulator.run_one_shot(g, "algebraic-basic", **opts)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -510,27 +503,22 @@ def weighted_program(scheme: WeightedScheme) -> NodeProgram:
 
     return NodeProgram(
         name="algebraic-weighted",
-        deterministic=True,
         palette_size=scheme.palette_size,
         compute=compute,
         meta={"scheme": scheme.to_json_dict(), "max_degree": scheme.max_degree},
     )
 
 
-def run_weighted(
-    g: Graph, eps, depth: int = 0, slack=2, max_degree: int | None = None
-) -> Multicoloring:
-    """The coloring of run_one_shot(g, "algebraic-weighted", ...) with these options."""
-    return simulator.run_one_shot(
-        g, "algebraic-weighted", eps=eps, depth=depth, slack=slack, max_degree=max_degree
-    )[0]
+def run_weighted(g: Graph, eps, **opts) -> Multicoloring:
+    """The coloring of run_one_shot(g, "algebraic-weighted", eps=eps, **opts)."""
+    return simulator.run_one_shot(g, "algebraic-weighted", eps=eps, **opts)[0]
 
 
-def _build_basic(g: Graph, max_degree: int, seed=None, depth=0, slack=2, **_):
+def _build_basic(g: Graph, max_degree: int, depth=0, slack=2):
     return basic_program(choose_tower(g.id_space, max_degree, depth, slack))
 
 
-def _build_weighted(g: Graph, max_degree: int, seed=None, eps=0.5, depth=0, slack=2, **_):
+def _build_weighted(g: Graph, max_degree: int, eps=0.5, depth=0, slack=2):
     scheme = build_weighted_scheme(g.id_space, max(1, max_degree), eps, depth, slack)
     return weighted_program(scheme)
 

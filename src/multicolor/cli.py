@@ -19,8 +19,6 @@ from .coloring import coloring_from_json, coloring_to_json
 from .errors import MulticolorError, TooLarge
 from .graph import Graph, disjoint_stars, format_edge_list, gnp_graph, parse_edge_list, unit_disk_graph
 
-ALGOS = ("randomized", "shared-order", "algebraic-basic", "algebraic-weighted")
-
 
 def _load_graph(path: str) -> Graph:
     return parse_edge_list(Path(path).read_text())
@@ -98,7 +96,9 @@ def cmd_nbrgraph(args) -> int:
         f"edges={verifier.nbr_edge_count(args.N, args.Delta)}"
     )
     if args.chi:
-        ng = verifier.neighborhood_graph(args.N, args.Delta, max_views=args.max_views)
+        # refused by the closed-form count before any view is built
+        budget = min(args.max_views, verifier.MAX_CHI_VERTICES)
+        ng = verifier.neighborhood_graph(args.N, args.Delta, max_views=budget)
         line += f" chi={verifier.chromatic_number(ng)}"
     print(line)
     if args.certify:
@@ -199,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("run", help="run an algorithm and write the coloring")
-    p.add_argument("--algo", choices=ALGOS, required=True)
+    p.add_argument("--algo", choices=simulator.registered_algorithms(), required=True)
     p.add_argument("--eps", type=float, default=0.5)
     p.add_argument("--seed", type=int)
     p.add_argument("--ell", type=int, default=0, help="tower depth (algebraic)")
@@ -232,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--attempts", type=int, default=3)
     p.add_argument("--ell", type=int, default=0)
     p.add_argument("--slack", type=float, default=2.0)
-    p.add_argument("--max-views", type=int, default=10**7)
+    p.add_argument("--max-views", type=int, default=verifier.MAX_VIEWS)
     p.set_defaults(func=cmd_nbrgraph)
 
     p = sub.add_parser("export", help="convert a verified coloring to a schedule")

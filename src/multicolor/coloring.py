@@ -68,5 +68,5 @@ def coloring_from_json(text: str) -> Multicoloring:
             },
             params=payload.get("params", {}),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, RecursionError, TypeError, ValueError) as exc:
         raise InvalidParams(f"malformed coloring JSON: {exc}") from exc

@@ -153,8 +153,8 @@ def unit_disk_graph(n: int, radius: float, id_space: int, seed: int) -> Graph:
         raise InvalidParams(f"id space must be >= 1, got {id_space}")
     if n < 0 or n > id_space:
         raise InvalidParams(f"need 0 <= n <= id_space, got n={n}, N={id_space}")
-    if radius < 0:
-        raise InvalidParams("radius must be >= 0")
+    if not radius >= 0:  # also refuses nan
+        raise InvalidParams(f"radius {radius} must be >= 0")
     rng = keyed_rng("udg", n, radius, id_space, seed)
     ids = _draw_ids(rng, n, id_space)
     pts = [(rng.random(), rng.random()) for _ in range(n)]
@@ -194,6 +194,13 @@ _HEADER_N = re.compile(r"^#\s*N\s*=\s*(\d+)\s*$")
 _HEADER_NODES = re.compile(r"^#\s*nodes\s*=\s*([\d,\s]*)$")
 
 
+def _read_int(token: str, lineno: int) -> int:
+    try:
+        return int(token)
+    except ValueError:  # not an integer, or longer than int() reads
+        raise ParseError(f"non-integer id {token[:20]!r}", lineno) from None
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse the plain edge-list format.
 
@@ -215,21 +222,18 @@ def parse_edge_list(text: str) -> Graph:
             if m:
                 if id_space is not None:
                     raise ParseError("duplicate N header", lineno)
-                id_space = int(m.group(1))
+                id_space = _read_int(m.group(1), lineno)
                 continue
             m = _HEADER_NODES.match(line)
             if m:
                 for tok in m.group(1).replace(",", " ").split():
-                    extra_nodes.append((int(tok), lineno))
+                    extra_nodes.append((_read_int(tok, lineno), lineno))
                 continue
             continue
         tokens = line.split()
         if len(tokens) != 2:
             raise ParseError(f"expected two ids, got {line!r}", lineno)
-        try:
-            a, b = int(tokens[0]), int(tokens[1])
-        except ValueError:
-            raise ParseError(f"non-integer id in {line!r}", lineno) from None
+        a, b = _read_int(tokens[0], lineno), _read_int(tokens[1], lineno)
         if a == b:
             raise ParseError(f"self-loop at id {a}", lineno)
         if a < 1 or b < 1:

@@ -11,7 +11,8 @@ optional flag breaks ties toward the smaller id instead. Draw values exceed
 draws are cut from one bulk read of 32-bit words of the node's keyed stream
 and equal, value for value, k calls of randrange(1, k*n^4 + 1) on it. A node
 sieves its colors one neighbor at a time, so it compares only at the colors
-it still holds.
+it still holds. A run of more than _MAX_DRAWS draws in all is refused before
+the first one is made.
 
 Shared-order: all nodes know k seeded global orders of the id space and a
 node takes color i when it precedes all its neighbors in order i. Whether a
@@ -188,11 +189,24 @@ def select_colors(
     return frozenset(i + 1 for i in alive)
 
 
+# largest k * n draws a randomized run holds, about 200 MB at 40 B a draw
+_MAX_DRAWS = 5 * 10**6
+
+
 def randomized_program(
     n: int, max_degree: int, eps, tie_break_by_id: bool = False
 ) -> NodeProgram:
-    """Node computation for the randomized rule, ready for the harness."""
+    """Node computation for the randomized rule, ready for the harness.
+
+    Every node draws k values, so runs of more than _MAX_DRAWS draws in all
+    are refused before any is made.
+    """
     k = randomized_palette_size(n, max_degree, eps)
+    if k * n > _MAX_DRAWS:
+        raise TooLarge(
+            f"{n} nodes drawing {k} values each need {k * n} draws, "
+            f"above the guard of {_MAX_DRAWS}"
+        )
 
     def generate_bits(node_id: int, seed: int) -> tuple:
         return generate_draws(node_id, k, n, seed).draws
@@ -204,7 +218,6 @@ def randomized_program(
 
     return NodeProgram(
         name="randomized",
-        deterministic=False,
         palette_size=k,
         compute=compute,
         generate_bits=generate_bits,
@@ -218,15 +231,8 @@ def randomized_program(
     )
 
 
-def run_randomized(
-    g: Graph,
-    eps,
-    seed: int,
-    max_degree: int | None = None,
-    tie_break_by_id: bool = False,
-) -> Multicoloring:
-    """The coloring of run_one_shot(g, "randomized", seed, ...) with these options."""
-    opts = dict(max_degree=max_degree, tie_break_by_id=tie_break_by_id)
+def run_randomized(g: Graph, eps, seed: int, **opts) -> Multicoloring:
+    """The coloring of run_one_shot(g, "randomized", seed, eps=eps, **opts)."""
     return simulator.run_one_shot(g, "randomized", seed, eps=eps, **opts)[0]
 
 
@@ -439,7 +445,6 @@ def shared_program(family: OrderFamily, meta: dict | None = None) -> NodeProgram
 
     return NodeProgram(
         name="shared-order",
-        deterministic=True,
         palette_size=family.k,
         compute=compute,
         meta={
@@ -451,35 +456,17 @@ def shared_program(family: OrderFamily, meta: dict | None = None) -> NodeProgram
     )
 
 
-def run_shared(
-    g: Graph,
-    eps,
-    seed: int,
-    max_degree: int | None = None,
-    factor: int = 1,
-    certify_attempts: int = 0,
-) -> Multicoloring:
-    """The coloring of run_one_shot(g, "shared-order", seed, ...) with these options."""
-    opts = dict(factor=factor, certify_attempts=certify_attempts)
-    return simulator.run_one_shot(
-        g, "shared-order", seed, eps=eps, max_degree=max_degree, **opts
-    )[0]
+def run_shared(g: Graph, eps, seed: int, **opts) -> Multicoloring:
+    """The coloring of run_one_shot(g, "shared-order", seed, eps=eps, **opts)."""
+    return simulator.run_one_shot(g, "shared-order", seed, eps=eps, **opts)[0]
 
 
-def _build_randomized(
-    g: Graph, max_degree: int, seed=None, eps=0.5, tie_break_by_id=False, **_
-):
+def _build_randomized(g: Graph, max_degree: int, eps=0.5, tie_break_by_id=False):
     return randomized_program(g.n, max_degree, eps, tie_break_by_id)
 
 
 def _build_shared(
-    g: Graph,
-    max_degree: int,
-    seed=None,
-    eps=0.5,
-    factor=1,
-    certify_attempts=0,
-    **_,
+    g: Graph, max_degree: int, seed=None, eps=0.5, factor=1, certify_attempts=0
 ):
     meta: dict = {
         "epsilon": float(_check_eps(eps)),

@@ -6,10 +6,15 @@ id and bits to all neighbors, and every node computes its color set from its
 own envelope plus the envelopes it received. Node computations never see the
 graph object, only envelopes, so locality is enforced structurally: there is
 nothing beyond the one-hop view to query.
+
+Each construction registers one builder, whose signature is the one place its
+options and their defaults are declared; build_program routes every option to
+the builders that name it and refuses a name that none of them reads.
 """
 
 from __future__ import annotations
 
+import inspect
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable
@@ -49,12 +54,12 @@ class NodeProgram:
     """A node computation: optional bit generation plus the color rule.
 
     compute receives the node's own envelope and the envelopes of its
-    neighbors (sorted by id) and returns 1-based palette colors. For
-    deterministic programs generate_bits is None and envelopes carry no bits.
+    neighbors (sorted by id) and returns 1-based palette colors. A program is
+    deterministic exactly when generate_bits is None; its envelopes carry no
+    bits.
     """
 
     name: str
-    deterministic: bool
     palette_size: int
     compute: Callable[[NodeEnvelope, tuple[NodeEnvelope, ...]], frozenset[int]]
     generate_bits: Callable[[int, int], tuple] | None = None
@@ -92,11 +97,17 @@ class RoundTrace:
         }
 
 
-_BUILDERS: dict[str, Callable[..., NodeProgram]] = {}
+_BUILDERS: dict[str, tuple[Callable[..., NodeProgram], frozenset[str]]] = {}
 
 
 def register_builder(name: str, builder: Callable[..., NodeProgram]) -> None:
-    _BUILDERS[name] = builder
+    """Register builder(g, max_degree, **options) under name.
+
+    The options are the parameters its signature declares after the first
+    two, seed included when it reads one; build_program passes it only those.
+    """
+    options = frozenset(list(inspect.signature(builder).parameters)[2:])
+    _BUILDERS[name] = (builder, options)
 
 
 def registered_algorithms() -> tuple[str, ...]:
@@ -109,28 +120,33 @@ def build_program(
     """Instantiate a registered node computation for a graph's global facts.
 
     The palette is set up for max_degree, which defaults to g's max degree
-    and may not be below it. Options of other constructions are ignored.
+    and may not be below it. The builder receives only the options its
+    signature names; an option of another construction is dropped, and a
+    name that no registered builder reads is refused.
     """
     try:
-        builder = _BUILDERS[name]
+        builder, options = _BUILDERS[name]
     except KeyError:
         known = ", ".join(registered_algorithms()) or "(none registered)"
         raise InvalidParams(f"unknown algorithm {name!r}; known: {known}") from None
+    readable = frozenset().union(*(names for _, names in _BUILDERS.values()))
+    unknown = sorted(set(opts) - readable)
+    if unknown:
+        raise InvalidParams(
+            f"unknown option(s) {', '.join(unknown)}; known: {', '.join(sorted(readable))}"
+        )
     delta = g.max_degree() if max_degree is None else max_degree
     if delta < g.max_degree():
         raise InvalidParams(
             f"declared degree bound {delta} below actual max degree {g.max_degree()}"
         )
-    return builder(g, delta, seed=seed, **opts)
+    given = {"seed": seed, **opts}
+    return builder(g, delta, **{k: v for k, v in given.items() if k in options})
 
 
 def _make_bits(program: NodeProgram, node_id: int, seed: int | None) -> tuple:
-    if program.deterministic:
-        return ()
     if program.generate_bits is None:
-        raise ContractViolation(
-            f"program {program.name!r} is randomized but generates no bits"
-        )
+        return ()
     if seed is None:
         raise InvalidParams(f"program {program.name!r} needs a seed")
     return tuple(program.generate_bits(node_id, seed))
@@ -192,7 +208,7 @@ def replay_view(
         )
     if len(envelopes) != len(view.neighbors):
         raise InvalidParams("duplicate envelopes")
-    if program.deterministic and any(e.bits for e in envelopes):
+    if program.generate_bits is None and any(e.bits for e in envelopes):
         raise ContractViolation(
             f"deterministic program {program.name!r} received nonempty bits"
         )

@@ -141,7 +141,7 @@ def schedule_from_json(text: str) -> TdmaSchedule:
             },
             meta=payload.get("meta", {}),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, RecursionError, TypeError, ValueError) as exc:
         raise InvalidParams(f"malformed schedule JSON: {exc}") from exc
 
 

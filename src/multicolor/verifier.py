@@ -8,7 +8,10 @@ A deterministic algorithm whose outputs are disjoint across every edge of
 this graph is conflict-free on every host graph at once.
 
 All pass/fail arithmetic is exact (integers and Fractions); floats never
-decide an outcome.
+decide an outcome. The limits no caller varies are module constants:
+VIOLATION_CAP conflicts named per report, MAX_EDGES materialized view-graph
+edges, and MAX_CHI_VERTICES vertices and MAX_CHI_WORK work units per
+chromatic search; only the view budget (MAX_VIEWS by default) is a parameter.
 """
 
 from __future__ import annotations
@@ -71,9 +74,10 @@ class VerificationReport:
         }
 
 
-def verify(
-    g: Graph, m: Multicoloring, eps=None, violation_cap: int = 100
-) -> VerificationReport:
+VIOLATION_CAP = 100  # conflicts a report or certificate names; all are counted
+
+
+def verify(g: Graph, m: Multicoloring, eps=None) -> VerificationReport:
     """Check edge disjointness and palette fractions of m on g."""
     if eps is not None and not 0 <= eps <= 1:  # also refuses nan
         raise InvalidParams(f"epsilon {eps} outside [0, 1]")
@@ -92,7 +96,7 @@ def verify(
         if shared:
             violation_count += len(shared)
             for c in sorted(shared):
-                if len(violations) < violation_cap:
+                if len(violations) < VIOLATION_CAP:
                     violations.append((u, v, c))
     fractions = {v: m.fraction_of(v) for v in g.node_ids()}
     worst_ratio = None
@@ -148,6 +152,7 @@ def nbr_edge_count(id_space: int, max_degree: int) -> int:
 
 
 MAX_VIEWS = 10**7  # default view budget of every sweep
+MAX_EDGES = 10**7  # largest edge list a NeighborhoodGraph materializes
 
 
 def _iter_views(id_space: int, max_degree: int, max_views: int = MAX_VIEWS):
@@ -188,13 +193,13 @@ class NeighborhoodGraph:
     def edge_count(self) -> int:
         return nbr_edge_count(self.id_space, self.max_degree)
 
-    def edge_list(self, max_edges: int = 10**7) -> list[tuple[int, int]]:
-        """All edges as vertex index pairs; guarded against blowup."""
+    def edge_list(self) -> list[tuple[int, int]]:
+        """All edges as vertex index pairs; at most MAX_EDGES of them."""
         if self._edges is not None:
             return self._edges
         total = self.edge_count
-        if total > max_edges:
-            raise TooLarge(f"{total} edges exceed the guard of {max_edges}")
+        if total > MAX_EDGES:
+            raise TooLarge(f"{total} edges exceed the guard of {MAX_EDGES}")
         groups: dict[tuple[int, int], list[int]] = {}
         for idx, view in enumerate(self.vertices):
             for y in view.neighbors:
@@ -223,19 +228,22 @@ def neighborhood_graph(
 # exact chromatic number (branch and bound on top of DSATUR)
 
 
+MAX_CHI_VERTICES = 10**4  # largest graph chromatic_number searches
 MAX_CHI_WORK = 2 * 10**7  # work budget of chromatic_number, a few seconds of search
 
 
-def chromatic_number(ng: NeighborhoodGraph | Graph, max_vertices: int = 10**4) -> int:
+def chromatic_number(ng: NeighborhoodGraph | Graph) -> int:
     """Exact chromatic number via DSATUR branch and bound.
 
-    Each branch step scans at most every vertex and both ends of every edge, so
-    it is charged vertices + 2 * edges of work; past MAX_CHI_WORK the search
-    raises TooLarge instead of running on.
+    Each branch step scans at most every vertex and both ends of every edge,
+    through adjacency masks one bit per vertex wide. A mask operation costs
+    about its fixed overhead again for every 600 bits (twenty 30-bit digits),
+    so a step is charged (vertices + 2 * edges) * (1 + vertices // 600) of
+    work; past MAX_CHI_WORK the search raises TooLarge instead of running on.
     """
     nv = ng.vertex_count if isinstance(ng, NeighborhoodGraph) else ng.n
-    if nv > max_vertices:
-        raise TooLarge(f"{nv} vertices exceed the guard of {max_vertices}")
+    if nv > MAX_CHI_VERTICES:
+        raise TooLarge(f"{nv} vertices exceed the guard of {MAX_CHI_VERTICES}")
     if nv == 0:
         return 0
     if isinstance(ng, NeighborhoodGraph):
@@ -250,7 +258,7 @@ def chromatic_number(ng: NeighborhoodGraph | Graph, max_vertices: int = 10**4) -
         adj[i] |= 1 << j
         adj[j] |= 1 << i
     degree = [a.bit_count() for a in adj]
-    step_work, work = nv + 2 * len(edges), 0
+    step_work, work = (nv + 2 * len(edges)) * (1 + nv // 600), 0
 
     # greedy clique for the lower bound
     clique: list[int] = []
@@ -340,7 +348,6 @@ def certify_on_neighborhood(
     palette_size: int,
     min_colors: Callable[[int], int] | None = None,
     max_views: int = MAX_VIEWS,
-    violation_cap: int = 100,
 ) -> NeighborhoodCertificate:
     """Evaluate a deterministic algorithm on every view and certify it.
 
@@ -349,7 +356,7 @@ def certify_on_neighborhood(
     and union their color masks; every edge joins some group (a, b) with the
     group (b, a), so all edges are conflict-free if and only if every such
     union pair is disjoint. On failure one more sweep collects the groups of
-    the first violation_cap offending pairs, each of which holds at least one
+    the first VIOLATION_CAP offending pairs, each of which holds at least one
     violation, and joins them to name concrete view pairs.
 
     view_colors may return an int bitmask (bit i-1 = color i) or an iterable
@@ -396,7 +403,7 @@ def certify_on_neighborhood(
         for (a, b) in unions
         if a < b and (b, a) in unions and unions[(a, b)] & unions[(b, a)]
     ]
-    named = bad_pairs[:violation_cap]
+    named = bad_pairs[:VIOLATION_CAP]
     groups: dict[tuple[int, int], list[tuple[OneHopView, int]]] = {
         key: [] for a, b in named for key in ((a, b), (b, a))
     }
@@ -425,5 +432,5 @@ def certify_on_neighborhood(
         bound_ok=bound_failures == 0,
         min_count_by_degree=min_by_degree,
         bound_failures=bound_failures,
-        violations=list(islice(conflicts, violation_cap)),
+        violations=list(islice(conflicts, VIOLATION_CAP)),
     )

@@ -78,8 +78,6 @@ def test_choose_tower_respects_slack_profiles():
     p = choose_tower(1000, 4, slack=3)
     assert p.fs == (Fraction(3),)
     assert p.qs[0] >= 3 * 4 * p.ds[0]
-    with pytest.raises(InvalidParams):
-        choose_tower(1000, 4, depth=1, slack=[2])  # needs one slack per level
 
 
 def test_choose_tower_infeasible_past_the_prime_cap():
@@ -115,6 +113,16 @@ def test_tower_params_validation():
         TowerParams(10, 4, qs=(5,), ds=(1,), fs=(2,))  # 5 < 2*4*1
     with pytest.raises(InvalidParams):
         TowerParams(10, 2, qs=(5, 3), ds=(1,), fs=(2,))
+
+
+@pytest.mark.parametrize("slack", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_slack_is_refused(slack):
+    with pytest.raises(InvalidParams, match="slack"):
+        choose_tower(1000, 4, slack=slack)
+    with pytest.raises(InvalidParams, match="slack"):
+        TowerParams(10, 2, qs=(5,), ds=(1,), fs=(slack,))
+    with pytest.raises(InvalidParams, match="slack"):
+        build_weighted_scheme(1000, 4, 0.5, slack=slack)
 
 
 def test_tower_params_derived_quantities():

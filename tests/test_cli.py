@@ -2,9 +2,11 @@
 
 import json
 import time
+import tracemalloc
 
 import pytest
 
+from multicolor import verifier
 from multicolor.cli import main
 from multicolor.coloring import coloring_from_json, coloring_to_json
 from multicolor.graph import parse_edge_list
@@ -114,6 +116,17 @@ def test_malformed_coloring_json_is_an_input_error(graph_file, tmp_path, capsys)
     assert "malformed coloring JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "payload",
+    ['{"palette_size": 3, "assignment": [1]}', '{"palette_size": 1e400, "assignment": {}}'],
+)
+def test_verify_refuses_a_malformed_coloring_payload(graph_file, tmp_path, capsys, payload):
+    bad = tmp_path / "bad.json"
+    bad.write_text(payload)
+    assert main(["verify", "-g", str(graph_file), "-c", str(bad)]) == 2
+    assert "malformed coloring JSON" in capsys.readouterr().err
+
+
 def test_nbrgraph_reports_size_and_chromatic_number(capsys):
     assert main(["nbrgraph", "--N", "3", "--Delta", "1", "--chi"]) == 0
     assert "vertices=6 edges=3 chi=2" in capsys.readouterr().out
@@ -124,6 +137,12 @@ def test_nbrgraph_refuses_a_chromatic_search_past_its_work_budget(capsys):
     assert main(["nbrgraph", "--N", "7", "--Delta", "3", "--chi"]) == 3
     assert time.monotonic() - t0 < 30  # the unbounded search ran for minutes
     assert "work budget" in capsys.readouterr().err
+
+
+def test_nbrgraph_refuses_a_chromatic_search_before_building_a_view(capsys, monkeypatch):
+    monkeypatch.setattr(verifier, "OneHopView", None)  # building any view would fail
+    assert main(["nbrgraph", "--N", "40", "--Delta", "3", "--chi"]) == 3
+    assert "396760 views exceed the guard of 10000" in capsys.readouterr().err
 
 
 def test_nbrgraph_certifies_a_shared_order_family(capsys):
@@ -224,6 +243,47 @@ def test_run_refuses_a_non_finite_epsilon(graph_file, tmp_path, capsys, algo, ep
     )
     assert code == 2
     assert "epsilon" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("algo", ["algebraic-basic", "algebraic-weighted"])
+@pytest.mark.parametrize("slack", ["nan", "inf"])
+def test_run_refuses_a_non_finite_slack(graph_file, tmp_path, capsys, algo, slack):
+    code = main(
+        ["run", "--algo", algo, "--slack", slack,
+         "-g", str(graph_file), "-o", str(tmp_path / "m.json")]
+    )
+    assert code == 2
+    assert "slack" in capsys.readouterr().err
+
+
+def test_gen_refuses_a_nan_radius(tmp_path, capsys):
+    out = tmp_path / "g.edges"
+    code = main(
+        ["gen", "--model", "udg", "--n", "10", "--radius", "nan", "--seed", "1", "-o", str(out)]
+    )
+    assert code == 2
+    assert "radius" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_refuses_more_random_draws_than_its_guard(tmp_path, capsys):
+    path = tmp_path / "g.edges"
+    assert main(
+        ["gen", "--model", "gnp", "--n", "30", "--p", "0.1", "--seed", "1", "-o", str(path)]
+    ) == 0
+    tracemalloc.start()
+    try:
+        code = main(
+            ["run", "--algo", "randomized", "--eps", "0.001", "--seed", "1",
+             "-g", str(path), "-o", str(tmp_path / "m.json")]
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert peak < 10**6
+    assert "draws" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
 
 
 def test_run_refuses_an_order_family_too_large_to_store(tmp_path, capsys):

@@ -48,3 +48,7 @@ def test_json_rejects_malformed_payloads():
         coloring_from_json('{"palette_size": 4}')
     with pytest.raises(InvalidParams):
         coloring_from_json('{"palette_size": 4, "assignment": {"1": "abc"}}')
+    with pytest.raises(InvalidParams):
+        coloring_from_json('{"palette_size": 3, "assignment": [1]}')
+    with pytest.raises(InvalidParams):
+        coloring_from_json('{"palette_size": 1e400, "assignment": {}}')

@@ -161,6 +161,11 @@ def test_udg_extremes():
     assert full.edge_count() == math.comb(12, 2)
 
 
+def test_udg_refuses_a_nan_radius():
+    with pytest.raises(InvalidParams, match="radius"):
+        unit_disk_graph(5, float("nan"), 5, seed=3)
+
+
 def test_udg_is_deterministic():
     a = unit_disk_graph(50, 0.2, 50, seed=3)
     b = unit_disk_graph(50, 0.2, 50, seed=3)

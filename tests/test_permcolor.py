@@ -29,7 +29,7 @@ from multicolor import (
     verify,
 )
 from multicolor.coloring import coloring_to_json
-from multicolor.permcolor import min_colors_required
+from multicolor.permcolor import _MAX_DRAWS, min_colors_required
 from multicolor.rng import keyed_rng
 from multicolor.simulator import run_one_shot
 from multicolor.verifier import nbr_vertex_count as neighborhood_view_count
@@ -477,6 +477,11 @@ def test_run_shared_refuses_a_family_too_large_to_store():
     finally:
         tracemalloc.stop()
     assert peak < 10**6
+
+
+def test_the_draws_guard_admits_the_largest_benchmark_run():
+    k = randomized_palette_size(1000, 16, 0.5)
+    assert k == 2819 and k * 1000 <= _MAX_DRAWS
 
 
 def test_chernoff_regime_failure_rate():

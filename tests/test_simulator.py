@@ -1,5 +1,7 @@
 """One-shot harness: envelopes, traces, registry, and locality replay."""
 
+import inspect
+
 import pytest
 
 from multicolor import (
@@ -14,7 +16,7 @@ from multicolor import (
     replay_view,
     run_one_shot,
 )
-from multicolor import algebraic, permcolor
+from multicolor import algebraic, permcolor, simulator
 from multicolor.simulator import build_program, registered_algorithms
 
 ALGOS = ("algebraic-basic", "algebraic-weighted", "randomized", "shared-order")
@@ -23,7 +25,6 @@ ALGOS = ("algebraic-basic", "algebraic-weighted", "randomized", "shared-order")
 def constant_program(palette=4, colors=frozenset({1})):
     return NodeProgram(
         name="const",
-        deterministic=True,
         palette_size=palette,
         compute=lambda own, received: colors,
     )
@@ -112,18 +113,6 @@ def test_randomized_needs_a_seed():
         run_one_shot(g, prog)
 
 
-def test_randomized_program_must_generate_bits():
-    bad = NodeProgram(
-        name="bad",
-        deterministic=False,
-        palette_size=2,
-        compute=lambda own, received: frozenset(),
-    )
-    g = gnp_graph(4, 0.5, 4, seed=0)
-    with pytest.raises(ContractViolation):
-        run_one_shot(g, bad, seed=1)
-
-
 def test_coloring_params_record_the_run():
     g = gnp_graph(8, 0.4, 8, seed=2)
     coloring, _ = run_one_shot(g, "randomized", seed=3, eps=0.5)
@@ -136,6 +125,43 @@ def test_build_program_forwards_options():
     g = gnp_graph(8, 0.4, 8, seed=2)
     prog = build_program("randomized", g, seed=1, eps=0.25)
     assert prog.meta["epsilon"] == 0.25
+
+
+def test_a_misspelled_option_is_refused():
+    g = gnp_graph(20, 0.2, 20, seed=6)
+    with pytest.raises(InvalidParams, match="unknown option.*epsilon"):
+        build_program("randomized", g, seed=1, epsilon=0.05)
+    with pytest.raises(InvalidParams, match="unknown option.*epsilon"):
+        run_one_shot(g, "randomized", 1, epsilon=0.05)
+    with pytest.raises(InvalidParams, match="unknown option"):
+        permcolor.run_randomized(g, 0.5, 1, epsilon=0.05)
+
+
+def test_each_builder_receives_only_the_options_it_names(monkeypatch):
+    """Every option any construction reads reaches only the builders naming it."""
+    g = gnp_graph(12, 0.3, 12, seed=2)
+    every = dict(
+        seed=5, eps=1.0, tie_break_by_id=True, factor=2, certify_attempts=0,
+        depth=0, slack=3,
+    )
+    received = {}
+    monkeypatch.setattr(simulator, "_BUILDERS", dict(simulator._BUILDERS))
+    for name, (builder, options) in simulator._BUILDERS.items():
+        def spy(g, max_degree, _builder=builder, _name=name, **kw):
+            received[_name] = set(kw)
+            return _builder(g, max_degree, **kw)
+
+        spy.__signature__ = inspect.signature(builder)  # the options register reads
+        simulator.register_builder(name, spy)
+        assert simulator._BUILDERS[name][1] == options
+    for name in ALGOS:
+        build_program(name, g, **every)
+    assert received == {
+        "randomized": {"eps", "tie_break_by_id"},
+        "shared-order": {"seed", "eps", "factor", "certify_attempts"},
+        "algebraic-basic": {"depth", "slack"},
+        "algebraic-weighted": {"eps", "depth", "slack"},
+    }
 
 
 RUNS = {

@@ -103,6 +103,8 @@ def test_json_round_trip_is_exact():
         schedule_from_json('{"frame_length": 3}')
     with pytest.raises(InvalidParams):
         schedule_from_json('{"frame_length": 3, "nodes": [{"id": "a"}]}')
+    with pytest.raises(InvalidParams):
+        schedule_from_json('{"frame_length": 1e400, "nodes": []}')
 
 
 def test_csv_lists_one_row_per_slot():

@@ -67,9 +67,10 @@ def test_verify_rejects_mismatched_node_sets():
         verify(K2, Multicoloring(2, {1: {1}, 2: {2}, 3: {1}}))
 
 
-def test_violation_cap_truncates_the_sample_but_not_the_count():
+def test_violation_cap_truncates_the_sample_but_not_the_count(monkeypatch):
+    monkeypatch.setattr(verifier, "VIOLATION_CAP", 3)
     full = {1: set(range(1, 6)), 2: set(range(1, 6))}
-    r = verify(K2, Multicoloring(5, full), violation_cap=3)
+    r = verify(K2, Multicoloring(5, full))
     assert len(r.violations) == 3
     assert r.violation_count == 5
     assert not r.valid
@@ -154,13 +155,15 @@ def test_smallest_instance_is_a_perfect_matching():
     assert not is_nbr_edge(b, c)
 
 
-def test_guards_refuse_oversized_instances():
+def test_guards_refuse_oversized_instances(monkeypatch):
     with pytest.raises(TooLarge):
         neighborhood_graph(30, 3, max_views=1000)
+    monkeypatch.setattr(verifier, "MAX_EDGES", 10)
     with pytest.raises(TooLarge):
-        neighborhood_graph(4, 2).edge_list(max_edges=10)
+        neighborhood_graph(4, 2).edge_list()
+    monkeypatch.setattr(verifier, "MAX_CHI_VERTICES", 3)
     with pytest.raises(TooLarge):
-        chromatic_number(neighborhood_graph(4, 1), max_vertices=3)
+        chromatic_number(neighborhood_graph(4, 1))
     with pytest.raises(InvalidParams):
         neighborhood_graph(0, 1)
 
@@ -237,6 +240,27 @@ def test_chromatic_number_refuses_a_search_past_its_work_budget(monkeypatch):
     monkeypatch.setattr(verifier, "MAX_CHI_WORK", 20000)
     with pytest.raises(TooLarge, match="work budget of 20000"):
         chromatic_number(ng)
+
+
+def _path(n):
+    return Graph(n, {v: {u for u in (v - 1, v + 1) if 1 <= u <= n} for v in range(1, n + 1)})
+
+
+def test_chromatic_number_charges_wide_masks_by_their_width(monkeypatch):
+    # a path's search takes one branch step per vertex outside the seed clique
+    narrow, wide = _path(300), _path(1200)
+    narrow_step = 300 + 2 * 299  # 300-bit masks: charged once
+    wide_step = (1200 + 2 * 1199) * 3  # 1200-bit masks: 1 + 1200 // 600
+    monkeypatch.setattr(verifier, "MAX_CHI_WORK", 298 * narrow_step)
+    assert chromatic_number(narrow) == 2
+    monkeypatch.setattr(verifier, "MAX_CHI_WORK", 298 * narrow_step - 1)
+    with pytest.raises(TooLarge):
+        chromatic_number(narrow)
+    monkeypatch.setattr(verifier, "MAX_CHI_WORK", 1198 * wide_step)
+    assert chromatic_number(wide) == 2
+    monkeypatch.setattr(verifier, "MAX_CHI_WORK", 1198 * wide_step - 1)
+    with pytest.raises(TooLarge):
+        chromatic_number(wide)
 
 
 def test_chromatic_grid_on_small_view_graphs():
