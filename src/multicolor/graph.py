@@ -195,9 +195,13 @@ _HEADER_NODES = re.compile(r"^#\s*nodes\s*=\s*([\d,\s]*)$")
 
 
 def _read_int(token: str, lineno: int) -> int:
+    # ASCII digits only: int() also reads a sign, `_` separators and any
+    # Unicode digit, and the headers' \d matches any Unicode digit
+    if not (token.isascii() and token.isdigit()):
+        raise ParseError(f"non-integer id {token[:20]!r}", lineno)
     try:
         return int(token)
-    except ValueError:  # not an integer, or longer than int() reads
+    except ValueError:  # longer than int() reads
         raise ParseError(f"non-integer id {token[:20]!r}", lineno) from None
 
 
@@ -236,8 +240,6 @@ def parse_edge_list(text: str) -> Graph:
         a, b = _read_int(tokens[0], lineno), _read_int(tokens[1], lineno)
         if a == b:
             raise ParseError(f"self-loop at id {a}", lineno)
-        if a < 1 or b < 1:
-            raise ParseError("ids must be >= 1", lineno)
         key = (min(a, b), max(a, b))
         if key in seen:
             raise ParseError(f"duplicate edge {key[0]} {key[1]}", lineno)

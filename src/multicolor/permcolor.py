@@ -1,7 +1,7 @@
 """Permutation-based one-shot multicoloring.
 
-Two constructions share the same selection principle: a node takes color i
-exactly when it beats all its neighbors at position i.
+Two constructions share one selection rule and one sieve, select_colors: a
+node takes color i exactly when it beats all its neighbors at position i.
 
 Randomized: every node privately draws k numbers uniform from [1, k*n^4] and
 takes the colors where its draw is strictly smallest among its neighborhood.
@@ -14,11 +14,13 @@ sieves its colors one neighbor at a time, so it compares only at the colors
 it still holds. A run of more than _MAX_DRAWS draws in all is refused before
 the first one is made.
 
-Shared-order: all nodes know k seeded global orders of the id space and a
-node takes color i when it precedes all its neighbors in order i. Whether a
-concrete family serves every possible one-hop view up to degree Delta can be
-certified exhaustively; on failure the family is resampled from the next
-derived seed rather than grown.
+Shared-order: the randomized rule on public keys. All nodes know k seeded
+global orders of the id space, order i ranking id x by (keys(x)[i], x) where
+keys(x) are k 32-bit words of x's keyed stream; a node computes the keys of
+its view from the ids and takes color i when it precedes all its neighbors
+in order i. Whether a concrete family serves every possible one-hop view up
+to degree Delta can be certified exhaustively; on failure the family is
+resampled from the next derived seed rather than grown.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from __future__ import annotations
 import math
 import sys
 from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -93,10 +96,10 @@ def shared_palette_size(id_space, max_degree: int, eps, factor: int = 1) -> int:
 
 @dataclass(frozen=True)
 class RandomDraws:
-    """One node's private draws; draws[i-1] competes for color i."""
+    """One node's private draws or public order keys; draws[i-1] competes for color i."""
 
     node_id: int
-    draws: tuple[int, ...]
+    draws: Sequence[int]
 
 
 @lru_cache(maxsize=8)
@@ -240,16 +243,18 @@ def run_randomized(g: Graph, eps, seed: int, **opts) -> Multicoloring:
 # shared-order construction
 
 
-_MAX_ORDER_RANKS = 5 * 10**7  # largest k * id_space an OrderFamily stores
+# largest k * id_space an OrderFamily admits, for the rank table a certificate
+# builds; lifting it waits for a benchmark change adding shared-order to wide-ids
+_MAX_ORDER_RANKS = 5 * 10**7
 
 
 class OrderFamily:
     """k seeded global orders of [1..id_space], shared by all nodes.
 
-    ranks[i][x-1] is the position of id x in order i; a node takes color i+1
-    when its rank is below every neighbor's rank in order i. The k * id_space
-    ranks are materialized, one array("I") row per order, so families beyond
-    _MAX_ORDER_RANKS are refused.
+    Order i ranks id x by (keys(x)[i], x); a node takes color i+1 when it
+    precedes all its neighbors in order i. ranks, for certificates, is built
+    from every id's keys on first use, so families beyond _MAX_ORDER_RANKS
+    are refused.
     """
 
     def __init__(self, k: int, id_space: int, seed: int):
@@ -265,19 +270,31 @@ class OrderFamily:
         self.k = k
         self.id_space = id_space
         self.seed = seed
-        rng = keyed_rng(seed, "orders", k, id_space)
-        ids = list(range(1, id_space + 1))
-        ranks = []
-        for _ in range(k):
-            order = ids[:]
-            rng.shuffle(order)
-            rank = array("I", [0]) * id_space  # ranks < _MAX_ORDER_RANKS < 2^32
-            for pos, x in enumerate(order):
-                rank[x - 1] = pos
-            ranks.append(rank)
-        self.ranks = ranks
+        # set here rather than by a cached_property: on CPython 3.11 an attribute
+        # added after __init__ slows every attribute read of a certificate sweep
+        self._ranks: list[array] | None = None
         self._beats_row_id: int | None = None
         self._beats_row: list[int] | None = None
+
+    def keys(self, x: int) -> list[int]:
+        """keys(x)[i] is id x's key in order i, cut as generate_draws cuts words."""
+        self._check_id(x)
+        bits = keyed_rng(self.seed, "orders", x).getrandbits(32 * self.k)
+        return _candidates(bits, 1, 0, self.k)
+
+    @property
+    def ranks(self) -> list[array]:
+        """ranks[i][x-1] is the position of id x in order i, built on first use."""
+        if self._ranks is None:
+            ranks = []
+            # a stable sort keeps equal keys in id order: the (key, id) order
+            for column in zip(*map(self.keys, range(1, self.id_space + 1))):
+                rank = array("I", [0]) * self.id_space  # ranks < _MAX_ORDER_RANKS < 2^32
+                for pos, x in enumerate(sorted(range(self.id_space), key=column.__getitem__)):
+                    rank[x] = pos
+                ranks.append(rank)
+            self._ranks = ranks
+        return self._ranks
 
     def _check_id(self, x: int) -> None:
         if not 1 <= x <= self.id_space:
@@ -316,15 +333,8 @@ class OrderFamily:
 
 def select_by_orders(view: OneHopView, family: OrderFamily) -> frozenset[int]:
     """Colors whose order ranks the node before all of its neighbors."""
-    family._check_id(view.node_id)
-    for y in view.neighbors:
-        family._check_id(y)
-    ranks = family.ranks
-    x = view.node_id - 1
-    alive = range(family.k)
-    for y in view.neighbors:
-        alive = [i for i in alive if ranks[i][x] < ranks[i][y - 1]]
-    return frozenset(i + 1 for i in alive)
+    own, *nbrs = (RandomDraws(x, family.keys(x)) for x in (view.node_id, *view.neighbors))
+    return select_colors(own, tuple(nbrs), tie_break_by_id=True)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,9 @@ All pass/fail arithmetic is exact (integers and Fractions); floats never
 decide an outcome. The limits no caller varies are module constants:
 VIOLATION_CAP conflicts named per report, MAX_EDGES materialized view-graph
 edges, and MAX_CHI_VERTICES vertices and MAX_CHI_WORK work units per
-chromatic search; only the view budget (MAX_VIEWS by default) is a parameter.
+chromatic search; only the view budget is a parameter. A sweep holds no view,
+so its default MAX_VIEWS bounds time; neighborhood_graph keeps every view, about
+312 B each, so its default MAX_GRAPH_VIEWS bounds memory (10^7 views: 3 GB).
 """
 
 from __future__ import annotations
@@ -153,6 +155,7 @@ def nbr_edge_count(id_space: int, max_degree: int) -> int:
 
 MAX_VIEWS = 10**7  # default view budget of every sweep
 MAX_EDGES = 10**7  # largest edge list a NeighborhoodGraph materializes
+MAX_GRAPH_VIEWS = 10**6  # default view budget of neighborhood_graph, about 300 MB
 
 
 def _iter_views(id_space: int, max_degree: int, max_views: int = MAX_VIEWS):
@@ -216,9 +219,11 @@ class NeighborhoodGraph:
 
 
 def neighborhood_graph(
-    id_space: int, max_degree: int, max_views: int = 10**6
+    id_space: int, max_degree: int, max_views: int | None = None
 ) -> NeighborhoodGraph:
-    """Materialize the neighborhood graph; guarded by a view budget."""
+    """Materialize the neighborhood graph of at most max_views (MAX_GRAPH_VIEWS) views."""
+    if max_views is None:
+        max_views = MAX_GRAPH_VIEWS
     views = _iter_views(id_space, max_degree, max_views)
     vertices = tuple(OneHopView(x, frozenset(gamma)) for x, gamma in views)
     return NeighborhoodGraph(id_space, max_degree, vertices)

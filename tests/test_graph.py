@@ -252,9 +252,21 @@ def test_parse_errors_carry_line_numbers():
     assert "line 3" in str(exc.value)
 
 
-def test_parse_non_integer_id():
-    with pytest.raises(ParseError):
-        parse_edge_list("1 x\n")
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("1 x\n", 1),
+        ("1 2\n1_0 +2\n", 2),  # int() reads `_` separators and signs
+        ("# N=9\n\u0661 3\n", 2),  # an Arabic-Indic digit one
+        ("1 2\n# N=\u0661\u0662\n", 2),  # \d matches any Unicode digit
+        ("# nodes=4, \u0665\n1 2\n", 1),
+    ],
+    ids=["letter", "underscore-and-sign", "arabic-id", "arabic-N", "arabic-nodes"],
+)
+def test_parse_non_integer_id(text, line):
+    with pytest.raises(ParseError) as exc:
+        parse_edge_list(text)
+    assert exc.value.line == line
 
 
 def test_parse_duplicate_edge_either_orientation():

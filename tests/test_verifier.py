@@ -168,6 +168,16 @@ def test_guards_refuse_oversized_instances(monkeypatch):
         neighborhood_graph(0, 1)
 
 
+def test_materialized_view_budget_refuses_before_any_view(monkeypatch):
+    def no_view(*_):
+        raise AssertionError("built a view")
+
+    monkeypatch.setattr(verifier, "MAX_GRAPH_VIEWS", 23)
+    monkeypatch.setattr(verifier, "OneHopView", no_view)
+    with pytest.raises(TooLarge, match="24 views"):
+        neighborhood_graph(4, 2)  # 4 ids times 3 + 3 neighborhoods
+
+
 def test_chromatic_number_refuses_before_building_edges():
     ng = neighborhood_graph(17, 3)
     assert ng.vertex_count == 11832
