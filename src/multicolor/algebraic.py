@@ -160,7 +160,7 @@ def clamp_depth(id_space: int, max_degree: int, depth: int) -> int:
         raise InvalidParams("depth must be >= 0")
     bound = max(math.e, max_degree)
     best = 0
-    val = float(id_space)
+    val = id_space  # an int until the first log: ids may exceed any float
     for level in range(depth + 1):
         if val > bound:
             best = level
@@ -171,15 +171,14 @@ def clamp_depth(id_space: int, max_degree: int, depth: int) -> int:
 
 
 def _iroot_ceil(n: int, e: int) -> int:
-    """Smallest integer r >= 1 with r**e >= n."""
+    """Smallest integer r >= 1 with r**e >= n, in integers at any size."""
     if n <= 1:
         return 1
-    r = max(1, round(n ** (1.0 / e)))
-    while r**e >= n:
-        r -= 1
-    while r**e < n:
-        r += 1
-    return r
+    # Newton's method from above ends at the floor of the e-th root
+    r = 1 << -(-n.bit_length() // e)
+    while (s := ((e - 1) * r + n // r ** (e - 1)) // e) < r:
+        r = s
+    return r if r**e >= n else r + 1
 
 
 def choose_tower(id_space: int, max_degree: int, depth: int = 0, slack=2) -> TowerParams:
@@ -200,8 +199,7 @@ def choose_tower(id_space: int, max_degree: int, depth: int = 0, slack=2) -> Tow
         d_max = max(1, math.ceil(math.log2(max(domain, 2))))
         for d in range(1, d_max + 1):
             lo = max(2, _iroot_ceil(domain, d + 1), math.ceil(f * max_degree * d))
-            q = next_prime(lo)
-            if q > _Q_CAP:
+            if lo > _Q_CAP or (q := next_prime(lo)) > _Q_CAP:
                 continue
             if best is None or q < best[0]:
                 best = (q, d)

@@ -60,13 +60,16 @@ def coloring_to_json(m: Multicoloring) -> str:
 def coloring_from_json(text: str) -> Multicoloring:
     try:
         payload = json.loads(text)
+        params = payload.get("params", {})
+        if not isinstance(params, dict):
+            raise TypeError(f"params must be an object, not {type(params).__name__}")
         return Multicoloring(
             palette_size=int(payload["palette_size"]),
             assignment={
                 int(v): frozenset(int(c) for c in cols)
                 for v, cols in payload["assignment"].items()
             },
-            params=payload.get("params", {}),
+            params=params,
         )
     except (AttributeError, KeyError, OverflowError, RecursionError, TypeError, ValueError) as exc:
         raise InvalidParams(f"malformed coloring JSON: {exc}") from exc

@@ -19,8 +19,9 @@ global orders of the id space, order i ranking id x by (keys(x)[i], x) where
 keys(x) are k 32-bit words of x's keyed stream; a node computes the keys of
 its view from the ids and takes color i when it precedes all its neighbors
 in order i. Whether a concrete family serves every possible one-hop view up
-to degree Delta can be certified exhaustively; on failure the family is
-resampled from the next derived seed rather than grown.
+to degree Delta can be certified exhaustively, comparing the same keys by
+the same tie rule; on failure the family is resampled from the next derived
+seed rather than grown.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, repeat
-from operator import add
+from operator import add, le, lt
 
 from . import simulator
 from .coloring import Multicoloring
@@ -243,18 +244,21 @@ def run_randomized(g: Graph, eps, seed: int, **opts) -> Multicoloring:
 # shared-order construction
 
 
-# largest k * id_space an OrderFamily admits, for the rank table a certificate
-# builds; lifting it waits for a benchmark change adding shared-order to wide-ids
+# largest k * id_space an OrderFamily admits: a certificate keeps every key, about
+# 40 B each; lifting it waits for a benchmark change adding shared-order to wide-ids
 _MAX_ORDER_RANKS = 5 * 10**7
+
+# the bytes 0 and 1 as the binary digits "0" and "1"
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 class OrderFamily:
     """k seeded global orders of [1..id_space], shared by all nodes.
 
     Order i ranks id x by (keys(x)[i], x); a node takes color i+1 when it
-    precedes all its neighbors in order i. ranks, for certificates, is built
-    from every id's keys on first use, so families beyond _MAX_ORDER_RANKS
-    are refused.
+    precedes all its neighbors in order i. Certificates compare the keys of
+    every id, kept on first use, so families beyond _MAX_ORDER_RANKS are
+    refused.
     """
 
     def __init__(self, k: int, id_space: int, seed: int):
@@ -272,7 +276,7 @@ class OrderFamily:
         self.seed = seed
         # set here rather than by a cached_property: on CPython 3.11 an attribute
         # added after __init__ slows every attribute read of a certificate sweep
-        self._ranks: list[array] | None = None
+        self._keys: list[list[int]] | None = None
         self._beats_row_id: int | None = None
         self._beats_row: list[int] | None = None
 
@@ -282,20 +286,6 @@ class OrderFamily:
         bits = keyed_rng(self.seed, "orders", x).getrandbits(32 * self.k)
         return _candidates(bits, 1, 0, self.k)
 
-    @property
-    def ranks(self) -> list[array]:
-        """ranks[i][x-1] is the position of id x in order i, built on first use."""
-        if self._ranks is None:
-            ranks = []
-            # a stable sort keeps equal keys in id order: the (key, id) order
-            for column in zip(*map(self.keys, range(1, self.id_space + 1))):
-                rank = array("I", [0]) * self.id_space  # ranks < _MAX_ORDER_RANKS < 2^32
-                for pos, x in enumerate(sorted(range(self.id_space), key=column.__getitem__)):
-                    rank[x] = pos
-                ranks.append(rank)
-            self._ranks = ranks
-        return self._ranks
-
     def _check_id(self, x: int) -> None:
         if not 1 <= x <= self.id_space:
             raise InvalidParams(f"id {x} outside [1, {self.id_space}]")
@@ -303,20 +293,25 @@ class OrderFamily:
     def beats_row(self, x: int) -> list[int]:
         """beats_row(x)[y-1] is the bitmask of orders where y precedes x.
 
-        Cached for the most recent x, which makes view sweeps grouped by
-        node id cheap.
+        Bit i is set when keys(y)[i] < keys(x)[i], or when they are equal and
+        y < x: the tie rule of select_by_orders. The keys of every id are cut
+        on the first call and kept. The row is cached for the most recent x,
+        which makes view sweeps grouped by node id cheap.
         """
         if self._beats_row_id == x:
             assert self._beats_row is not None
             return self._beats_row
         self._check_id(x)
-        row = [0] * self.id_space
-        for i, rank in enumerate(self.ranks):
-            bit = 1 << i
-            rx = rank[x - 1]
-            for y, ry in enumerate(rank):
-                if ry < rx:
-                    row[y] |= bit
+        # no comprehension in this method: on CPython 3.11 the names it reads
+        # become closure cells, set up on every call, cached ones too
+        if self._keys is None:
+            self._keys = list(map(self.keys, range(1, self.id_space + 1)))
+        mine = self._keys[x - 1]
+        row = []
+        for y, theirs in enumerate(self._keys, start=1):
+            # one byte per order, 1 where y precedes x; reversed so order 0 is bit 0
+            ahead = bytes(map(le if y < x else lt, theirs, mine))
+            row.append(int(ahead[::-1].translate(_DIGITS), 2))
         self._beats_row_id = x
         self._beats_row = row
         return row

@@ -28,6 +28,7 @@ from multicolor import (
     verify,
     weighted_colors,
 )
+from multicolor.algebraic import _iroot_ceil
 from multicolor.algebraic import (
     _MEMO_COLORS,
     tower_color_from_index,
@@ -85,10 +86,25 @@ def test_choose_tower_infeasible_past_the_prime_cap():
         choose_tower(100, 2**62)
 
 
+@pytest.mark.parametrize("max_degree, q, d", [(2, 577, 144), (3, 823, 137), (8, 1949, 121)])
+def test_choose_tower_takes_an_id_space_beyond_floats(max_degree, q, d):
+    p = choose_tower(10**400, max_degree)
+    assert (p.qs, p.ds) == ((q,), (d,))
+
+
+@settings(max_examples=300)
+@given(st.integers(0, 2**1400), st.integers(1, 200))
+def test_iroot_ceil_is_the_exact_ceiling_root(n, e):
+    r = _iroot_ceil(n, e)
+    assert r >= 1 and r**e >= n
+    assert r == 1 or (r - 1) ** e < n
+
+
 def test_clamp_depth_frozen_values():
     assert clamp_depth(100, 50, 3) == 0
     assert clamp_depth(10**6, 3, 2) == 1
     assert clamp_depth(10, 2, 0) == 0
+    assert clamp_depth(10**400, 3, 3) == 2  # log log 10^400 = 6.8, log 6.8 < 3
     with pytest.raises(InvalidParams):
         clamp_depth(10, 2, -1)
 

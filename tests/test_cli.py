@@ -221,6 +221,18 @@ def test_export_refuses_a_conflicted_coloring(graph_file, tmp_path, capsys):
     assert "conflict" in capsys.readouterr().err
 
 
+def test_export_refuses_params_that_are_not_an_object(graph_file, tmp_path, capsys):
+    coloring = tmp_path / "coloring.json"
+    coloring.write_text('{"palette_size": 2, "assignment": {}, "params": [1, 2]}')
+    code = main(
+        ["export", "-g", str(graph_file), "-c", str(coloring),
+         "-o", str(tmp_path / "schedule.json")]
+    )
+    assert code == 2
+    assert "params must be an object" in capsys.readouterr().err
+    assert not (tmp_path / "schedule.json").exists()
+
+
 def test_stats_prints_per_degree_rows(graph_file, tmp_path, capsys):
     coloring = tmp_path / "coloring.json"
     assert main(

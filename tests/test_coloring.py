@@ -52,3 +52,12 @@ def test_json_rejects_malformed_payloads():
         coloring_from_json('{"palette_size": 3, "assignment": [1]}')
     with pytest.raises(InvalidParams):
         coloring_from_json('{"palette_size": 1e400, "assignment": {}}')
+
+
+@pytest.mark.parametrize(
+    "params", ["[1, 2]", '"seed"', "3", "null"], ids=["list", "string", "number", "null"]
+)
+def test_json_rejects_params_that_are_not_an_object(params):
+    text = '{"palette_size": 2, "assignment": {"1": [1]}, "params": %s}' % params
+    with pytest.raises(InvalidParams, match="params must be an object"):
+        coloring_from_json(text)
