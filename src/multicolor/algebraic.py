@@ -30,7 +30,7 @@ from typing import Callable
 
 from . import simulator
 from .coloring import Multicoloring
-from .errors import Infeasible, InvalidParams
+from .errors import Infeasible, InvalidParams, TooLarge
 from .gf import is_prime, next_prime
 from .graph import Graph, OneHopView
 from .simulator import NodeProgram
@@ -332,9 +332,17 @@ def _ceil_log2(x: int) -> int:
     return max(0, (x - 1).bit_length())
 
 
+# largest palette a WeightedScheme admits: a low-degree node keeps most of the
+# palette as one frozenset, about 65 B a color
+_MAX_WEIGHTED_COLORS = 10**7
+
+
 @dataclass(frozen=True)
 class WeightedScheme:
-    """Weighted union of tower instances at degree scales 2^1 .. 2^L."""
+    """Weighted union of tower instances at degree scales 2^1 .. 2^L.
+
+    A palette of more than _MAX_WEIGHTED_COLORS colors is refused.
+    """
 
     id_space: int
     max_degree: int
@@ -359,6 +367,11 @@ class WeightedScheme:
                 raise InvalidParams("instances must share the scheme's id space")
         if any(w < 1 for w in self.weights):
             raise InvalidParams("weights must be positive")
+        if self.palette_size > _MAX_WEIGHTED_COLORS:
+            raise TooLarge(
+                f"weighted palette of {self.palette_size} colors "
+                f"above the guard of {_MAX_WEIGHTED_COLORS}"
+            )
 
     @property
     def levels(self) -> int:

@@ -6,13 +6,14 @@ node takes color i exactly when it beats all its neighbors at position i.
 Randomized: every node privately draws k numbers uniform from [1, k*n^4] and
 takes the colors where its draw is strictly smallest among its neighborhood.
 Ties waste the color on both sides (kept, since they are rare by design); an
-optional flag breaks ties toward the smaller id instead. Draw values exceed
-64 bits once k*n^4 does, so draws are plain Python integers throughout. The
-draws are cut from one bulk read of 32-bit words of the node's keyed stream
-and equal, value for value, k calls of randrange(1, k*n^4 + 1) on it. A node
-sieves its colors one neighbor at a time, so it compares only at the colors
-it still holds. A run of more than _MAX_DRAWS draws in all is refused before
-the first one is made.
+optional flag breaks ties toward the smaller id instead. The draws are cut
+from one bulk read of 32-bit words of the node's keyed stream and equal,
+value for value, k calls of randrange(1, k*n^4 + 1) on it. While k*n^4 fits
+a machine word they are kept as 8-byte words, array('Q'), from the cut
+through the envelope to the sieve; above 2^64 they are a tuple of Python
+integers. A node sieves its colors one neighbor at a time, so it compares
+only at the colors it still holds. A run of more than _MAX_DRAWS draws in
+all is refused before the first one is made.
 
 Shared-order: the randomized rule on public keys. All nodes know k seeded
 global orders of the id space, order i ranking id x by (keys(x)[i], x) where
@@ -142,6 +143,7 @@ def generate_draws(node_id: int, k: int, n: int, seed: int) -> RandomDraws:
     length of k*n^4, and rejected values are drawn again. The words come in
     bulk reads sized for the expected number of candidates; words read past
     the k-th accepted draw are never used, as the stream is not read again.
+    The draws are an array('Q') when k*n^4 < 2^64 and a tuple above.
     """
     if k < 1:
         raise InvalidParams("palette size must be >= 1")
@@ -158,9 +160,9 @@ def generate_draws(node_id: int, k: int, n: int, seed: int) -> RandomDraws:
         # a candidate is accepted with probability hi / 2^b >= 1/2
         count = (need << b) // hi + 3 * math.isqrt(need) + 8
         cands = _candidates(getrandbits(32 * words * count), words, shift, count)
-        values += compress(cands, map(hi.__gt__, cands))
+        values += [c + 1 for c in cands if c < hi]
     del values[k:]
-    return RandomDraws(node_id, tuple(map(add, values, repeat(1))))
+    return RandomDraws(node_id, array("Q", values) if b <= 64 else tuple(values))
 
 
 def select_colors(
@@ -181,19 +183,25 @@ def select_colors(
             raise InvalidParams(
                 f"draw count mismatch: node {nb.node_id} has {len(nb.draws)}, expected {k}"
             )
-    mine = own.draws
-    alive = range(k)
+    # decoded once: indexing an array builds an int on every read
+    mine = list(own.draws)
+    alive: Sequence[int] = range(k)
     for nb in neighbors:
         theirs = nb.draws
-        if tie_break_by_id and own.node_id < nb.node_id:
-            # a tie with a larger id keeps the color
+        # a tie with a larger id keeps the color
+        keeps_ties = tie_break_by_id and own.node_id < nb.node_id
+        if len(alive) == k:
+            # every color still held: compare whole columns at C speed
+            alive = list(compress(range(k), map(le if keeps_ties else lt, mine, theirs)))
+        elif keeps_ties:
             alive = [i for i in alive if mine[i] <= theirs[i]]
         else:
             alive = [i for i in alive if mine[i] < theirs[i]]
-    return frozenset(i + 1 for i in alive)
+    return frozenset(map(add, alive, repeat(1)))
 
 
-# largest k * n draws a randomized run holds, about 200 MB at 40 B a draw
+# largest k * n draws a randomized run holds: 40 MB at 8 B a draw below 2^64,
+# about 200 MB at 40 B a Python int above
 _MAX_DRAWS = 5 * 10**6
 
 
@@ -212,7 +220,7 @@ def randomized_program(
             f"above the guard of {_MAX_DRAWS}"
         )
 
-    def generate_bits(node_id: int, seed: int) -> tuple:
+    def generate_bits(node_id: int, seed: int) -> Sequence[int]:
         return generate_draws(node_id, k, n, seed).draws
 
     def compute(own, received) -> frozenset[int]:

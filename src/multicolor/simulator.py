@@ -15,7 +15,9 @@ the builders that name it and refuses a name that none of them reads.
 from __future__ import annotations
 
 import inspect
+from array import array
 from collections import Counter
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -38,10 +40,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class NodeEnvelope:
-    """The single message a node broadcasts: its id and its random bits."""
+    """The single message a node broadcasts: its id and its random bits.
+
+    bits is any sequence of ints: a tuple, or an array of machine words
+    such as the randomized draws' array('Q'). An envelope carrying an
+    array is not hashable.
+    """
 
     node_id: int
-    bits: tuple = ()
+    bits: Sequence[int] = ()
 
     def payload_bytes(self) -> int:
         """Size of the bits under a minimal big-endian integer encoding."""
@@ -56,13 +63,14 @@ class NodeProgram:
     compute receives the node's own envelope and the envelopes of its
     neighbors (sorted by id) and returns 1-based palette colors. A program is
     deterministic exactly when generate_bits is None; its envelopes carry no
-    bits.
+    bits. generate_bits may return any iterable of ints: a tuple or an array
+    is sent as it is, anything else as a tuple of its items.
     """
 
     name: str
     palette_size: int
     compute: Callable[[NodeEnvelope, tuple[NodeEnvelope, ...]], frozenset[int]]
-    generate_bits: Callable[[int, int], tuple] | None = None
+    generate_bits: Callable[[int, int], Iterable[int]] | None = None
     meta: dict = field(default_factory=dict)
 
 
@@ -144,12 +152,13 @@ def build_program(
     return builder(g, delta, **{k: v for k, v in given.items() if k in options})
 
 
-def _make_bits(program: NodeProgram, node_id: int, seed: int | None) -> tuple:
+def _make_bits(program: NodeProgram, node_id: int, seed: int | None) -> Sequence[int]:
     if program.generate_bits is None:
         return ()
     if seed is None:
         raise InvalidParams(f"program {program.name!r} needs a seed")
-    return tuple(program.generate_bits(node_id, seed))
+    bits = program.generate_bits(node_id, seed)
+    return bits if isinstance(bits, (tuple, array)) else tuple(bits)
 
 
 def run_one_shot(

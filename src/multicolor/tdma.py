@@ -119,15 +119,34 @@ def utilization(s: TdmaSchedule, g: Graph) -> UtilizationReport:
     )
 
 
+def _json_slots(slots: tuple[int, ...]) -> str:
+    """A node's slot list as indent=2 lays it out, six spaces deep."""
+    if not slots:
+        return "[]"
+    items = json.dumps(slots)[1:-1].replace(", ", ",\n        ")
+    return f"[\n        {items}\n      ]"
+
+
 def schedule_to_json(s: TdmaSchedule) -> str:
-    payload = {
-        "frame_length": s.frame_length,
-        "nodes": [
-            {"id": v, "slots": list(slots)} for v, slots in sorted(s.slots.items())
-        ],
-        "meta": s.meta,
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """The text of json.dumps(payload, indent=2, sort_keys=True) plus a newline.
+
+    payload is {"frame_length", "meta", "nodes": [{"id", "slots"}, ...]}.
+    indent forces json's pure-Python encoder, so only meta goes through it;
+    each node's slots are one C-encoded list, broken at its commas.
+    """
+    meta = json.dumps(s.meta, indent=2, sort_keys=True).replace("\n", "\n  ")
+    nodes = ",\n".join(
+        f'    {{\n      "id": {json.dumps(v)},\n      "slots": {_json_slots(slots)}\n    }}'
+        for v, slots in sorted(s.slots.items())
+    )
+    nodes = f"[\n{nodes}\n  ]" if nodes else "[]"
+    return (
+        "{\n"
+        f'  "frame_length": {json.dumps(s.frame_length)},\n'
+        f'  "meta": {meta},\n'
+        f'  "nodes": {nodes}\n'
+        "}\n"
+    )
 
 
 def schedule_from_json(text: str) -> TdmaSchedule:

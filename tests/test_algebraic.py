@@ -13,6 +13,7 @@ from multicolor import (
     InvalidParams,
     OneHopView,
     PrimeField,
+    TooLarge,
     TowerParams,
     WeightedScheme,
     build_weighted_scheme,
@@ -30,6 +31,7 @@ from multicolor import (
 )
 from multicolor.algebraic import _iroot_ceil
 from multicolor.algebraic import (
+    _MAX_WEIGHTED_COLORS,
     _MEMO_COLORS,
     tower_color_from_index,
     tower_color_index,
@@ -340,6 +342,14 @@ def test_weighted_scheme_frozen_shape():
     assert s.guaranteed_fraction(1) == Fraction(293, 9799)
     assert s.guaranteed_fraction(4) == Fraction(132, 9799)
     assert s.guaranteed_fraction(8) == Fraction(42, 9799)
+
+
+@pytest.mark.parametrize("max_degree, palette", [(256, 519_557_155), (1000, 8_422_975_683)])
+def test_weighted_palette_above_its_guard_is_refused(max_degree, palette):
+    # only the scheme is built: no node colors, which would take many GB
+    with pytest.raises(TooLarge, match=str(palette)):
+        build_weighted_scheme(10**6, max_degree, 1)
+    assert build_weighted_scheme(10**6, 16, 1).palette_size <= _MAX_WEIGHTED_COLORS
 
 
 def test_weight_formula():

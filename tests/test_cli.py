@@ -310,6 +310,18 @@ def test_run_refuses_an_order_family_too_large_to_store(tmp_path, capsys):
     assert not (tmp_path / "m.json").exists()
 
 
+def test_run_refuses_a_weighted_palette_too_large_to_hold(tmp_path, capsys):
+    path = tmp_path / "star.edges"
+    path.write_text("# N=1000000\n" + "".join(f"1 {v}\n" for v in range(2, 258)))
+    code = main(
+        ["run", "--algo", "algebraic-weighted", "--eps", "1",
+         "-g", str(path), "-o", str(tmp_path / "m.json")]
+    )
+    assert code == 3
+    assert "519557155 colors" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_unknown_algorithm_is_a_usage_error(graph_file, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["run", "--algo", "nope", "-g", str(graph_file),

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import tracemalloc
+from array import array
 from fractions import Fraction
 from itertools import islice, permutations
 
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from multicolor import (
     InvalidParams,
+    NodeEnvelope,
     OneHopView,
     RandomDraws,
     TooLarge,
@@ -129,7 +131,27 @@ def test_draws_equal_one_randrange_per_color(k, n, bits):
     for node_id, seed in ((1, 0), (17, 9)):
         rng = keyed_rng(seed, "draws", node_id)
         expected = tuple(rng.randrange(1, hi + 1) for _ in range(k))
-        assert generate_draws(node_id, k, n, seed).draws == expected
+        draws = generate_draws(node_id, k, n, seed).draws
+        assert tuple(draws) == expected
+        # 8-byte words exactly while every value fits one
+        if hi.bit_length() <= 64:
+            assert isinstance(draws, array) and draws.typecode == "Q"
+        else:
+            assert isinstance(draws, tuple)
+
+
+def test_compact_draws_keep_8_bytes_a_draw():
+    k = 2819  # the wide-ids palette: 1000 nodes, degree 16, eps 0.5
+    generate_draws(1, k, 1000, seed=0)  # fills _draw_masks' cache
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        d = generate_draws(2, k, 1000, seed=0)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert isinstance(d.draws, array) and len(d.draws) == k
+    assert kept < 8 * k + 1024
 
 
 def test_draws_domain_checks():
@@ -235,6 +257,42 @@ def test_sieve_equals_the_column_minimum(own_id, nb_ids, k, tie_break, data):
     own = RandomDraws(own_id, data.draw(draws))
     nbs = tuple(RandomDraws(v, data.draw(draws)) for v in nb_ids)
     assert select_colors(own, nbs, tie_break) == column_min_selection(own, nbs, tie_break)
+
+
+@settings(max_examples=200)
+@given(
+    st.integers(1, 8),
+    st.lists(st.tuples(st.integers(1, 8), st.booleans()), max_size=5),
+    st.integers(1, 12),
+    st.booleans(),
+    st.booleans(),
+    st.data(),
+)
+def test_array_draws_act_as_tuple_draws(own_id, nbs, k, own_array, tie_break, data):
+    """Sieve and payload size see only the values, whatever holds them."""
+    words = st.lists(st.integers(1, 3) | st.integers(1, 2**64 - 1), min_size=k, max_size=k)
+    own = data.draw(words)
+    theirs = [data.draw(words) for _ in nbs]
+
+    def held(values, as_array):
+        return array("Q", values) if as_array else tuple(values)
+
+    as_tuples = select_colors(
+        RandomDraws(own_id, tuple(own)),
+        tuple(RandomDraws(v, tuple(d)) for (v, _), d in zip(nbs, theirs)),
+        tie_break,
+    )
+    mixed = select_colors(
+        RandomDraws(own_id, held(own, own_array)),
+        tuple(RandomDraws(v, held(d, a)) for (v, a), d in zip(nbs, theirs)),
+        tie_break,
+    )
+    assert mixed == as_tuples
+    for d in (own, *theirs):
+        assert (
+            NodeEnvelope(1, array("Q", d)).payload_bytes()
+            == NodeEnvelope(1, tuple(d)).payload_bytes()
+        )
 
 
 @settings(max_examples=100)

@@ -1,6 +1,7 @@
 """One-shot harness: envelopes, traces, registry, and locality replay."""
 
 import inspect
+from array import array
 
 import pytest
 
@@ -233,3 +234,36 @@ def test_replay_regenerates_randomized_bits():
     for v in g.node_ids():
         out = replay_view(g.view(v), trace.nodes[v].received, prog, seed=21)
         assert out == coloring.assignment[v]
+
+
+def test_bits_from_a_generator_are_sent_as_a_tuple():
+    """A tuple or an array is sent as returned; any other iterable as a tuple."""
+
+    def toy(generate_bits):
+        def compute(own, received):
+            # color i+1 when own word i beats every neighbor's
+            return frozenset(
+                i + 1 for i, b in enumerate(own.bits) if all(b < e.bits[i] for e in received)
+            )
+
+        return NodeProgram("toy", 8, compute, generate_bits)
+
+    def words(node_id, seed):
+        return ((node_id * 7 + seed * i) % 11 for i in range(8))
+
+    as_tuple = toy(lambda node_id, seed: tuple(words(node_id, seed)))
+    as_array = toy(lambda node_id, seed: array("Q", words(node_id, seed)))
+    as_generator = toy(words)
+    g = gnp_graph(12, 0.4, 30, seed=2)
+    expected, _ = run_one_shot(g, as_tuple, seed=5)
+    in_words, words_trace = run_one_shot(g, as_array, seed=5)
+    assert in_words.assignment == expected.assignment
+    assert all(type(n.sent.bits) is array for n in words_trace.nodes.values())
+    coloring, trace = run_one_shot(g, as_generator, seed=5)
+    assert coloring.assignment == expected.assignment
+    for v in g.node_ids():
+        node = trace.nodes[v]
+        assert type(node.sent.bits) is tuple
+        assert node.sent.bits == tuple(words(v, 5))
+        replayed = replay_view(g.view(v), node.received, as_generator, seed=5)
+        assert replayed == coloring.assignment[v]

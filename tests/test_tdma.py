@@ -1,8 +1,10 @@
 """Schedules from colorings: conversion, duty cycles, serialization."""
 
+import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from multicolor import (
     Graph,
@@ -105,6 +107,53 @@ def test_json_round_trip_is_exact():
         schedule_from_json('{"frame_length": 3, "nodes": [{"id": "a"}]}')
     with pytest.raises(InvalidParams):
         schedule_from_json('{"frame_length": 1e400, "nodes": []}')
+
+
+json_scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+json_meta = st.dictionaries(
+    st.text(),
+    st.recursive(
+        json_scalars,
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+        max_leaves=8,
+    ),
+    max_size=4,
+)
+
+
+@st.composite
+def schedules(draw):
+    frame = draw(st.integers(1, 40))
+    slots = draw(
+        st.dictionaries(
+            st.integers(1, 10**6),
+            st.lists(st.integers(1, frame), unique=True, max_size=frame).map(tuple),
+            max_size=6,
+        )
+    )
+    return TdmaSchedule(frame, slots, draw(json_meta))
+
+
+def indented_json(s: TdmaSchedule) -> str:
+    """The schedule's payload through json's own indenting encoder."""
+    payload = {
+        "frame_length": s.frame_length,
+        "nodes": [{"id": v, "slots": list(slots)} for v, slots in sorted(s.slots.items())],
+        "meta": s.meta,
+    }
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+@settings(max_examples=300)
+@given(schedules())
+def test_json_text_equals_the_indenting_encoder(s):
+    assert schedule_to_json(s) == indented_json(s)
+
+
+def test_json_text_of_edge_cases():
+    meta = {"é": {"x": [1.5, None, True, False, "ü\n"], "y": {}}, "a": []}
+    for s in (TdmaSchedule(1, {}), TdmaSchedule(3, {2: (), 1: (3, 1)}, meta)):
+        assert schedule_to_json(s) == indented_json(s)
 
 
 def test_csv_lists_one_row_per_slot():
