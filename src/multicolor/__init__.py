@@ -11,7 +11,6 @@ from .errors import (
     ContractViolation,
     Incomplete,
     Infeasible,
-    InvalidElement,
     InvalidParams,
     MulticolorError,
     NotFound,
@@ -28,7 +27,7 @@ from .graph import (
     parse_edge_list,
     unit_disk_graph,
 )
-from .gf import PrimeField, Poly, decode_poly, encode_value, next_prime, poly_eval
+from .gf import next_prime
 from .permcolor import (
     FamilyCertificate,
     OrderFamily,

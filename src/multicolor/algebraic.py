@@ -40,7 +40,6 @@ __all__ = [
     "clamp_depth",
     "choose_tower",
     "tower_colors",
-    "tower_color_index",
     "tower_color_from_index",
     "tower_color_indices",
     "basic_program",
@@ -48,7 +47,6 @@ __all__ = [
     "WeightedScheme",
     "build_weighted_scheme",
     "weighted_colors",
-    "weighted_color_index",
     "weighted_color_indices",
     "weighted_program",
     "run_weighted",
@@ -278,21 +276,8 @@ def tower_colors(view: OneHopView, params: TowerParams) -> frozenset[tuple[int, 
     )
 
 
-def tower_color_index(params: TowerParams, color: tuple[int, ...]) -> int:
-    """1-based palette index of a color tuple (mixed radix, beta last)."""
-    radices = params.qs + (params.qs[-1],)
-    if len(color) != len(radices):
-        raise InvalidParams(f"color tuple must have {len(radices)} entries")
-    idx = 0
-    for digit, radix in zip(color, radices):
-        if not 0 <= digit < radix:
-            raise InvalidParams(f"digit {digit} outside [0, {radix})")
-        idx = idx * radix + digit
-    return idx + 1
-
-
 def tower_color_from_index(params: TowerParams, index: int) -> tuple[int, ...]:
-    """Inverse of tower_color_index."""
+    """The tuple (alpha_0..alpha_ell, beta) at a 1-based index, mixed radix."""
     if not 1 <= index <= params.palette_size:
         raise InvalidParams(f"index {index} outside [1, {params.palette_size}]")
     radices = params.qs + (params.qs[-1],)
@@ -468,29 +453,11 @@ def weighted_colors(
     return frozenset(out)
 
 
-def weighted_color_index(
-    scheme: WeightedScheme, wc: tuple[tuple[int, ...], int, int]
-) -> int:
-    """1-based palette index of (color, instance, copy), copies laid out flat."""
-    color, i, j = wc
-    if not 1 <= i <= scheme.levels:
-        raise InvalidParams(f"instance {i} outside [1, {scheme.levels}]")
-    if not 1 <= j <= scheme.weights[i - 1]:
-        raise InvalidParams(f"copy {j} outside [1, {scheme.weights[i - 1]}]")
-    offset = sum(
-        scheme.weights[t - 1] * scheme.instances[t - 1].palette_size
-        for t in range(1, i)
-    )
-    inst = scheme.instances[i - 1]
-    return offset + (j - 1) * inst.palette_size + tower_color_index(inst, color)
-
-
 def weighted_color_indices(view: OneHopView, scheme: WeightedScheme) -> frozenset[int]:
     """Selected weighted colors as 1-based palette indices.
 
     Instance i owns the w_i * P_i slots after those of every instance t < i;
-    copy j of its tower color c sits at offset_i + (j-1)*P_i + c, the layout of
-    weighted_color_index.
+    copy j of its tower color c sits at offset_i + (j-1)*P_i + c.
     """
     lo = scheme.lowest_instance(view.degree)
     out: list[int] = []

@@ -6,7 +6,8 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import InvalidParams
+from .errors import InvalidParams, ParseError
+from .graph import _read_int
 
 __all__ = ["Multicoloring", "coloring_to_json", "coloring_from_json"]
 
@@ -57,19 +58,45 @@ def coloring_to_json(m: Multicoloring) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def _unique_keys(pairs: list) -> dict:
+    """json's object_pairs_hook: an object that repeats a key is refused."""
+    if len(obj := dict(pairs)) < len(pairs):
+        raise ValueError("an object repeats a key")
+    return obj
+
+
+def _json_int(x) -> int:
+    """x when it is a JSON integer; bools, floats and strings are refused."""
+    if type(x) is not int:
+        raise TypeError(f"{x!r:.20} is not an integer")
+    return x
+
+
+def _int_lists(pairs, read_id) -> dict[int, list[int]]:
+    """{read_id(key): xs} of (key, xs) pairs, xs JSON integers; ids are unique."""
+    out: dict[int, list[int]] = {}
+    for key, xs in pairs:
+        if (v := read_id(key)) in out:
+            raise ValueError(f"node {v} appears twice")
+        if type(xs) is not list:
+            raise TypeError(f"{xs!r:.20} is not a list of integers")
+        out[v] = list(map(_json_int, xs))
+    return out
+
+
+_MALFORMED = (AttributeError, KeyError, OverflowError, ParseError, RecursionError, TypeError, ValueError)
+
+
 def coloring_from_json(text: str) -> Multicoloring:
     try:
-        payload = json.loads(text)
+        payload = json.loads(text, object_pairs_hook=_unique_keys)
         params = payload.get("params", {})
         if not isinstance(params, dict):
             raise TypeError(f"params must be an object, not {type(params).__name__}")
         return Multicoloring(
-            palette_size=int(payload["palette_size"]),
-            assignment={
-                int(v): frozenset(int(c) for c in cols)
-                for v, cols in payload["assignment"].items()
-            },
+            palette_size=_json_int(payload["palette_size"]),
+            assignment=_int_lists(payload["assignment"].items(), _read_int),
             params=params,
         )
-    except (AttributeError, KeyError, OverflowError, RecursionError, TypeError, ValueError) as exc:
+    except _MALFORMED as exc:
         raise InvalidParams(f"malformed coloring JSON: {exc}") from exc

@@ -13,10 +13,6 @@ class InvalidParams(MulticolorError):
     """Arguments violate a documented precondition."""
 
 
-class InvalidElement(MulticolorError):
-    """A value is not an element of the field or domain it was used with."""
-
-
 class ParseError(MulticolorError):
     """Malformed input text. Carries the 1-based line number when known."""
 

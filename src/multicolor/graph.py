@@ -194,7 +194,7 @@ _HEADER_N = re.compile(r"^#\s*N\s*=\s*(\d+)\s*$")
 _HEADER_NODES = re.compile(r"^#\s*nodes\s*=\s*([\d,\s]*)$")
 
 
-def _read_int(token: str, lineno: int) -> int:
+def _read_int(token: str, lineno: int | None = None) -> int:
     # ASCII digits only: int() also reads a sign, `_` separators and any
     # Unicode digit, and the headers' \d matches any Unicode digit
     if not (token.isascii() and token.isdigit()):

@@ -481,6 +481,8 @@ def _build_randomized(g: Graph, max_degree: int, eps=0.5, tie_break_by_id=False)
 def _build_shared(
     g: Graph, max_degree: int, seed=None, eps=0.5, factor=1, certify_attempts=0
 ):
+    if certify_attempts < 0:
+        raise InvalidParams(f"certify attempts {certify_attempts} must be >= 0")
     meta: dict = {
         "epsilon": float(_check_eps(eps)),
         "max_degree": max_degree,

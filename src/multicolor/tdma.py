@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .coloring import Multicoloring
+from .coloring import _MALFORMED, Multicoloring, _int_lists, _json_int, _unique_keys
 from .errors import InvalidParams, RefusedInvalid
 from .graph import Graph
 from .verifier import verify
@@ -86,18 +86,6 @@ class UtilizationReport:
     mean_duty: Fraction
     min_duty: Fraction
     baseline: Fraction
-    speedup: dict[int, int]  # slots per frame vs the single-slot baseline
-
-    def summary(self) -> dict:
-        return {
-            "frame_length": self.frame_length,
-            "mean_duty": str(self.mean_duty),
-            "min_duty": str(self.min_duty),
-            "baseline": str(self.baseline),
-            "mean_speedup": str(
-                Fraction(sum(self.speedup.values()), max(1, len(self.speedup)))
-            ),
-        }
 
 
 def utilization(s: TdmaSchedule, g: Graph) -> UtilizationReport:
@@ -115,7 +103,6 @@ def utilization(s: TdmaSchedule, g: Graph) -> UtilizationReport:
         mean_duty=Fraction(sum(duty.values(), Fraction(0)), count),
         min_duty=min(duty.values(), default=Fraction(0)),
         baseline=Fraction(1, s.frame_length),
-        speedup={v: len(s.slots[v]) for v in g.node_ids()},
     )
 
 
@@ -151,16 +138,13 @@ def schedule_to_json(s: TdmaSchedule) -> str:
 
 def schedule_from_json(text: str) -> TdmaSchedule:
     try:
-        payload = json.loads(text)
+        payload = json.loads(text, object_pairs_hook=_unique_keys)
         return TdmaSchedule(
-            frame_length=int(payload["frame_length"]),
-            slots={
-                int(rec["id"]): tuple(int(x) for x in rec["slots"])
-                for rec in payload["nodes"]
-            },
+            frame_length=_json_int(payload["frame_length"]),
+            slots=_int_lists(((r["id"], r["slots"]) for r in payload["nodes"]), _json_int),
             meta=payload.get("meta", {}),
         )
-    except (AttributeError, KeyError, OverflowError, RecursionError, TypeError, ValueError) as exc:
+    except _MALFORMED as exc:
         raise InvalidParams(f"malformed schedule JSON: {exc}") from exc
 
 

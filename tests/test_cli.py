@@ -118,13 +118,28 @@ def test_malformed_coloring_json_is_an_input_error(graph_file, tmp_path, capsys)
 
 @pytest.mark.parametrize(
     "payload",
-    ['{"palette_size": 3, "assignment": [1]}', '{"palette_size": 1e400, "assignment": {}}'],
+    [
+        '{"palette_size": 3, "assignment": [1]}',
+        '{"palette_size": 1e400, "assignment": {}}',
+        '{"palette_size": 3, "assignment": {"1": [1], " 1": [2]}}',  # node 1 twice
+    ],
 )
 def test_verify_refuses_a_malformed_coloring_payload(graph_file, tmp_path, capsys, payload):
     bad = tmp_path / "bad.json"
     bad.write_text(payload)
     assert main(["verify", "-g", str(graph_file), "-c", str(bad)]) == 2
     assert "malformed coloring JSON" in capsys.readouterr().err
+
+
+def test_run_refuses_a_negative_certify_count(graph_file, tmp_path, capsys):
+    out = tmp_path / "m.json"
+    code = main(
+        ["run", "--algo", "shared-order", "--certify", "-1", "--seed", "1",
+         "-g", str(graph_file), "-o", str(out)]
+    )
+    assert code == 2
+    assert "certify attempts -1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_nbrgraph_reports_size_and_chromatic_number(capsys):

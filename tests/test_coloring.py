@@ -52,6 +52,26 @@ def test_json_rejects_malformed_payloads():
         coloring_from_json('{"palette_size": 3, "assignment": [1]}')
     with pytest.raises(InvalidParams):
         coloring_from_json('{"palette_size": 1e400, "assignment": {}}')
+    for bad in (
+        '{"palette_size": 3, "assignment": {"1": [1], " 1": [2], "1_0": [2.9], "+4": [true], "5": ["3"]}}',
+        '{"palette_size": 3, "assignment": {" 1": [2]}}',
+        '{"palette_size": 3, "assignment": {"1_0": [2]}}',
+        '{"palette_size": 3, "assignment": {"+4": [1]}}',
+        '{"palette_size": 3, "assignment": {"-4": [1]}}',
+        '{"palette_size": 3, "assignment": {"\u0661": [1]}}',
+        '{"palette_size": 3, "assignment": {"1": [2.9]}}',
+        '{"palette_size": 3, "assignment": {"1": [true]}}',
+        '{"palette_size": 3, "assignment": {"1": ["3"]}}',
+        '{"palette_size": 3, "assignment": {"1": {"2": 2}}}',
+        '{"palette_size": 3, "assignment": {"1": ""}}',
+        '{"palette_size": "3", "assignment": {}}',
+        '{"palette_size": 3.0, "assignment": {}}',
+        '{"palette_size": true, "assignment": {}}',
+        '{"palette_size": 3, "assignment": {"1": [1], "01": [2]}}',
+        '{"palette_size": 3, "assignment": {"1": [1], "1": [2]}}',
+    ):
+        with pytest.raises(InvalidParams):
+            coloring_from_json(bad)
 
 
 @pytest.mark.parametrize(

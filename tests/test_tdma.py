@@ -70,7 +70,7 @@ def test_everyone_transmits_always_on_an_edgeless_graph():
     assert u.duty == {1: Fraction(1), 2: Fraction(1), 3: Fraction(1)}
     assert u.mean_duty == 1 and u.min_duty == 1
     assert u.baseline == Fraction(1, 2)
-    assert u.speedup == {1: 2, 2: 2, 3: 2}
+    assert {v: d * u.frame_length for v, d in u.duty.items()} == {1: 2, 2: 2, 3: 2}
 
 
 def test_utilization_is_exact_and_matches_verify():
@@ -82,9 +82,8 @@ def test_utilization_is_exact_and_matches_verify():
     assert u.duty == r.fractions
     assert u.mean_duty == Fraction(Fraction(2, 6) + Fraction(1, 6) + Fraction(3, 6), 3)
     assert u.min_duty == Fraction(1, 6)
-    assert u.speedup == {1: 2, 2: 1, 3: 3}
-    got = u.summary()
-    assert got["mean_speedup"] == "2" and got["baseline"] == "1/6"
+    assert {v: d * u.frame_length for v, d in u.duty.items()} == {1: 2, 2: 1, 3: 3}
+    assert u.mean_duty * u.frame_length == 2 and u.baseline == Fraction(1, 6)
 
 
 def test_utilization_requires_every_node():
@@ -107,6 +106,23 @@ def test_json_round_trip_is_exact():
         schedule_from_json('{"frame_length": 3, "nodes": [{"id": "a"}]}')
     with pytest.raises(InvalidParams):
         schedule_from_json('{"frame_length": 1e400, "nodes": []}')
+    for bad in (
+        '{"frame_length": 3.9, "nodes": [{"id": "1_0", "slots": [1.5, "2"]}, {"id": 10, "slots": [3]}]}',
+        '{"frame_length": 3.9, "nodes": []}',
+        '{"frame_length": "3", "nodes": []}',
+        '{"frame_length": true, "nodes": []}',
+        '{"frame_length": 3, "nodes": [{"id": "1", "slots": [1]}]}',
+        '{"frame_length": 3, "nodes": [{"id": true, "slots": [1]}]}',
+        '{"frame_length": 3, "nodes": [{"id": 1, "slots": [1.5]}]}',
+        '{"frame_length": 3, "nodes": [{"id": 1, "slots": ["2"]}]}',
+        '{"frame_length": 3, "nodes": [{"id": 1, "slots": [true]}]}',
+        '{"frame_length": 3, "nodes": [{"id": 1, "slots": {"1": 1}}]}',
+        '{"frame_length": 3, "nodes": [{"id": 1, "slots": {}}]}',
+        '{"frame_length": 3, "nodes": [{"id": 1, "slots": [1]}, {"id": 1, "slots": [2]}]}',
+        '{"frame_length": 3, "nodes": [{"id": 1, "id": 2, "slots": [1]}]}',
+    ):
+        with pytest.raises(InvalidParams):
+            schedule_from_json(bad)
 
 
 json_scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
