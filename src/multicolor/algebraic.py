@@ -16,8 +16,11 @@ weight that balances palette mass across scales; a node of degree delta only
 draws from instances with 2^i >= delta, so low-degree nodes keep a larger
 share of the combined palette.
 
-Colors are computed as 1-based palette indices; the tuples of tower_colors and
-the (color, instance, copy) triples of weighted_colors are views of them.
+Colors are computed as 1-based palette indices. tower_colors maps the kept
+indices to their (alpha_0..alpha_ell, beta) tuples. weighted_colors is not a
+view of weighted_color_indices: it builds its (color, instance, copy) triples
+in a pass of its own over tower_colors, and the tests check the indices
+against it.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from .coloring import Multicoloring
 from .errors import Infeasible, InvalidParams, TooLarge
 from .gf import is_prime, next_prime
 from .graph import Graph, OneHopView
-from .simulator import NodeProgram
 
 __all__ = [
     "TowerParams",
@@ -42,13 +44,11 @@ __all__ = [
     "tower_colors",
     "tower_color_from_index",
     "tower_color_indices",
-    "basic_program",
     "run_basic",
     "WeightedScheme",
     "build_weighted_scheme",
     "weighted_colors",
     "weighted_color_indices",
-    "weighted_program",
     "run_weighted",
 ]
 
@@ -121,11 +121,6 @@ class TowerParams:
         """Exact per-node lower bound on selected colors, any degree <= max."""
         return math.prod(q - self.max_degree * d for q, d in zip(self.qs, self.ds))
 
-    @property
-    def retention(self) -> Fraction:
-        """prod (1 - 1/f_i): guaranteed share of prod q_i, by the slack bounds."""
-        return math.prod((1 - 1 / f for f in self.fs), start=Fraction(1))
-
     def to_json_dict(self) -> dict:
         return {
             "id_space": self.id_space,
@@ -135,16 +130,6 @@ class TowerParams:
             "f": [str(f) for f in self.fs],
             "palette_size": self.palette_size,
         }
-
-    @classmethod
-    def from_json_dict(cls, payload: dict) -> "TowerParams":
-        return cls(
-            id_space=int(payload["id_space"]),
-            max_degree=int(payload["max_degree"]),
-            qs=tuple(int(q) for q in payload["q"]),
-            ds=tuple(int(d) for d in payload["d"]),
-            fs=tuple(Fraction(f) for f in payload["f"]),
-        )
 
 
 def clamp_depth(id_space: int, max_degree: int, depth: int) -> int:
@@ -289,14 +274,15 @@ def tower_color_from_index(params: TowerParams, index: int) -> tuple[int, ...]:
     return tuple(reversed(digits))
 
 
-def basic_program(params: TowerParams) -> NodeProgram:
+def _build_basic(g: Graph, max_degree: int, depth=0, slack=2):
     """Node computation for one tower instance, ready for the harness."""
+    params = choose_tower(g.id_space, max_degree, depth, slack)
 
     def compute(own, received) -> frozenset[int]:
         view = OneHopView(own.node_id, frozenset(e.node_id for e in received))
         return tower_color_indices(view, params)
 
-    return NodeProgram(
+    return simulator.NodeProgram(
         name="algebraic-basic",
         palette_size=params.palette_size,
         compute=compute,
@@ -472,14 +458,15 @@ def weighted_color_indices(view: OneHopView, scheme: WeightedScheme) -> frozense
     return frozenset(out)
 
 
-def weighted_program(scheme: WeightedScheme) -> NodeProgram:
+def _build_weighted(g: Graph, max_degree: int, eps=0.5, depth=0, slack=2):
     """Node computation for the weighted union, ready for the harness."""
+    scheme = build_weighted_scheme(g.id_space, max(1, max_degree), eps, depth, slack)
 
     def compute(own, received) -> frozenset[int]:
         view = OneHopView(own.node_id, frozenset(e.node_id for e in received))
         return weighted_color_indices(view, scheme)
 
-    return NodeProgram(
+    return simulator.NodeProgram(
         name="algebraic-weighted",
         palette_size=scheme.palette_size,
         compute=compute,
@@ -490,15 +477,6 @@ def weighted_program(scheme: WeightedScheme) -> NodeProgram:
 def run_weighted(g: Graph, eps, **opts) -> Multicoloring:
     """The coloring of run_one_shot(g, "algebraic-weighted", eps=eps, **opts)."""
     return simulator.run_one_shot(g, "algebraic-weighted", eps=eps, **opts)[0]
-
-
-def _build_basic(g: Graph, max_degree: int, depth=0, slack=2):
-    return basic_program(choose_tower(g.id_space, max_degree, depth, slack))
-
-
-def _build_weighted(g: Graph, max_degree: int, eps=0.5, depth=0, slack=2):
-    scheme = build_weighted_scheme(g.id_space, max(1, max_degree), eps, depth, slack)
-    return weighted_program(scheme)
 
 
 simulator.register_builder("algebraic-basic", _build_basic)

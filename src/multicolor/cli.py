@@ -33,20 +33,20 @@ def _resolve_seed(seed: int | None) -> int:
 
 def cmd_gen(args) -> int:
     seed = _resolve_seed(args.seed)
-    id_space = args.N
+    # only a missing --N defaults to the node count; the generators refuse 0
     if args.model == "gnp":
         if args.n is None or args.p is None:
             raise MulticolorError("gnp needs --n and --p")
-        g = gnp_graph(args.n, args.p, id_space or args.n, seed)
+        g = gnp_graph(args.n, args.p, args.n if args.N is None else args.N, seed)
     elif args.model == "udg":
         if args.n is None or args.radius is None:
             raise MulticolorError("udg needs --n and --radius")
-        g = unit_disk_graph(args.n, args.radius, id_space or args.n, seed)
+        g = unit_disk_graph(args.n, args.radius, args.n if args.N is None else args.N, seed)
     else:
         if args.count is None or args.Delta is None:
             raise MulticolorError("stars needs --count and --Delta")
         n = args.count * (args.Delta + 1)
-        g = disjoint_stars(args.count, args.Delta, id_space or n, seed)
+        g = disjoint_stars(args.count, args.Delta, n if args.N is None else args.N, seed)
     Path(args.output).write_text(format_edge_list(g))
     print(
         f"wrote {args.output}: n={g.n} edges={g.edge_count()} "
@@ -116,7 +116,7 @@ def cmd_nbrgraph(args) -> int:
                 args.N,
                 args.Delta,
                 palette_size=family.k,
-                min_colors=lambda d: permcolor.min_colors_required(family.k, args.eps, d),
+                min_colors=lambda d: verifier.min_colors_required(family.k, args.eps, d),
                 max_views=args.max_views,
             )
         else:

@@ -41,9 +41,6 @@ class Multicoloring:
                         f"node {v}: color {c} outside [1, {self.palette_size}]"
                     )
 
-    def colors_of(self, v: int) -> frozenset[int]:
-        return self.assignment[v]
-
     def fraction_of(self, v: int) -> Fraction:
         """Share of the palette held by node v, exact."""
         return Fraction(len(self.assignment[v]), self.palette_size)
@@ -73,7 +70,7 @@ def _json_int(x) -> int:
 
 
 def _int_lists(pairs, read_id) -> dict[int, list[int]]:
-    """{read_id(key): xs} of (key, xs) pairs, xs JSON integers; ids are unique."""
+    """{read_id(key): xs} of (key, xs) pairs, xs distinct JSON integers; ids are unique."""
     out: dict[int, list[int]] = {}
     for key, xs in pairs:
         if (v := read_id(key)) in out:
@@ -81,6 +78,8 @@ def _int_lists(pairs, read_id) -> dict[int, list[int]]:
         if type(xs) is not list:
             raise TypeError(f"{xs!r:.20} is not a list of integers")
         out[v] = list(map(_json_int, xs))
+        if len(set(xs)) < len(xs):
+            raise ValueError(f"node {v} lists a value twice")
     return out
 
 

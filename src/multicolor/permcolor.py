@@ -42,8 +42,7 @@ from .coloring import Multicoloring
 from .errors import InvalidParams, TooLarge
 from .graph import Graph, OneHopView
 from .rng import keyed_rng
-from .simulator import NodeProgram
-from .verifier import MAX_VIEWS, _iter_views
+from .verifier import MAX_VIEWS, _iter_views, min_colors_required
 
 __all__ = [
     "randomized_palette_size",
@@ -51,7 +50,6 @@ __all__ = [
     "generate_draws",
     "select_colors",
     "run_randomized",
-    "randomized_program",
     "shared_palette_size",
     "OrderFamily",
     "select_by_orders",
@@ -59,7 +57,6 @@ __all__ = [
     "certify_family",
     "certified_family",
     "run_shared",
-    "shared_program",
 ]
 
 
@@ -205,14 +202,13 @@ def select_colors(
 _MAX_DRAWS = 5 * 10**6
 
 
-def randomized_program(
-    n: int, max_degree: int, eps, tie_break_by_id: bool = False
-) -> NodeProgram:
+def _build_randomized(g: Graph, max_degree: int, eps=0.5, tie_break_by_id=False):
     """Node computation for the randomized rule, ready for the harness.
 
     Every node draws k values, so runs of more than _MAX_DRAWS draws in all
     are refused before any is made.
     """
+    n = g.n
     k = randomized_palette_size(n, max_degree, eps)
     if k * n > _MAX_DRAWS:
         raise TooLarge(
@@ -228,7 +224,7 @@ def randomized_program(
         nbr_draws = tuple(RandomDraws(e.node_id, e.bits) for e in received)
         return select_colors(own_draws, nbr_draws, tie_break_by_id)
 
-    return NodeProgram(
+    return simulator.NodeProgram(
         name="randomized",
         palette_size=k,
         compute=compute,
@@ -355,18 +351,6 @@ class FamilyCertificate:
     worst_view: OneHopView | None
     worst_count: int | None
 
-    @property
-    def worst_fraction(self) -> Fraction | None:
-        if self.worst_count is None:
-            return None
-        return Fraction(self.worst_count, self.palette_size)
-
-
-def min_colors_required(palette_size: int, eps, delta: int) -> int:
-    """Smallest count c with c/k >= (1-eps)/(delta+1), computed exactly."""
-    target = (1 - Fraction(eps)) * palette_size / (delta + 1)
-    return math.ceil(target)
-
 
 def certify_family(
     family: OrderFamily,
@@ -449,38 +433,15 @@ def certified_family(
     return family, cert, attempts
 
 
-def shared_program(family: OrderFamily, meta: dict | None = None) -> NodeProgram:
-    """Node computation that selects by the given shared orders."""
-
-    def compute(own, received) -> frozenset[int]:
-        view = OneHopView(own.node_id, frozenset(e.node_id for e in received))
-        return select_by_orders(view, family)
-
-    return NodeProgram(
-        name="shared-order",
-        palette_size=family.k,
-        compute=compute,
-        meta={
-            "id_space": family.id_space,
-            "palette_size": family.k,
-            "family_seed": family.seed,
-            **(meta or {}),
-        },
-    )
-
-
 def run_shared(g: Graph, eps, seed: int, **opts) -> Multicoloring:
     """The coloring of run_one_shot(g, "shared-order", seed, eps=eps, **opts)."""
     return simulator.run_one_shot(g, "shared-order", seed, eps=eps, **opts)[0]
 
 
-def _build_randomized(g: Graph, max_degree: int, eps=0.5, tie_break_by_id=False):
-    return randomized_program(g.n, max_degree, eps, tie_break_by_id)
-
-
 def _build_shared(
     g: Graph, max_degree: int, seed=None, eps=0.5, factor=1, certify_attempts=0
 ):
+    """Node computation selecting by shared orders, certified when certify_attempts > 0."""
     if certify_attempts < 0:
         raise InvalidParams(f"certify attempts {certify_attempts} must be >= 0")
     meta: dict = {
@@ -502,7 +463,22 @@ def _build_shared(
     else:
         k = shared_palette_size(g.id_space, max_degree, eps, factor)
         family = OrderFamily(k, g.id_space, keyed_rng(seed, "attempt", 0).getrandbits(64))
-    return shared_program(family, meta)
+
+    def compute(own, received) -> frozenset[int]:
+        view = OneHopView(own.node_id, frozenset(e.node_id for e in received))
+        return select_by_orders(view, family)
+
+    return simulator.NodeProgram(
+        name="shared-order",
+        palette_size=family.k,
+        compute=compute,
+        meta={
+            "id_space": family.id_space,
+            "palette_size": family.k,
+            "family_seed": family.seed,
+            **meta,
+        },
+    )
 
 
 simulator.register_builder("randomized", _build_randomized)

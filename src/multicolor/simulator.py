@@ -19,6 +19,7 @@ from array import array
 from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 from .coloring import Multicoloring
@@ -60,8 +61,9 @@ class NodeEnvelope:
 class NodeProgram:
     """A node computation: optional bit generation plus the color rule.
 
-    compute receives the node's own envelope and the envelopes of its
-    neighbors (sorted by id) and returns 1-based palette colors. A program is
+    A construction's one registered builder makes it. compute receives the
+    node's own envelope and the envelopes of its neighbors (sorted by id) and
+    returns 1-based palette colors, as any iterable. A program is
     deterministic exactly when generate_bits is None; its envelopes carry no
     bits. generate_bits may return any iterable of ints: a tuple or an array
     is sent as it is, anything else as a tuple of its items.
@@ -83,17 +85,30 @@ class NodeTrace:
 
 @dataclass(frozen=True)
 class RoundTrace:
-    """What happened on the wire during one run.
+    """What went over the wire during one run: each node's exchange, nothing else.
 
-    payload_bytes_total counts every delivered copy: each node's payload
-    once per neighbor it reaches.
+    The counts are derived when read, each payload sized at most once;
+    payload_bytes_total counts it once per neighbor it reaches.
     """
 
     algorithm: str
     nodes: dict[int, NodeTrace]
-    message_count: int
-    max_payload_bytes: int
-    payload_bytes_total: int
+
+    @cached_property
+    def _payloads(self) -> dict[int, int]:
+        return {v: t.sent.payload_bytes() for v, t in self.nodes.items()}
+
+    @property
+    def message_count(self) -> int:
+        return sum(len(t.received) for t in self.nodes.values())
+
+    @property
+    def max_payload_bytes(self) -> int:
+        return max(self._payloads.values(), default=0)
+
+    @property
+    def payload_bytes_total(self) -> int:
+        return sum(self._payloads[v] * len(t.received) for v, t in self.nodes.items())
 
     def summary(self) -> dict:
         return {
@@ -173,30 +188,17 @@ def run_one_shot(
     elif opts:
         raise InvalidParams("options are only accepted with an algorithm name")
 
-    ids = g.node_ids()
-    envelopes = {v: NodeEnvelope(v, _make_bits(program, v, seed)) for v in ids}
-    inboxes = {
-        v: tuple(envelopes[u] for u in sorted(g.neighbors(v))) for v in ids
+    envelopes = {v: NodeEnvelope(v, _make_bits(program, v, seed)) for v in g.node_ids()}
+    nodes = {
+        v: NodeTrace(v, sent, tuple(envelopes[u] for u in sorted(g.neighbors(v))))
+        for v, sent in envelopes.items()
     }
-    assignment = {
-        v: frozenset(program.compute(envelopes[v], inboxes[v])) for v in ids
-    }
-    traces = {v: NodeTrace(v, envelopes[v], inboxes[v]) for v in ids}
-    payloads = {v: e.payload_bytes() for v, e in envelopes.items()}
-
     coloring = Multicoloring(
         palette_size=program.palette_size,
-        assignment=assignment,
+        assignment={v: program.compute(t.sent, t.received) for v, t in nodes.items()},
         params={**program.meta, "algorithm": program.name, "seed": seed},
     )
-    trace = RoundTrace(
-        algorithm=program.name,
-        nodes=traces,
-        message_count=sum(len(inb) for inb in inboxes.values()),
-        max_payload_bytes=max(payloads.values(), default=0),
-        payload_bytes_total=sum(payloads[v] * len(inboxes[v]) for v in ids),
-    )
-    return coloring, trace
+    return coloring, RoundTrace(program.name, nodes)
 
 
 def replay_view(

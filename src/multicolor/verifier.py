@@ -30,6 +30,7 @@ from .graph import Graph, OneHopView
 
 __all__ = [
     "VerificationReport",
+    "min_colors_required",
     "verify",
     "NeighborhoodGraph",
     "neighborhood_graph",
@@ -47,8 +48,9 @@ class VerificationReport:
 
     valid reflects disjointness only. Fraction targets are reported
     separately: rho_by_degree[d] is the worst fraction*(d+1) over nodes of
-    degree d, and meets_target says whether every node reached
-    (1-eps)/(degree+1) when an eps was supplied.
+    degree d, and meets_target says whether every node kept
+    min_colors_required(k, eps, degree) colors, a share of at least
+    (1-eps)/(degree+1), when an eps was supplied.
     """
 
     valid: bool
@@ -77,6 +79,12 @@ class VerificationReport:
 
 
 VIOLATION_CAP = 100  # conflicts a report or certificate names; all are counted
+
+
+def min_colors_required(palette_size: int, eps, delta: int) -> int:
+    """Smallest count c with c/k >= (1-eps)/(delta+1), computed exactly."""
+    target = (1 - Fraction(eps)) * palette_size / (delta + 1)
+    return math.ceil(target)
 
 
 def verify(g: Graph, m: Multicoloring, eps=None) -> VerificationReport:
@@ -111,7 +119,7 @@ def verify(g: Graph, m: Multicoloring, eps=None) -> VerificationReport:
             worst_ratio = ratio
         if d not in rho or ratio < rho[d]:
             rho[d] = ratio
-        if e is not None and fractions[v] < (1 - e) / (d + 1):
+        if e is not None and len(m.assignment[v]) < min_colors_required(m.palette_size, e, d):
             target_ok = False
     return VerificationReport(
         valid=violation_count == 0,

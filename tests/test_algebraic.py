@@ -144,8 +144,11 @@ def test_tower_params_derived_quantities():
     assert p.depth == 1
     assert p.palette_size == 5 * 7 * 5
     assert p.guaranteed_colors == (7 - 2) * (5 - 2)
-    assert p.retention == Fraction(1, 2) * Fraction(1, 3)
-    assert TowerParams.from_json_dict(p.to_json_dict()) == p
+    assert math.prod(1 - 1 / f for f in p.fs) == Fraction(1, 2) * Fraction(1, 3)
+    assert p.to_json_dict() == {
+        "id_space": 20, "max_degree": 2, "q": [7, 5], "d": [1, 1], "f": ["2", "3/2"],
+        "palette_size": 175,
+    }
 
 
 # -- color selection -----------------------------------------------------------

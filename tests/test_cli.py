@@ -36,6 +36,23 @@ def test_gen_is_deterministic_per_seed(tmp_path, capsys):
     assert "wrote" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "model",
+    [
+        ["gnp", "--n", "5", "--p", "0.5"],
+        ["udg", "--n", "5", "--radius", "0.5"],
+        ["stars", "--count", "1", "--Delta", "4"],
+    ],
+    ids=["gnp", "udg", "stars"],
+)
+def test_gen_refuses_an_empty_id_space(tmp_path, capsys, model):
+    out = tmp_path / "g.txt"
+    argv = ["gen", "--model", *model, "--N", "0", "--seed", "1", "-o", str(out)]
+    assert main(argv) == 2
+    assert "id space" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gen_rejects_incomplete_model_args(tmp_path, capsys):
     code = main(
         ["gen", "--model", "gnp", "--n", "10", "--seed", "1",
@@ -122,6 +139,7 @@ def test_malformed_coloring_json_is_an_input_error(graph_file, tmp_path, capsys)
         '{"palette_size": 3, "assignment": [1]}',
         '{"palette_size": 1e400, "assignment": {}}',
         '{"palette_size": 3, "assignment": {"1": [1], " 1": [2]}}',  # node 1 twice
+        '{"palette_size": 3, "assignment": {"1": [2, 2, 2]}}',  # color 2 three times
     ],
 )
 def test_verify_refuses_a_malformed_coloring_payload(graph_file, tmp_path, capsys, payload):

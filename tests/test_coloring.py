@@ -24,7 +24,7 @@ def test_fraction_is_exact():
     m = Multicoloring(7, {1: {1, 2, 3}, 2: frozenset()})
     assert m.fraction_of(1) == Fraction(3, 7)
     assert m.fraction_of(2) == Fraction(0)
-    assert m.colors_of(1) == frozenset({1, 2, 3})
+    assert m.assignment[1] == frozenset({1, 2, 3})
 
 
 def test_json_round_trip():
@@ -69,6 +69,8 @@ def test_json_rejects_malformed_payloads():
         '{"palette_size": true, "assignment": {}}',
         '{"palette_size": 3, "assignment": {"1": [1], "01": [2]}}',
         '{"palette_size": 3, "assignment": {"1": [1], "1": [2]}}',
+        '{"palette_size": 3, "assignment": {"1": [2, 2, 2]}}',
+        '{"palette_size": 3, "assignment": {"1": [1, 3], "2": [1, 2, 1]}}',
     ):
         with pytest.raises(InvalidParams):
             coloring_from_json(bad)

@@ -79,7 +79,7 @@ def test_message_count_is_twice_the_edges():
 def test_harness_equals_direct_view_computation_on_k2():
     g = parse_edge_list("# N=4\n1 2\n")
     params = algebraic.choose_tower(4, 1)
-    coloring, _ = run_one_shot(g, algebraic.basic_program(params))
+    coloring, _ = run_one_shot(g, build_program("algebraic-basic", g))
     for v in (1, 2):
         assert coloring.assignment[v] == algebraic.tower_color_indices(
             g.view(v), params
@@ -107,9 +107,29 @@ def test_payload_total_counts_every_delivered_copy():
     assert det.payload_bytes_total == 0
 
 
+def test_payloads_are_sized_only_when_read_and_once_per_node(monkeypatch):
+    """run_one_shot sizes no payload; the trace's figures size each one once."""
+    calls = []
+    size = NodeEnvelope.payload_bytes
+
+    def counted(envelope):
+        calls.append(envelope.node_id)
+        return size(envelope)
+
+    monkeypatch.setattr(NodeEnvelope, "payload_bytes", counted)
+    g = gnp_graph(30, 0.2, 30, seed=4)
+    _, trace = run_one_shot(g, "randomized", seed=3, eps=1.0)
+    assert calls == []
+    summary = trace.summary()
+    assert (trace.message_count, trace.max_payload_bytes, trace.payload_bytes_total) == (
+        summary["message_count"], summary["max_payload_bytes"], summary["payload_bytes_total"]
+    )
+    assert sorted(calls) == list(g.node_ids())
+
+
 def test_randomized_needs_a_seed():
     g = gnp_graph(6, 0.5, 6, seed=1)
-    prog = permcolor.randomized_program(6, g.max_degree(), 0.5)
+    prog = build_program("randomized", g, eps=0.5)
     with pytest.raises(InvalidParams):
         run_one_shot(g, prog)
 
@@ -189,10 +209,9 @@ def test_build_program_honours_the_declared_degree_bound(name):
 
 
 def test_replay_of_degree_zero_view_gets_all_shared_colors():
-    fam = permcolor.OrderFamily(9, 5, seed=2)
-    prog = permcolor.shared_program(fam)
+    prog = build_program("shared-order", parse_edge_list("# N=5\n1 2\n"), seed=2)
     out = replay_view(OneHopView(3, frozenset()), (), prog)
-    assert out == frozenset(range(1, 10))
+    assert out == frozenset(range(1, prog.palette_size + 1))
 
 
 def test_replay_matches_runs_across_host_graphs():
@@ -201,8 +220,7 @@ def test_replay_matches_runs_across_host_graphs():
     star = parse_edge_list("# N=5\n1 2\n2 3\n2 4\n2 5\n")
     view = path.view(1)  # (1, {2}) in both graphs
     assert view == star.view(1)
-    params = algebraic.choose_tower(5, 4)
-    prog = algebraic.basic_program(params)
+    prog = build_program("algebraic-basic", star)
     run_path, tr_path = run_one_shot(path, prog)
     run_star, tr_star = run_one_shot(star, prog)
     assert run_path.assignment[1] == run_star.assignment[1]

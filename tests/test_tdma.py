@@ -120,6 +120,8 @@ def test_json_round_trip_is_exact():
         '{"frame_length": 3, "nodes": [{"id": 1, "slots": {}}]}',
         '{"frame_length": 3, "nodes": [{"id": 1, "slots": [1]}, {"id": 1, "slots": [2]}]}',
         '{"frame_length": 3, "nodes": [{"id": 1, "id": 2, "slots": [1]}]}',
+        '{"frame_length": 4, "nodes": [{"id": 1, "slots": [2, 2, 2]}]}',
+        '{"frame_length": 4, "nodes": [{"id": 1, "slots": [1]}, {"id": 2, "slots": [3, 4, 3]}]}',
     ):
         with pytest.raises(InvalidParams):
             schedule_from_json(bad)

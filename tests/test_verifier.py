@@ -20,13 +20,14 @@ from multicolor import (
     certify_on_neighborhood,
     choose_tower,
     chromatic_number,
+    gnp_graph,
     neighborhood_graph,
     tower_colors,
     verify,
 )
 from multicolor import verifier
 from multicolor.algebraic import tower_color_indices
-from multicolor.verifier import nbr_edge_count, nbr_vertex_count
+from multicolor.verifier import min_colors_required, nbr_edge_count, nbr_vertex_count
 
 K2 = Graph(2, {1: {2}, 2: {1}})
 
@@ -89,6 +90,30 @@ def test_meets_target_is_none_without_an_epsilon():
     assert verify(K2, m).meets_target is None
     r = verify(K2, m, eps=0)
     assert r.meets_target is False  # 1/3 falls short of 1/2
+
+
+@pytest.mark.parametrize("eps", [0, Fraction(1, 3), 0.5, 1])
+def test_meets_target_is_the_integer_quota(eps):
+    """meets_target holds exactly when every node keeps min_colors_required
+    colors for its degree, the same as a share of at least (1-eps)/(d+1)."""
+    rng = random.Random(7)
+    outcomes = set()
+    for _ in range(300):
+        g = gnp_graph(4, 0.5, 4, seed=rng.getrandbits(32))
+        k = rng.randint(1, 24)
+        m = Multicoloring(
+            k, {v: rng.sample(range(1, k + 1), rng.randint(0, k)) for v in g.node_ids()}
+        )
+        quota = all(
+            len(m.assignment[v]) >= min_colors_required(k, eps, g.degree(v))
+            for v in g.node_ids()
+        )
+        share = all(
+            m.fraction_of(v) >= (1 - Fraction(eps)) / (g.degree(v) + 1) for v in g.node_ids()
+        )
+        assert verify(g, m, eps=eps).meets_target is quota is share
+        outcomes.add(quota)
+    assert outcomes == {True, False} or eps == 1
 
 
 def test_rho_groups_worst_ratio_by_degree():
