@@ -26,7 +26,7 @@ against it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Callable
@@ -55,6 +55,16 @@ __all__ = [
 _Q_CAP = 2**62  # defensive ceiling for the prime search
 # colors memoised per tower, about 40 B each in tuples: at most ~21 MB a tower
 _MEMO_COLORS = 1 << 19
+# largest palette, the TDMA frame, of a tower or a weighted union: a node's
+# M(x) holds palette / q_ell of its tower's colors, about 40 B each in a tuple
+_MAX_PALETTE = 10**7
+
+
+def _check_palette(what: str, size: int) -> None:
+    if size > _MAX_PALETTE:
+        raise TooLarge(
+            f"{what} palette of {size} colors above the guard of {_MAX_PALETTE}"
+        )
 
 
 def _check_slack(slack) -> Fraction:
@@ -68,7 +78,8 @@ class TowerParams:
     """Validated parameters of one polynomial tower.
 
     Level i uses degree-<=ds[i] polynomials over GF(qs[i]); level 0 must fit
-    the id space and each deeper level must fit the previous field.
+    the id space and each deeper level must fit the previous field. A palette
+    of more than _MAX_PALETTE colors is refused.
     """
 
     id_space: int
@@ -102,6 +113,7 @@ class TowerParams:
                     f"level {i}: q={q} below slack bound {f} * {self.max_degree} * {d}"
                 )
             domain = q
+        _check_palette("tower", self.palette_size)
 
     @property
     def depth(self) -> int:
@@ -303,46 +315,44 @@ def _ceil_log2(x: int) -> int:
     return max(0, (x - 1).bit_length())
 
 
-# largest palette a WeightedScheme admits: a low-degree node keeps most of the
-# palette as one frozenset, about 65 B a color
-_MAX_WEIGHTED_COLORS = 10**7
-
-
 @dataclass(frozen=True)
 class WeightedScheme:
-    """Weighted union of tower instances at degree scales 2^1 .. 2^L.
+    """Union of choose_tower(id_space, 2^i, depth, slack), i = 1..ceil(log2 Delta).
 
-    A palette of more than _MAX_WEIGHTED_COLORS colors is refused.
+    Scale i has weight ceil((Delta/2^(i-1))^eps * top_palette/palette_i): the
+    top scale keeps weight about 1, and lower scales are replicated until
+    their mass matches, boosted by the degree ratio to the eps power. A
+    palette of more than _MAX_PALETTE colors is refused.
     """
 
     id_space: int
     max_degree: int
     epsilon: float
-    instances: tuple[TowerParams, ...]  # instances[i-1] covers degree <= 2^i
-    weights: tuple[int, ...]
+    instances: tuple[TowerParams, ...] = field(init=False)  # [i-1] covers degree <= 2^i
+    weights: tuple[int, ...] = field(init=False)
+    depth: InitVar[int] = 0
+    slack: InitVar[object] = 2
 
-    def __post_init__(self):
+    def __post_init__(self, depth, slack):
         if self.max_degree < 1:
             raise InvalidParams("max degree must be >= 1")
-        if not 0 <= self.epsilon <= 1:
+        e = float(self.epsilon)
+        if not 0 <= e <= 1:
             raise InvalidParams(f"epsilon {self.epsilon} outside [0, 1]")
         levels = max(1, _ceil_log2(self.max_degree))
-        if len(self.instances) != levels or len(self.weights) != levels:
-            raise InvalidParams(f"need exactly {levels} instances and weights")
-        for i, inst in enumerate(self.instances, start=1):
-            if inst.max_degree != 2**i:
-                raise InvalidParams(
-                    f"instance {i} must be built for degree bound {2**i}"
-                )
-            if inst.id_space != self.id_space:
-                raise InvalidParams("instances must share the scheme's id space")
-        if any(w < 1 for w in self.weights):
-            raise InvalidParams("weights must be positive")
-        if self.palette_size > _MAX_WEIGHTED_COLORS:
-            raise TooLarge(
-                f"weighted palette of {self.palette_size} colors "
-                f"above the guard of {_MAX_WEIGHTED_COLORS}"
-            )
+        instances = tuple(
+            choose_tower(self.id_space, 2**i, depth, slack) for i in range(1, levels + 1)
+        )
+        top = instances[-1].palette_size
+        weights = []
+        for i, inst in enumerate(instances, start=1):
+            ratio = Fraction(self.max_degree, 2 ** (i - 1))
+            boost = 1 if e == 0 else ratio if e == 1 else ratio**e  # exact at eps 0 and 1
+            weights.append(math.ceil(boost * Fraction(top, inst.palette_size)))
+        object.__setattr__(self, "epsilon", e)
+        object.__setattr__(self, "instances", instances)
+        object.__setattr__(self, "weights", tuple(weights))
+        _check_palette("weighted", self.palette_size)
 
     @property
     def levels(self) -> int:
@@ -385,39 +395,8 @@ class WeightedScheme:
 def build_weighted_scheme(
     id_space: int, max_degree: int, eps, depth: int = 0, slack=2
 ) -> WeightedScheme:
-    """One tower instance per degree scale, weighted to balance palette mass.
-
-    Weight of scale i is ceil((Delta/2^(i-1))^eps * top_palette/palette_i):
-    the top scale keeps weight about 1 and lower scales are replicated until
-    their mass matches, boosted by the degree ratio to the eps power.
-    """
-    if max_degree < 1:
-        raise InvalidParams("max degree must be >= 1")
-    e = float(eps)
-    if not 0 <= e <= 1:
-        raise InvalidParams(f"epsilon {eps} outside [0, 1]")
-    levels = max(1, _ceil_log2(max_degree))
-    instances = tuple(
-        choose_tower(id_space, 2**i, depth, slack) for i in range(1, levels + 1)
-    )
-    top = instances[-1].palette_size
-    weights = []
-    for i in range(1, levels + 1):
-        mass = Fraction(top, instances[i - 1].palette_size)
-        if e == 0:
-            boost: Fraction | float = Fraction(1)
-        elif e == 1:
-            boost = Fraction(max_degree, 2 ** (i - 1))
-        else:
-            boost = (max_degree / 2 ** (i - 1)) ** e
-        weights.append(math.ceil(boost * mass))
-    return WeightedScheme(
-        id_space=id_space,
-        max_degree=max_degree,
-        epsilon=e,
-        instances=instances,
-        weights=tuple(weights),
-    )
+    """The WeightedScheme of these arguments."""
+    return WeightedScheme(id_space, max_degree, eps, depth, slack)
 
 
 def weighted_colors(

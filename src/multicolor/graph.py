@@ -110,8 +110,13 @@ def _draw_ids(rng, n: int, id_space: int) -> list[int]:
     """First n entries of a seeded Fisher-Yates shuffle of [1..id_space].
 
     Sparse bookkeeping keeps this O(n) even for huge id spaces; the output
-    matches a full shuffle prefix draw for draw.
+    matches a full shuffle prefix draw for draw. The generators check n and
+    the id space only here.
     """
+    if id_space < 1:
+        raise InvalidParams(f"id space must be >= 1, got {id_space}")
+    if n < 0 or n > id_space:
+        raise InvalidParams(f"need 0 <= n <= id_space, got n={n}, N={id_space}")
     picked = []
     moved: dict[int, int] = {}
     for i in range(n):
@@ -133,10 +138,6 @@ def _from_index_edges(ids: list[int], index_edges, id_space: int) -> Graph:
 
 def gnp_graph(n: int, p: float, id_space: int, seed: int) -> Graph:
     """Erdos-Renyi G(n, p) with IDs injected into [1, id_space]."""
-    if id_space < 1:
-        raise InvalidParams(f"id space must be >= 1, got {id_space}")
-    if n < 0 or n > id_space:
-        raise InvalidParams(f"need 0 <= n <= id_space, got n={n}, N={id_space}")
     if not 0.0 <= p <= 1.0:
         raise InvalidParams(f"edge probability {p} outside [0, 1]")
     rng = keyed_rng("gnp", n, p, id_space, seed)
@@ -149,10 +150,6 @@ def gnp_graph(n: int, p: float, id_space: int, seed: int) -> Graph:
 
 def unit_disk_graph(n: int, radius: float, id_space: int, seed: int) -> Graph:
     """n points uniform in the unit square; edge iff distance <= radius."""
-    if id_space < 1:
-        raise InvalidParams(f"id space must be >= 1, got {id_space}")
-    if n < 0 or n > id_space:
-        raise InvalidParams(f"need 0 <= n <= id_space, got n={n}, N={id_space}")
     if not radius >= 0:  # also refuses nan
         raise InvalidParams(f"radius {radius} must be >= 0")
     rng = keyed_rng("udg", n, radius, id_space, seed)
@@ -172,15 +169,9 @@ def unit_disk_graph(n: int, radius: float, id_space: int, seed: int) -> Graph:
 
 def disjoint_stars(count: int, leaves: int, id_space: int, seed: int) -> Graph:
     """count vertex-disjoint stars, each one center with `leaves` leaves."""
-    if id_space < 1:
-        raise InvalidParams(f"id space must be >= 1, got {id_space}")
     if count < 0 or leaves < 0:
         raise InvalidParams("count and leaves must be >= 0")
     n = count * (leaves + 1)
-    if n > id_space:
-        raise InvalidParams(
-            f"{count} stars with {leaves} leaves need {n} ids, id space has {id_space}"
-        )
     rng = keyed_rng("stars", count, leaves, id_space, seed)
     ids = _draw_ids(rng, n, id_space)
     index_edges = []

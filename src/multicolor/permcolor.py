@@ -66,27 +66,32 @@ def _check_eps(eps) -> Fraction:
     return Fraction(eps)
 
 
-def randomized_palette_size(n, max_degree: int, eps) -> int:
-    """Palette size k = ceil(6*(Delta+1)*ln(n)/eps^2) for the randomized rule."""
-    if n < 2:
-        raise InvalidParams(f"need n >= 2, got {n}")
+def _palette(scale: int, size, max_degree: int, eps) -> int:
+    """ceil(scale * ln(size) / eps^2): both palettes, their Delta and eps checks."""
     if max_degree < 0:
         raise InvalidParams("max degree must be >= 0")
     e = float(_check_eps(eps))
-    return math.ceil(6 * (max_degree + 1) * math.log(n) / (e * e))
+    try:
+        return math.ceil(scale * math.log(size) / (e * e))
+    except (ZeroDivisionError, OverflowError):  # eps^2 is 0.0, or the quotient inf
+        raise TooLarge(f"epsilon {eps} gives a palette beyond the float range") from None
+
+
+def randomized_palette_size(n, max_degree: int, eps) -> int:
+    """Palette size k = ceil(6*(Delta+1)*ln(n)/eps^2); TooLarge past a float."""
+    if n < 2:
+        raise InvalidParams(f"need n >= 2, got {n}")
+    return _palette(6 * (max_degree + 1), n, max_degree, eps)
 
 
 def shared_palette_size(id_space, max_degree: int, eps, factor: int = 1) -> int:
-    """Palette size k = factor * ceil(2*(Delta+1)^2*ln(N)/eps^2) shared orders."""
+    """k = factor * ceil(2*(Delta+1)^2*ln(N)/eps^2) shared orders; TooLarge past a float."""
     if id_space < 2:
         raise InvalidParams(f"need id space >= 2, got {id_space}")
-    if max_degree < 0:
-        raise InvalidParams("max degree must be >= 0")
     if factor < 1:
         raise InvalidParams("factor must be a positive integer")
-    e = float(_check_eps(eps))
     d1 = max_degree + 1
-    return factor * math.ceil(2 * d1 * d1 * math.log(id_space) / (e * e))
+    return factor * _palette(2 * d1 * d1, id_space, max_degree, eps)
 
 
 # ---------------------------------------------------------------------------

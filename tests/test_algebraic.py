@@ -1,6 +1,7 @@
 """Polynomial-tower colorings: parameter search, selection, weighted union."""
 
 import hashlib
+import json
 import math
 import random
 from fractions import Fraction
@@ -26,9 +27,10 @@ from multicolor import (
     verify,
     weighted_colors,
 )
+from multicolor import algebraic
 from multicolor.algebraic import _iroot_ceil
 from multicolor.algebraic import (
-    _MAX_WEIGHTED_COLORS,
+    _MAX_PALETTE,
     _MEMO_COLORS,
     tower_color_from_index,
     tower_color_indices,
@@ -394,7 +396,34 @@ def test_weighted_palette_above_its_guard_is_refused(max_degree, palette):
     # only the scheme is built: no node colors, which would take many GB
     with pytest.raises(TooLarge, match=str(palette)):
         build_weighted_scheme(10**6, max_degree, 1)
-    assert build_weighted_scheme(10**6, 16, 1).palette_size <= _MAX_WEIGHTED_COLORS
+    assert build_weighted_scheme(10**6, 16, 1).palette_size <= _MAX_PALETTE
+
+
+# sha256 of json.dumps(build_weighted_scheme(10**6, 16, 0.5).to_json_dict(),
+# sort_keys=True): the 103,720-color scheme of a degree-16 graph over 10^6 ids
+GOLDEN_WEIGHTED_SCHEME = "3eb7ec608d723cd0620bff77d78a5453d9db7bfc384d7c9bf4756cf65a166a6b"
+
+
+def test_weighted_scheme_is_pinned_and_built_through_choose_tower(monkeypatch):
+    calls = []
+    choose = algebraic.choose_tower
+    monkeypatch.setattr(algebraic, "choose_tower", lambda *a: calls.append(a) or choose(*a))
+    s = build_weighted_scheme(10**6, 16, 0.5)
+    assert s.palette_size == 103_720
+    text = json.dumps(s.to_json_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_WEIGHTED_SCHEME
+    assert [a[1] for a in calls] == [2, 4, 8, 16]  # one tower a degree scale
+    with pytest.raises(TypeError):
+        WeightedScheme(10**6, 16, 0.5, instances=s.instances, weights=s.weights)
+
+
+@pytest.mark.parametrize(
+    "args, palette", [((10**400, 16), 12_909_649), ((3, 2, 0, 1e7), 400_000_120_000_009)]
+)
+def test_tower_palette_above_its_guard_is_refused(args, palette):
+    with pytest.raises(TooLarge, match=f"tower palette of {palette} colors"):
+        choose_tower(*args)
+    assert choose_tower(10**6, 16).palette_size <= _MAX_PALETTE
 
 
 def test_weight_formula():
@@ -477,18 +506,10 @@ def test_weighted_index_round_trip_and_disjointness():
 
 
 def test_weighted_scheme_validation():
-    inst2 = choose_tower(50, 2)
-    inst4 = choose_tower(50, 4)
     with pytest.raises(InvalidParams):
-        WeightedScheme(50, 4, 0.5, (inst2,), (1,))  # needs two instances
+        WeightedScheme(50, 4, 1.5)
     with pytest.raises(InvalidParams):
-        WeightedScheme(50, 4, 0.5, (inst4, inst2), (1, 1))  # wrong scales
-    with pytest.raises(InvalidParams):
-        WeightedScheme(50, 4, 0.5, (inst2, inst4), (1, 0))
-    with pytest.raises(InvalidParams):
-        WeightedScheme(50, 4, 1.5, (inst2, inst4), (1, 1))
-    with pytest.raises(InvalidParams):
-        WeightedScheme(60, 4, 0.5, (inst2, inst4), (1, 1))  # id space mismatch
+        WeightedScheme(50, 0, 0.5)
     with pytest.raises(InvalidParams):
         s = build_weighted_scheme(50, 4, 0.5)
         s.lowest_instance(5)

@@ -9,8 +9,8 @@ import pytest
 from multicolor import verifier
 from multicolor.cli import main
 from multicolor.coloring import coloring_from_json, coloring_to_json
-from multicolor.graph import parse_edge_list
-from multicolor.simulator import run_one_shot
+from multicolor.graph import format_edge_list, gnp_graph, parse_edge_list
+from multicolor.simulator import registered_algorithms, run_one_shot
 from multicolor.tdma import schedule_from_json
 
 ALGOS = ("randomized", "shared-order", "algebraic-basic", "algebraic-weighted")
@@ -311,15 +311,36 @@ def test_gen_refuses_a_nan_radius(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_run_refuses_more_random_draws_than_its_guard(tmp_path, capsys):
+GNP_30 = format_edge_list(gnp_graph(30, 0.1, 30, 1))  # gen --n 30 --p 0.1 --seed 1
+STAR_256 = "# N=1000000\n" + "".join(f"1 {v}\n" for v in range(2, 258))
+
+# one oversized run per construction: (algo, options, graph, stderr substring)
+OVERSIZED_RUNS = {
+    "randomized-draws": ("randomized", ["--eps", "0.001"], GNP_30, "draws"),
+    "randomized-eps": ("randomized", ["--eps", "1e-200"], GNP_30, "float range"),
+    "randomized-eps-overflow": ("randomized", ["--eps", "1e-160"], GNP_30, "float range"),
+    "shared-order-ranks": ("shared-order", [], "# N=1000000\n1 2\n", "ranks"),
+    "shared-order-eps": ("shared-order", ["--eps", "1e-200"], GNP_30, "float range"),
+    "algebraic-basic-slack": ("algebraic-basic", ["--slack", "1e7"], "# N=3\n1 2\n2 3\n",
+                              "tower palette of 400000120000009 colors"),
+    "algebraic-weighted-palette": ("algebraic-weighted", ["--eps", "1"], STAR_256,
+                                   "519557155 colors"),
+}
+
+
+def test_every_construction_has_an_oversized_run():
+    assert {algo for algo, *_ in OVERSIZED_RUNS.values()} == set(registered_algorithms())
+
+
+@pytest.mark.parametrize("case", sorted(OVERSIZED_RUNS))
+def test_run_refuses_an_oversized_run(tmp_path, capsys, case):
+    algo, opts, text, message = OVERSIZED_RUNS[case]
     path = tmp_path / "g.edges"
-    assert main(
-        ["gen", "--model", "gnp", "--n", "30", "--p", "0.1", "--seed", "1", "-o", str(path)]
-    ) == 0
+    path.write_text(text)
     tracemalloc.start()
     try:
         code = main(
-            ["run", "--algo", "randomized", "--eps", "0.001", "--seed", "1",
+            ["run", "--algo", algo, *opts, "--seed", "1",
              "-g", str(path), "-o", str(tmp_path / "m.json")]
         )
         _, peak = tracemalloc.get_traced_memory()
@@ -327,32 +348,30 @@ def test_run_refuses_more_random_draws_than_its_guard(tmp_path, capsys):
         tracemalloc.stop()
     assert code == 3
     assert peak < 10**6
-    assert "draws" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "m.json").exists()
 
 
-def test_run_refuses_an_order_family_too_large_to_store(tmp_path, capsys):
-    path = tmp_path / "wide.edges"
-    path.write_text("# N=1000000\n1 2\n")
-    code = main(
-        ["run", "--algo", "shared-order", "--seed", "1",
-         "-g", str(path), "-o", str(tmp_path / "m.json")]
-    )
+@pytest.mark.parametrize(
+    "algo, opts, message",
+    [
+        ("algebraic-basic", ["--slack", "1e7"], "tower palette of 900000060000001 colors"),
+        ("shared-order", ["--eps", "1e-200"], "float range"),
+    ],
+    ids=["algebraic-basic", "shared-order"],
+)
+def test_nbrgraph_refuses_an_oversized_certificate(capsys, algo, opts, message):
+    tracemalloc.start()
+    try:
+        code = main(
+            ["nbrgraph", "--N", "30", "--Delta", "3", "--certify", algo, *opts, "--seed", "1"]
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     assert code == 3
-    assert "ranks" in capsys.readouterr().err
-    assert not (tmp_path / "m.json").exists()
-
-
-def test_run_refuses_a_weighted_palette_too_large_to_hold(tmp_path, capsys):
-    path = tmp_path / "star.edges"
-    path.write_text("# N=1000000\n" + "".join(f"1 {v}\n" for v in range(2, 258)))
-    code = main(
-        ["run", "--algo", "algebraic-weighted", "--eps", "1",
-         "-g", str(path), "-o", str(tmp_path / "m.json")]
-    )
-    assert code == 3
-    assert "519557155 colors" in capsys.readouterr().err
-    assert not (tmp_path / "m.json").exists()
+    assert peak < 10**6
+    assert message in capsys.readouterr().err
 
 
 def test_unknown_algorithm_is_a_usage_error(graph_file, tmp_path):
