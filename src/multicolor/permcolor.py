@@ -2,27 +2,29 @@
 
 Two constructions share one selection rule and one sieve, select_colors: a
 node takes color i exactly when it beats all its neighbors at position i.
+Both hold their k values as PackedWords, whole-byte fields of one int with
+the top bit of each field free, so the sieve compares all k positions
+against one neighbor with one big-int subtraction (Lamport, "Multiple byte
+processing with full-word instructions", CACM 1975).
 
 Randomized: every node privately draws k numbers uniform from [1, k*n^4] and
 takes the colors where its draw is strictly smallest among its neighborhood.
 Ties waste the color on both sides (kept, since they are rare by design); an
 optional flag breaks ties toward the smaller id instead. The draws are cut
 from one bulk read of 32-bit words of the node's keyed stream and equal,
-value for value, k calls of randrange(1, k*n^4 + 1) on it. While k*n^4 fits
-a machine word they are kept as 8-byte words, array('Q'), from the cut
-through the envelope to the sieve; above 2^64 they are a tuple of Python
-integers. A node sieves its colors one neighbor at a time, so it compares
-only at the colors it still holds. A run of more than _MAX_DRAWS draws in
-all is refused before the first one is made.
+value for value, k calls of randrange(1, k*n^4 + 1) on it. They are packed
+once, in fields of b // 8 + 1 bytes for b the bit length of k*n^4, and
+travel packed from the cut through the envelope to the sieve. A run of more
+than _MAX_DRAWS draws in all is refused before the first one is made.
 
 Shared-order: the randomized rule on public keys. All nodes know k seeded
 global orders of the id space, order i ranking id x by (keys(x)[i], x) where
-keys(x) are k 32-bit words of x's keyed stream; a node computes the keys of
-its view from the ids and takes color i when it precedes all its neighbors
-in order i. Whether a concrete family serves every possible one-hop view up
-to degree Delta can be certified exhaustively, comparing the same keys by
-the same tie rule; on failure the family is resampled from the next derived
-seed rather than grown.
+keys(x) are k 32-bit words of x's keyed stream, packed in 5-byte fields; a
+node computes the keys of its view from the ids and takes color i when it
+precedes all its neighbors in order i. Whether a concrete family serves
+every possible one-hop view up to degree Delta can be certified
+exhaustively, comparing the same keys by the same tie rule; on failure the
+family is resampled from the next derived seed rather than grown.
 """
 
 from __future__ import annotations
@@ -34,8 +36,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress, repeat
-from operator import add, le, lt
+from itertools import compress
+from operator import le, lt
 
 from . import simulator
 from .coloring import Multicoloring
@@ -47,6 +49,7 @@ from .verifier import MAX_VIEWS, _iter_views, min_colors_required
 __all__ = [
     "randomized_palette_size",
     "RandomDraws",
+    "PackedWords",
     "generate_draws",
     "select_colors",
     "run_randomized",
@@ -106,6 +109,122 @@ class RandomDraws:
     draws: Sequence[int]
 
 
+def _field_width(bits: int) -> int:
+    """Bytes a field takes for values below 2**bits, with its top bit free."""
+    return bits // 8 + 1
+
+
+def _respread(raw: bytes, src: int, dst: int, lanes: int) -> bytearray:
+    """The low `lanes` bytes of each src-byte field of raw, in dst-byte fields."""
+    out = bytearray(len(raw) // src * dst)
+    for lane in range(lanes):
+        out[lane::dst] = raw[lane::src]
+    return out
+
+
+@lru_cache(maxsize=8)
+def _field_masks(length: int, width: int) -> tuple[int, int]:
+    """The top bit of each of length fields of width bytes, and a 1 in each."""
+    guard = (b"\x00" * (width - 1) + b"\x80") * length
+    one = (b"\x01" + b"\x00" * (width - 1)) * length
+    return int.from_bytes(guard, "little"), int.from_bytes(one, "little")
+
+
+class PackedWords(Sequence):
+    """length non-negative ints in fields of width bytes of one int.
+
+    The values sit least significant first, value i in bytes
+    [width*i, width*(i+1)) of value, and the top bit of every field is left
+    free: it is the guard bit of select_colors' sieve, which compares all
+    fields against another node's with one subtraction. Values of up to
+    bits bits take bits // 8 + 1 bytes each, not 8: CPython keeps 30 bits
+    in 4 bytes, so an 8-byte field costs 8.53 B. The values can be read as
+    from a tuple; two packings of the same values are equal whatever their
+    widths.
+    """
+
+    __slots__ = ("value", "length", "width")
+
+    def __init__(self, value: int, length: int, width: int):
+        self.value = value
+        self.length = length
+        self.width = width
+
+    @classmethod
+    def pack(cls, values: Sequence[int], width: int | None = None) -> PackedWords:
+        """values in fields of width bytes, by default the least that fits them.
+
+        Packed words keep their width unless another is given. Every value
+        must be below 2**(8*width - 1), which leaves its guard bit.
+        """
+        if isinstance(values, PackedWords):
+            if width in (None, values.width):
+                return values
+            values = values.tolist()
+        if width is None:
+            width = _field_width(max(values, default=0).bit_length())
+        if width > 8:
+            raw = b"".join(v.to_bytes(width, "little") for v in values)
+            return cls(int.from_bytes(raw, "little"), len(raw) // width, width)
+        words = array("Q", values)
+        if sys.byteorder == "big":
+            words.byteswap()
+        fields = _respread(words.tobytes(), 8, width, width)
+        return cls(int.from_bytes(fields, "little"), len(words), width)
+
+    def tolist(self) -> list[int]:
+        w = self.width
+        raw = self.value.to_bytes(w * self.length, "little")
+        if w > 8:
+            return [int.from_bytes(raw[i : i + w], "little") for i in range(0, len(raw), w)]
+        words = array("Q", _respread(raw, w, 8, w))
+        if sys.byteorder == "big":
+            words.byteswap()
+        return words.tolist()
+
+    def encoded_bytes(self) -> int:
+        """Sum of max(1, byte length) over the values, read off the packed int.
+
+        A field holds at least 256**(j-1) exactly when subtracting that from
+        it, guard bit set, leaves the guard bit; the counts fall as j grows,
+        so the sweep runs from the widest j down to the first that counts
+        every value.
+        """
+        n, w = self.length, self.width
+        guards, ones = _field_masks(n, w)
+        raised = self.value | guards
+        total = n  # every value takes at least one byte
+        for j in range(w, 1, -1):
+            at_least = ((raised - (ones << 8 * (j - 1))) & guards).bit_count()
+            if at_least == n:
+                return total + n * (j - 1)
+            total += at_least
+        return total
+
+    def __len__(self) -> int:
+        return self.length
+
+    def __getitem__(self, index: int) -> int:
+        i = range(self.length)[index]  # negative from the end; IndexError out of range
+        return (self.value >> 8 * self.width * i) & ((1 << 8 * self.width - 1) - 1)
+
+    def __iter__(self):
+        return iter(self.tolist())
+
+    def __eq__(self, other):
+        if not isinstance(other, PackedWords):
+            return NotImplemented
+        if self.width == other.width:
+            return self.length == other.length and self.value == other.value
+        return self.tolist() == other.tolist()
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.tolist()))
+
+    def __repr__(self) -> str:
+        return f"PackedWords.pack({self.tolist()!r}, width={self.width})"
+
+
 @lru_cache(maxsize=8)
 def _draw_masks(words: int, shift: int, count: int) -> tuple[int, int]:
     """Masks over count groups of `words` 32-bit words, least significant first.
@@ -145,7 +264,7 @@ def generate_draws(node_id: int, k: int, n: int, seed: int) -> RandomDraws:
     length of k*n^4, and rejected values are drawn again. The words come in
     bulk reads sized for the expected number of candidates; words read past
     the k-th accepted draw are never used, as the stream is not read again.
-    The draws are an array('Q') when k*n^4 < 2^64 and a tuple above.
+    The draws are packed in fields of b // 8 + 1 bytes.
     """
     if k < 1:
         raise InvalidParams("palette size must be >= 1")
@@ -164,7 +283,7 @@ def generate_draws(node_id: int, k: int, n: int, seed: int) -> RandomDraws:
         cands = _candidates(getrandbits(32 * words * count), words, shift, count)
         values += [c + 1 for c in cands if c < hi]
     del values[k:]
-    return RandomDraws(node_id, array("Q", values) if b <= 64 else tuple(values))
+    return RandomDraws(node_id, PackedWords.pack(values, _field_width(b)))
 
 
 def select_colors(
@@ -175,9 +294,11 @@ def select_colors(
     """Colors where own draw is strictly below every neighbor draw.
 
     On an exact tie nobody takes the color, unless tie_break_by_id is set, in
-    which case the smallest node id among the tied minimum wins. The colors
-    still held are sieved one neighbor at a time, about k*H(deg+1) compares
-    for independent draws instead of k*(deg+1).
+    which case the smallest node id among the tied minimum wins. The draws
+    are compared as PackedWords of one common width, all k colors against
+    one neighbor in one subtraction: a field of (theirs | guards) - mine
+    keeps its guard bit exactly when mine <= theirs, and - (mine + ones)
+    exactly when mine < theirs.
     """
     k = len(own.draws)
     for nb in neighbors:
@@ -185,25 +306,22 @@ def select_colors(
             raise InvalidParams(
                 f"draw count mismatch: node {nb.node_id} has {len(nb.draws)}, expected {k}"
             )
-    # decoded once: indexing an array builds an int on every read
-    mine = list(own.draws)
-    alive: Sequence[int] = range(k)
-    for nb in neighbors:
-        theirs = nb.draws
+    packed = [PackedWords.pack(d) for d in (own.draws, *(nb.draws for nb in neighbors))]
+    width = max(p.width for p in packed)
+    mine, *theirs = (PackedWords.pack(p, width).value for p in packed)
+    guards, ones = _field_masks(k, width)
+    beaten = mine + ones
+    alive = guards
+    for nb, t in zip(neighbors, theirs):
         # a tie with a larger id keeps the color
         keeps_ties = tie_break_by_id and own.node_id < nb.node_id
-        if len(alive) == k:
-            # every color still held: compare whole columns at C speed
-            alive = list(compress(range(k), map(le if keeps_ties else lt, mine, theirs)))
-        elif keeps_ties:
-            alive = [i for i in alive if mine[i] <= theirs[i]]
-        else:
-            alive = [i for i in alive if mine[i] < theirs[i]]
-    return frozenset(map(add, alive, repeat(1)))
+        alive &= (t | guards) - (mine if keeps_ties else beaten)
+    tops = alive.to_bytes(width * k, "little")[width - 1 :: width]
+    return frozenset(compress(range(1, k + 1), tops))
 
 
-# largest k * n draws a randomized run holds: 40 MB at 8 B a draw below 2^64,
-# about 200 MB at 40 B a Python int above
+# largest k * n draws a randomized run holds: a draw of up to b bits takes
+# b // 8 + 1 bytes, so at most 40 MB in all below 2^63 and 105 MB at 165 bits
 _MAX_DRAWS = 5 * 10**6
 
 
@@ -289,11 +407,15 @@ class OrderFamily:
         self._beats_row_id: int | None = None
         self._beats_row: list[int] | None = None
 
-    def keys(self, x: int) -> list[int]:
-        """keys(x)[i] is id x's key in order i, cut as generate_draws cuts words."""
+    def keys(self, x: int) -> PackedWords:
+        """keys(x)[i] is id x's key in order i: the i-th 32-bit word of its stream.
+
+        The words are spread into 5-byte fields, one byte lane at a time.
+        """
         self._check_id(x)
-        bits = keyed_rng(self.seed, "orders", x).getrandbits(32 * self.k)
-        return _candidates(bits, 1, 0, self.k)
+        k = self.k
+        words = keyed_rng(self.seed, "orders", x).getrandbits(32 * k).to_bytes(4 * k, "little")
+        return PackedWords(int.from_bytes(_respread(words, 4, 5, 4), "little"), k, 5)
 
     def _check_id(self, x: int) -> None:
         if not 1 <= x <= self.id_space:
@@ -314,7 +436,7 @@ class OrderFamily:
         # no comprehension in this method: on CPython 3.11 the names it reads
         # become closure cells, set up on every call, cached ones too
         if self._keys is None:
-            self._keys = list(map(self.keys, range(1, self.id_space + 1)))
+            self._keys = list(map(list, map(self.keys, range(1, self.id_space + 1))))
         mine = self._keys[x - 1]
         row = []
         for y, theirs in enumerate(self._keys, start=1):

@@ -17,7 +17,7 @@ from __future__ import annotations
 import inspect
 from array import array
 from collections import Counter
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, MutableSequence, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
@@ -43,9 +43,9 @@ __all__ = [
 class NodeEnvelope:
     """The single message a node broadcasts: its id and its random bits.
 
-    bits is any sequence of ints: a tuple, or an array of machine words
-    such as the randomized draws' array('Q'). An envelope carrying an
-    array is not hashable.
+    bits is any sequence of ints: a tuple, an array of machine words, or
+    the randomized draws' packed words, which size themselves through an
+    encoded_bytes() method. An envelope carrying an array is not hashable.
     """
 
     node_id: int
@@ -53,6 +53,9 @@ class NodeEnvelope:
 
     def payload_bytes(self) -> int:
         """Size of the bits under a minimal big-endian integer encoding."""
+        encoded_bytes = getattr(self.bits, "encoded_bytes", None)
+        if encoded_bytes is not None:
+            return encoded_bytes()
         lengths = Counter(map(int.bit_length, self.bits))
         return sum(count * max(1, (bl + 7) // 8) for bl, count in lengths.items())
 
@@ -65,8 +68,9 @@ class NodeProgram:
     node's own envelope and the envelopes of its neighbors (sorted by id) and
     returns 1-based palette colors, as any iterable. A program is
     deterministic exactly when generate_bits is None; its envelopes carry no
-    bits. generate_bits may return any iterable of ints: a tuple or an array
-    is sent as it is, anything else as a tuple of its items.
+    bits. generate_bits may return any iterable of ints: an immutable
+    sequence (a tuple, or packed words) or an array is sent as it is,
+    anything else, a list or a generator, as a tuple of its items.
     """
 
     name: str
@@ -173,7 +177,11 @@ def _make_bits(program: NodeProgram, node_id: int, seed: int | None) -> Sequence
     if seed is None:
         raise InvalidParams(f"program {program.name!r} needs a seed")
     bits = program.generate_bits(node_id, seed)
-    return bits if isinstance(bits, (tuple, array)) else tuple(bits)
+    if isinstance(bits, array) or (
+        isinstance(bits, Sequence) and not isinstance(bits, MutableSequence)
+    ):
+        return bits
+    return tuple(bits)
 
 
 def run_one_shot(

@@ -31,7 +31,7 @@ from multicolor import (
     verify,
 )
 from multicolor.coloring import coloring_to_json
-from multicolor.permcolor import _MAX_DRAWS, min_colors_required
+from multicolor.permcolor import _MAX_DRAWS, PackedWords, min_colors_required
 from multicolor.rng import keyed_rng
 from multicolor.simulator import run_one_shot
 from multicolor.verifier import nbr_vertex_count as neighborhood_view_count
@@ -133,11 +133,9 @@ def test_draws_equal_one_randrange_per_color(k, n, bits):
         expected = tuple(rng.randrange(1, hi + 1) for _ in range(k))
         draws = generate_draws(node_id, k, n, seed).draws
         assert tuple(draws) == expected
-        # 8-byte words exactly while every value fits one
-        if hi.bit_length() <= 64:
-            assert isinstance(draws, array) and draws.typecode == "Q"
-        else:
-            assert isinstance(draws, tuple)
+        # whole-byte fields, each with its top bit free
+        assert isinstance(draws, PackedWords) and len(draws) == k
+        assert draws.width == bits // 8 + 1
 
 
 def test_compact_draws_keep_8_bytes_a_draw():
@@ -150,7 +148,7 @@ def test_compact_draws_keep_8_bytes_a_draw():
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert isinstance(d.draws, array) and len(d.draws) == k
+    assert isinstance(d.draws, PackedWords) and d.draws.width == 7 and len(d.draws) == k
     assert kept < 8 * k + 1024
 
 
@@ -259,40 +257,67 @@ def test_sieve_equals_the_column_minimum(own_id, nb_ids, k, tie_break, data):
     assert select_colors(own, nbs, tie_break) == column_min_selection(own, nbs, tie_break)
 
 
-@settings(max_examples=200)
+# values at the guard edges: the top bit of an 8-byte field, the largest
+# array('Q') word, and a value that needs 9-byte fields
+EDGE_VALUES = (0, 1, 2, 3, 2**63 - 2, 2**63 - 1, 2**63, 2**64 - 1, 2**70)
+HOLDERS = ("tuple", "array", "packed", "wider")
+
+
+def edge_words(k):
+    small = st.lists(st.integers(0, 3), min_size=k, max_size=k)
+    return small | st.lists(st.sampled_from(EDGE_VALUES), min_size=k, max_size=k)
+
+
+def held(values, holder):
+    """values as a tuple, an array('Q') where they fit one, or packed words
+    at the least width or two bytes wider."""
+    if holder == "array" and max(values, default=0) < 2**64:
+        return array("Q", values)
+    if holder in ("packed", "wider"):
+        packed = PackedWords.pack(values)
+        return PackedWords.pack(values, packed.width + 2 * (holder == "wider"))
+    return tuple(values)
+
+
+@settings(max_examples=300)
 @given(
     st.integers(1, 8),
-    st.lists(st.tuples(st.integers(1, 8), st.booleans()), max_size=5),
+    st.lists(st.tuples(st.integers(1, 8), st.sampled_from(HOLDERS)), max_size=5),
     st.integers(1, 12),
-    st.booleans(),
+    st.sampled_from(HOLDERS),
     st.booleans(),
     st.data(),
 )
-def test_array_draws_act_as_tuple_draws(own_id, nbs, k, own_array, tie_break, data):
-    """Sieve and payload size see only the values, whatever holds them."""
-    words = st.lists(st.integers(1, 3) | st.integers(1, 2**64 - 1), min_size=k, max_size=k)
-    own = data.draw(words)
-    theirs = [data.draw(words) for _ in nbs]
-
-    def held(values, as_array):
-        return array("Q", values) if as_array else tuple(values)
-
-    as_tuples = select_colors(
-        RandomDraws(own_id, tuple(own)),
-        tuple(RandomDraws(v, tuple(d)) for (v, _), d in zip(nbs, theirs)),
-        tie_break,
-    )
+def test_array_draws_act_as_tuple_draws(own_id, nbs, k, own_holder, tie_break, data):
+    """The sieve sees only the values, whatever holds them and at whatever width."""
+    own = RandomDraws(own_id, tuple(data.draw(edge_words(k))))
+    theirs = tuple(RandomDraws(v, tuple(data.draw(edge_words(k)))) for v, _ in nbs)
     mixed = select_colors(
-        RandomDraws(own_id, held(own, own_array)),
-        tuple(RandomDraws(v, held(d, a)) for (v, a), d in zip(nbs, theirs)),
+        RandomDraws(own_id, held(own.draws, own_holder)),
+        tuple(RandomDraws(nb.node_id, held(nb.draws, h)) for nb, (_, h) in zip(theirs, nbs)),
         tie_break,
     )
-    assert mixed == as_tuples
-    for d in (own, *theirs):
-        assert (
-            NodeEnvelope(1, array("Q", d)).payload_bytes()
-            == NodeEnvelope(1, tuple(d)).payload_bytes()
-        )
+    assert mixed == column_min_selection(own, theirs, tie_break)
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(
+        st.sampled_from(EDGE_VALUES) | st.integers(0, 2**200).map(lambda v: v >> v % 200),
+        max_size=20,
+    ),
+    st.integers(0, 3),
+)
+def test_packed_payload_bytes_equal_the_counted_form(values, extra):
+    """Packed words size themselves without decoding, exactly as counting
+    the byte length of every value does."""
+    packed = PackedWords.pack(values)
+    packed = PackedWords.pack(values, packed.width + extra)
+    assert list(packed) == values and packed == PackedWords.pack(values)
+    counted = NodeEnvelope(1, tuple(values)).payload_bytes()
+    assert NodeEnvelope(1, packed).payload_bytes() == counted
+    if max(values, default=0) < 2**64:
+        assert NodeEnvelope(1, array("Q", values)).payload_bytes() == counted
 
 
 @settings(max_examples=100)

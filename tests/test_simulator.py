@@ -255,7 +255,8 @@ def test_replay_regenerates_randomized_bits():
 
 
 def test_bits_from_a_generator_are_sent_as_a_tuple():
-    """A tuple or an array is sent as returned; any other iterable as a tuple."""
+    """A tuple, packed words or an array is sent as returned; any other
+    iterable, a list included, as a tuple."""
 
     def toy(generate_bits):
         def compute(own, received):
@@ -277,6 +278,14 @@ def test_bits_from_a_generator_are_sent_as_a_tuple():
     in_words, words_trace = run_one_shot(g, as_array, seed=5)
     assert in_words.assignment == expected.assignment
     assert all(type(n.sent.bits) is array for n in words_trace.nodes.values())
+    as_packed = toy(lambda node_id, seed: permcolor.PackedWords.pack(list(words(node_id, seed))))
+    packed, packed_trace = run_one_shot(g, as_packed, seed=5)
+    assert packed.assignment == expected.assignment
+    assert all(type(n.sent.bits) is permcolor.PackedWords for n in packed_trace.nodes.values())
+    assert packed_trace.summary() == words_trace.summary()
+    as_list = toy(lambda node_id, seed: list(words(node_id, seed)))
+    _, list_trace = run_one_shot(g, as_list, seed=5)
+    assert all(type(n.sent.bits) is tuple for n in list_trace.nodes.values())
     coloring, trace = run_one_shot(g, as_generator, seed=5)
     assert coloring.assignment == expected.assignment
     for v in g.node_ids():
