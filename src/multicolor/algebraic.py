@@ -181,8 +181,9 @@ def choose_tower(id_space: int, max_degree: int, depth: int = 0, slack=2) -> Tow
 
     Per level the candidate degree range is scanned and the smallest prime
     satisfying both the domain bound q^(d+1) >= domain and the slack bound
-    q >= slack * Delta * d wins; ties prefer the smaller degree. Every level
-    uses the same slack, a finite number > 1.
+    q >= slack * Delta * d wins; ties prefer the smaller degree, so the scan
+    stops once the slack bound alone exceeds the best prime found. Every
+    level uses the same slack, a finite number > 1.
     """
     ell = clamp_depth(id_space, max_degree, depth)
     f = _check_slack(slack)
@@ -193,6 +194,8 @@ def choose_tower(id_space: int, max_degree: int, depth: int = 0, slack=2) -> Tow
         best: tuple[int, int] | None = None
         d_max = max(1, math.ceil(math.log2(max(domain, 2))))
         for d in range(1, d_max + 1):
+            if best is not None and f * max_degree * d > best[0]:
+                break
             lo = max(2, _iroot_ceil(domain, d + 1), math.ceil(f * max_degree * d))
             if lo > _Q_CAP or (q := next_prime(lo)) > _Q_CAP:
                 continue

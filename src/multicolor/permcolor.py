@@ -23,8 +23,9 @@ keys(x) are k 32-bit words of x's keyed stream, packed in 5-byte fields; a
 node computes the keys of its view from the ids and takes color i when it
 precedes all its neighbors in order i. Whether a concrete family serves
 every possible one-hop view up to degree Delta can be certified
-exhaustively, comparing the same keys by the same tie rule; on failure the
-family is resampled from the next derived seed rather than grown.
+exhaustively; the certificate's precedence rows come from the sieve's
+subtraction on the same packed keys, so one rule decides both. On failure
+the family is resampled from the next derived seed rather than grown.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
-from operator import le, lt
 
 from . import simulator
 from .coloring import Multicoloring
@@ -175,12 +175,7 @@ class PackedWords(Sequence):
     def tolist(self) -> list[int]:
         w = self.width
         raw = self.value.to_bytes(w * self.length, "little")
-        if w > 8:
-            return [int.from_bytes(raw[i : i + w], "little") for i in range(0, len(raw), w)]
-        words = array("Q", _respread(raw, w, 8, w))
-        if sys.byteorder == "big":
-            words.byteswap()
-        return words.tolist()
+        return [int.from_bytes(raw[i : i + w], "little") for i in range(0, len(raw), w)]
 
     def encoded_bytes(self) -> int:
         """Sum of max(1, byte length) over the values, read off the packed int.
@@ -371,12 +366,12 @@ def run_randomized(g: Graph, eps, seed: int, **opts) -> Multicoloring:
 # shared-order construction
 
 
-# largest k * id_space an OrderFamily admits: a certificate keeps every key, about
-# 40 B each; lifting it waits for a benchmark change adding shared-order to wide-ids
-_MAX_ORDER_RANKS = 5 * 10**7
+# largest k * id_space an OrderFamily admits: a certificate keeps every key, at
+# 5 B each; lifting it waits for a benchmark change adding shared-order to wide-ids
+_MAX_ORDER_KEYS = 5 * 10**7
 
-# the bytes 0 and 1 as the binary digits "0" and "1"
-_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+# a guard byte, 0x00 or 0x80, as the binary digit "0" or "1"
+_GUARD_DIGITS = bytes.maketrans(b"\x00\x80", b"01")
 
 
 class OrderFamily:
@@ -384,7 +379,7 @@ class OrderFamily:
 
     Order i ranks id x by (keys(x)[i], x); a node takes color i+1 when it
     precedes all its neighbors in order i. Certificates compare the keys of
-    every id, kept on first use, so families beyond _MAX_ORDER_RANKS are
+    every id, kept on first use, so families beyond _MAX_ORDER_KEYS are
     refused.
     """
 
@@ -393,17 +388,17 @@ class OrderFamily:
             raise InvalidParams("order count must be >= 1")
         if id_space < 1:
             raise InvalidParams("id space must be >= 1")
-        if k * id_space > _MAX_ORDER_RANKS:
+        if k * id_space > _MAX_ORDER_KEYS:
             raise TooLarge(
-                f"{k} orders over {id_space} ids need {k * id_space} ranks, "
-                f"above the guard of {_MAX_ORDER_RANKS}"
+                f"{k} orders over {id_space} ids need {k * id_space} keys, "
+                f"above the guard of {_MAX_ORDER_KEYS}"
             )
         self.k = k
         self.id_space = id_space
         self.seed = seed
         # set here rather than by a cached_property: on CPython 3.11 an attribute
         # added after __init__ slows every attribute read of a certificate sweep
-        self._keys: list[list[int]] | None = None
+        self._keys: list[int] | None = None
         self._beats_row_id: int | None = None
         self._beats_row: list[int] | None = None
 
@@ -425,24 +420,27 @@ class OrderFamily:
         """beats_row(x)[y-1] is the bitmask of orders where y precedes x.
 
         Bit i is set when keys(y)[i] < keys(x)[i], or when they are equal and
-        y < x: the tie rule of select_by_orders. The keys of every id are cut
-        on the first call and kept. The row is cached for the most recent x,
-        which makes view sweeps grouped by node id cheap.
+        y < x: select_by_orders' rule, by its sieve's subtraction on the packed
+        keys of every id, kept from the first call. The row is cached for the
+        most recent x, which makes view sweeps grouped by node id cheap.
         """
         if self._beats_row_id == x:
             assert self._beats_row is not None
             return self._beats_row
         self._check_id(x)
-        # no comprehension in this method: on CPython 3.11 the names it reads
+        # no comprehension in this method reads its locals: on CPython 3.11 those
         # become closure cells, set up on every call, cached ones too
         if self._keys is None:
-            self._keys = list(map(list, map(self.keys, range(1, self.id_space + 1))))
-        mine = self._keys[x - 1]
+            ids = range(1, self.id_space + 1)
+            self._keys = [PackedWords.pack(keys, 5).value for keys in map(self.keys, ids)]
+        guards, ones = _field_masks(self.k, 5)
+        raised = self._keys[x - 1] | guards
         row = []
         for y, theirs in enumerate(self._keys, start=1):
-            # one byte per order, 1 where y precedes x; reversed so order 0 is bit 0
-            ahead = bytes(map(le if y < x else lt, theirs, mine))
-            row.append(int(ahead[::-1].translate(_DIGITS), 2))
+            # a guard bit survives where theirs <= mine before x, theirs < mine from x on
+            ahead = (raised - (theirs if y < x else theirs + ones)) & guards
+            # big-endian, order k-1's guard byte comes first, so order i is bit i
+            row.append(int(ahead.to_bytes(5 * self.k, "big")[::5].translate(_GUARD_DIGITS), 2))
         self._beats_row_id = x
         self._beats_row = row
         return row

@@ -15,7 +15,6 @@ the builders that name it and refuses a name that none of them reads.
 from __future__ import annotations
 
 import inspect
-from array import array
 from collections import Counter
 from collections.abc import Iterable, MutableSequence, Sequence
 from dataclasses import dataclass, field
@@ -43,9 +42,8 @@ __all__ = [
 class NodeEnvelope:
     """The single message a node broadcasts: its id and its random bits.
 
-    bits is any sequence of ints: a tuple, an array of machine words, or
-    the randomized draws' packed words, which size themselves through an
-    encoded_bytes() method. An envelope carrying an array is not hashable.
+    bits is a sequence of ints: a tuple, or the randomized draws' packed
+    words, which size themselves through an encoded_bytes() method.
     """
 
     node_id: int
@@ -69,8 +67,8 @@ class NodeProgram:
     returns 1-based palette colors, as any iterable. A program is
     deterministic exactly when generate_bits is None; its envelopes carry no
     bits. generate_bits may return any iterable of ints: an immutable
-    sequence (a tuple, or packed words) or an array is sent as it is,
-    anything else, a list or a generator, as a tuple of its items.
+    sequence (a tuple, or packed words) is sent as it is, anything else, a
+    list, an array or a generator, as a tuple of its items.
     """
 
     name: str
@@ -177,9 +175,7 @@ def _make_bits(program: NodeProgram, node_id: int, seed: int | None) -> Sequence
     if seed is None:
         raise InvalidParams(f"program {program.name!r} needs a seed")
     bits = program.generate_bits(node_id, seed)
-    if isinstance(bits, array) or (
-        isinstance(bits, Sequence) and not isinstance(bits, MutableSequence)
-    ):
+    if isinstance(bits, Sequence) and not isinstance(bits, MutableSequence):
         return bits
     return tuple(bits)
 

@@ -53,6 +53,18 @@ def search_level_oracle(domain, max_degree, slack):
     return best
 
 
+def search_tower_oracle(id_space, max_degree, depth, slack):
+    """(qs, ds) of a tower, every level chosen by the reference search."""
+    qs, ds = [], []
+    domain = id_space
+    for _ in range(clamp_depth(id_space, max_degree, depth) + 1):
+        q, d = search_level_oracle(domain, max_degree, slack)
+        qs.append(q)
+        ds.append(d)
+        domain = q
+    return tuple(qs), tuple(ds)
+
+
 # -- parameter choice --------------------------------------------------------
 
 
@@ -90,6 +102,31 @@ def test_choose_tower_infeasible_past_the_prime_cap():
 def test_choose_tower_takes_an_id_space_beyond_floats(max_degree, q, d):
     p = choose_tower(10**400, max_degree)
     assert (p.qs, p.ds) == ((q,), (d,))
+
+
+@pytest.mark.parametrize("slack", [2, Fraction(3, 2), 3])
+@pytest.mark.parametrize("max_degree", [0, 1, 2, 3, 8])
+def test_choose_tower_equals_the_full_degree_scan(max_degree, slack):
+    """Stopping the scan once slack * Delta * d passes the best prime keeps
+    every level's choice, at every depth; Delta = 0 scans every degree."""
+    for id_space in (2, 3, 30, 1000, 10**6, 10**8):
+        for depth in (0, 1, 2):
+            p = choose_tower(id_space, max_degree, depth, slack)
+            assert (p.qs, p.ds) == search_tower_oracle(id_space, max_degree, depth, slack)
+
+
+def test_choose_tower_stops_its_degree_scan(monkeypatch):
+    """At N = 10^400 and Delta = 16 the full scan searches 1309 primes."""
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return next_prime(m)
+
+    monkeypatch.setattr(algebraic, "next_prime", counted)
+    with pytest.raises(TooLarge):
+        choose_tower(10**400, 16)
+    assert len(calls) == 92
 
 
 @settings(max_examples=300)

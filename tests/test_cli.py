@@ -319,7 +319,7 @@ OVERSIZED_RUNS = {
     "randomized-draws": ("randomized", ["--eps", "0.001"], GNP_30, "draws"),
     "randomized-eps": ("randomized", ["--eps", "1e-200"], GNP_30, "float range"),
     "randomized-eps-overflow": ("randomized", ["--eps", "1e-160"], GNP_30, "float range"),
-    "shared-order-ranks": ("shared-order", [], "# N=1000000\n1 2\n", "ranks"),
+    "shared-order-ranks": ("shared-order", [], "# N=1000000\n1 2\n", "keys, above the guard"),
     "shared-order-eps": ("shared-order", ["--eps", "1e-200"], GNP_30, "float range"),
     "algebraic-basic-slack": ("algebraic-basic", ["--slack", "1e7"], "# N=3\n1 2\n2 3\n",
                               "tower palette of 400000120000009 colors"),

@@ -255,8 +255,8 @@ def test_replay_regenerates_randomized_bits():
 
 
 def test_bits_from_a_generator_are_sent_as_a_tuple():
-    """A tuple, packed words or an array is sent as returned; any other
-    iterable, a list included, as a tuple."""
+    """A tuple or packed words is sent as returned; any other iterable, a
+    list or an array included, as a tuple."""
 
     def toy(generate_bits):
         def compute(own, received):
@@ -277,7 +277,7 @@ def test_bits_from_a_generator_are_sent_as_a_tuple():
     expected, _ = run_one_shot(g, as_tuple, seed=5)
     in_words, words_trace = run_one_shot(g, as_array, seed=5)
     assert in_words.assignment == expected.assignment
-    assert all(type(n.sent.bits) is array for n in words_trace.nodes.values())
+    assert all(type(n.sent.bits) is tuple for n in words_trace.nodes.values())
     as_packed = toy(lambda node_id, seed: permcolor.PackedWords.pack(list(words(node_id, seed))))
     packed, packed_trace = run_one_shot(g, as_packed, seed=5)
     assert packed.assignment == expected.assignment

@@ -1,5 +1,6 @@
 """Schedules from colorings: conversion, duty cycles, serialization."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -17,6 +18,9 @@ from multicolor import (
     schedule_to_json,
     to_schedule,
     utilization,
+    gnp_graph,
+    run_one_shot,
+    unit_disk_graph,
     verify,
 )
 
@@ -181,3 +185,32 @@ def test_csv_lists_one_row_per_slot():
     assert lines[0] == "node,slot"
     assert lines[1:] == ["1,2", "2,1", "2,4"]
     assert len(lines) - 1 == sum(len(v) for v in s.slots.values())
+
+
+# (graph, algorithm) -> SHA-256 of its schedule's JSON at seed 7 and eps 0.5
+PINNED_GRAPHS = {
+    "wide": lambda: gnp_graph(40, 0.1, 10**6, 3),
+    "narrow": lambda: unit_disk_graph(40, 0.2, 120, 3),
+    "certified": lambda: unit_disk_graph(12, 0.3, 30, 6),
+}
+PINNED_SCHEDULES = {
+    ("wide", "randomized"): "1760a8aa859d5c388c7448ca74974e5fc5b07980f6086d4411c92eba80308c09",
+    ("wide", "algebraic-basic"): "1c9fc1a0e9606d36a7f52dd0ca584fbeac304d0cc12b3404e4e92b35740e4803",
+    ("wide", "algebraic-weighted"): "23e2fc4e413f41617bb91a84d08839e2e41feeb9e717efabbb9f05880166ab19",
+    ("narrow", "randomized"): "c801818ccbca2e04a6cb9e0fef85d4b056cfc452de6f4fede5145ed78e11467d",
+    ("narrow", "shared-order"): "3abf92e3514dc8cdbdb88d541e911934f7378b0cfe6bcfdf9fd7eb29a53acb6d",
+    ("narrow", "algebraic-basic"): "ac6bd7e039d25e59760c8e16ea1e31ed9f76d0acd8fefda8d89a6909a9c721e1",
+    ("narrow", "algebraic-weighted"): "afa1e2c0a727ac127ab8132ac27aced469af5d019d1bd51e5388ff174495909c",
+    # the deployed family is the one the certificate over all 30 ids passed
+    ("certified", "shared-order"): "37350e08167c619f0c2baa1e8187e4f8b0d13d79f878a245290b1a1b03a80eef",
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_SCHEDULES), ids="-".join)
+def test_schedules_are_byte_stable(case):
+    graph, algo = case
+    g = PINNED_GRAPHS[graph]()
+    opts = {"certify_attempts": 3} if graph == "certified" else {}
+    m, _ = run_one_shot(g, algo, 7, eps=0.5, **opts)
+    text = schedule_to_json(to_schedule(m, g))
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_SCHEDULES[case]
