@@ -7,15 +7,16 @@ the top bit of each field free, so the sieve compares all k positions
 against one neighbor with one big-int subtraction (Lamport, "Multiple byte
 processing with full-word instructions", CACM 1975).
 
-Randomized: every node privately draws k numbers uniform from [1, k*n^4] and
-takes the colors where its draw is strictly smallest among its neighborhood.
-Ties waste the color on both sides (kept, since they are rare by design); an
-optional flag breaks ties toward the smaller id instead. The draws are cut
-from one bulk read of 32-bit words of the node's keyed stream and equal,
-value for value, k calls of randrange(1, k*n^4 + 1) on it. They are packed
-once, in fields of b // 8 + 1 bytes for b the bit length of k*n^4, and
-travel packed from the cut through the envelope to the sieve. A run of more
-than _MAX_DRAWS draws in all is refused before the first one is made.
+Randomized: every node privately draws k numbers uniform on [0, 2^b), b the
+bit length of k*n^4, and takes the colors where its draw is strictly
+smallest among its neighborhood. Two draws tie with probability 2^-b, below
+1/(k*n^4) since 2^(b-1) <= k*n^4 < 2^b, which is all the paper's w.h.p.
+bound asks of them. Ties waste the color on both sides (kept, since they are
+rare by design); an optional flag breaks ties toward the smaller id instead.
+Draw i is the i-th getrandbits(b) value of the node's keyed stream, all k
+cut from one read of it with no rejection, in fields of b // 8 + 1 bytes;
+they travel packed from the cut through the envelope to the sieve. A run of
+more than _MAX_DRAWS draws in all is refused before the first one is made.
 
 Shared-order: the randomized rule on public keys. All nodes know k seeded
 global orders of the id space, order i ranking id x by (keys(x)[i], x) where
@@ -31,6 +32,7 @@ the family is resampled from the next derived seed rather than grown.
 from __future__ import annotations
 
 import math
+import random
 import sys
 from array import array
 from collections.abc import Sequence
@@ -233,52 +235,47 @@ def _draw_masks(words: int, shift: int, count: int) -> tuple[int, int]:
     return int.from_bytes(low * count, "little"), int.from_bytes(top * count, "little")
 
 
-def _candidates(bits: int, words: int, shift: int, count: int) -> list[int]:
-    """The count values getrandbits(32*words - shift) cuts from these words.
+def _cut_stream(rng: random.Random, bits: int, count: int) -> PackedWords:
+    """The next count getrandbits(bits) values of rng, from one read of it.
 
     getrandbits(b) takes ceil(b/32) words of the stream, least significant
     first, and keeps only the top bits of the last one; the masks do the same
-    to every group of a bulk read at once.
+    to every group of the read at once, and whole words need none. The values
+    land in fields of bits // 8 + 1 bytes.
     """
-    keep_low, keep_top = _draw_masks(words, shift, count)
-    size = 4 * words
-    raw = ((bits & keep_low) | ((bits & keep_top) >> shift)).to_bytes(size * count, "little")
-    if words > 2:
-        return [int.from_bytes(raw[i : i + size], "little") for i in range(0, len(raw), size)]
-    values = array("I" if words == 1 else "Q", raw)
-    if sys.byteorder == "big":
-        values.byteswap()
-    return values.tolist()
+    words = (bits + 31) // 32
+    shift = 32 * words - bits
+    cut = rng.getrandbits(32 * words * count)
+    if shift:
+        keep_low, keep_top = _draw_masks(words, shift, count)
+        cut = (cut & keep_low) | ((cut & keep_top) >> shift)
+    width = _field_width(bits)
+    raw = cut.to_bytes(4 * words * count, "little")
+    fields = _respread(raw, 4 * words, width, (bits + 7) // 8)
+    return PackedWords(int.from_bytes(fields, "little"), count, width)
 
 
 def generate_draws(node_id: int, k: int, n: int, seed: int) -> RandomDraws:
-    """Draw k values uniform in [1, k*n^4] from the node's keyed stream.
+    """Draw k values uniform on [0, 2^b) from the node's keyed stream.
 
-    The values are exactly those of k calls of randrange(1, k*n^4 + 1) on the
-    stream: each is 1 plus a getrandbits(b) value below k*n^4, b the bit
-    length of k*n^4, and rejected values are drawn again. The words come in
-    bulk reads sized for the expected number of candidates; words read past
-    the k-th accepted draw are never used, as the stream is not read again.
-    The draws are packed in fields of b // 8 + 1 bytes.
+    b is the bit length of k*n^4, so two draws tie with probability 2^-b,
+    below 1/(k*n^4). Draw i is the i-th getrandbits(b) value of the stream,
+    and every value is kept: there is no rejection. The draws are packed in
+    fields of b // 8 + 1 bytes. No 1 is added to them: at b = 7 (mod 8) the
+    value 2^b would set the field's guard bit, which the sieve needs free.
     """
     if k < 1:
         raise InvalidParams("palette size must be >= 1")
     if n < 1:
         raise InvalidParams("node count must be >= 1")
-    hi = k * n**4
-    b = hi.bit_length()
-    words = (b + 31) // 32
-    shift = 32 * words - b
-    getrandbits = keyed_rng(seed, "draws", node_id).getrandbits
-    values: list[int] = []
-    while len(values) < k:
-        need = k - len(values)
-        # a candidate is accepted with probability hi / 2^b >= 1/2
-        count = (need << b) // hi + 3 * math.isqrt(need) + 8
-        cands = _candidates(getrandbits(32 * words * count), words, shift, count)
-        values += [c + 1 for c in cands if c < hi]
-    del values[k:]
-    return RandomDraws(node_id, PackedWords.pack(values, _field_width(b)))
+    bits = (k * n**4).bit_length()
+    return RandomDraws(node_id, _cut_stream(keyed_rng(seed, "draws", node_id), bits, k))
+
+
+@lru_cache(maxsize=8)
+def _palette_ids(k: int) -> tuple[int, ...]:
+    """Colors 1..k, made once per palette size for select_colors' decode."""
+    return tuple(range(1, k + 1))
 
 
 def select_colors(
@@ -312,7 +309,7 @@ def select_colors(
         keeps_ties = tie_break_by_id and own.node_id < nb.node_id
         alive &= (t | guards) - (mine if keeps_ties else beaten)
     tops = alive.to_bytes(width * k, "little")[width - 1 :: width]
-    return frozenset(compress(range(1, k + 1), tops))
+    return frozenset(compress(_palette_ids(k), tops))
 
 
 # largest k * n draws a randomized run holds: a draw of up to b bits takes
@@ -405,12 +402,10 @@ class OrderFamily:
     def keys(self, x: int) -> PackedWords:
         """keys(x)[i] is id x's key in order i: the i-th 32-bit word of its stream.
 
-        The words are spread into 5-byte fields, one byte lane at a time.
+        The words are cut as draws of 32 bits are, into 5-byte fields.
         """
         self._check_id(x)
-        k = self.k
-        words = keyed_rng(self.seed, "orders", x).getrandbits(32 * k).to_bytes(4 * k, "little")
-        return PackedWords(int.from_bytes(_respread(words, 4, 5, 4), "little"), k, 5)
+        return _cut_stream(keyed_rng(self.seed, "orders", x), 32, self.k)
 
     def _check_id(self, x: int) -> None:
         if not 1 <= x <= self.id_space:

@@ -31,7 +31,7 @@ from multicolor import (
     verify,
 )
 from multicolor.coloring import coloring_to_json
-from multicolor.permcolor import _MAX_DRAWS, PackedWords, min_colors_required
+from multicolor.permcolor import _MAX_DRAWS, PackedWords, _field_masks, min_colors_required
 from multicolor.rng import keyed_rng
 from multicolor.simulator import run_one_shot
 from multicolor.verifier import nbr_vertex_count as neighborhood_view_count
@@ -89,8 +89,8 @@ def test_draws_are_deterministic_and_in_range():
     b = generate_draws(17, 50, 20, seed=9)
     assert a == b
     assert len(a.draws) == 50
-    hi = 50 * 20**4
-    assert all(1 <= d <= hi for d in a.draws)
+    bits = (50 * 20**4).bit_length()
+    assert all(0 <= d < 2**bits for d in a.draws)
     assert generate_draws(18, 50, 20, seed=9).draws != a.draws
     assert generate_draws(17, 50, 20, seed=10).draws != a.draws
 
@@ -100,14 +100,15 @@ def test_draws_fit_no_machine_word():
     k = randomized_palette_size(40_000, 8, 0.5)
     assert k * 40_000**4 > 2**64
     d = generate_draws(1, 4, 40_000, seed=0)
-    assert all(1 <= x <= 4 * 40_000**4 for x in d.draws)
+    bits = (4 * 40_000**4).bit_length()
+    assert all(0 <= x < 2**bits for x in d.draws)
 
 
 def test_draws_monte_carlo_mean():
     d = generate_draws(5, 10**4, 10, seed=0)
-    hi = 10**4 * 10**4
+    half = (2 ** (10**4 * 10**4).bit_length() - 1) / 2
     mean = sum(d.draws) / len(d.draws)
-    assert abs(mean - (1 + hi) / 2) / ((1 + hi) / 2) < 0.05
+    assert abs(mean - half) / half < 0.05
 
 
 @pytest.mark.parametrize(
@@ -115,27 +116,34 @@ def test_draws_monte_carlo_mean():
     [
         (1, 1, 1),
         (5, 1, 3),
+        (1, 3, 7),
         (8, 2**7, 32),
         (15, 2**7, 32),
         (16, 2**7, 33),
         (2819, 1000, 52),
         (8, 2**15, 64),
+        (4, 2**13, 55),
         (16, 2**15, 65),
         (40, 2**16, 70),
         (30, 2**40, 165),
     ],
 )
-def test_draws_equal_one_randrange_per_color(k, n, bits):
-    hi = k * n**4
-    assert hi.bit_length() == bits
+def test_draws_equal_one_getrandbits_per_color(k, n, bits):
+    assert (k * n**4).bit_length() == bits
+    width = bits // 8 + 1
+    guards, _ = _field_masks(k, width)
     for node_id, seed in ((1, 0), (17, 9)):
         rng = keyed_rng(seed, "draws", node_id)
-        expected = tuple(rng.randrange(1, hi + 1) for _ in range(k))
+        expected = tuple(rng.getrandbits(bits) for _ in range(k))
         draws = generate_draws(node_id, k, n, seed).draws
         assert tuple(draws) == expected
-        # whole-byte fields, each with its top bit free
+        # whole-byte fields, each with its top bit free, even at bits = 7 (mod 8)
         assert isinstance(draws, PackedWords) and len(draws) == k
-        assert draws.width == bits // 8 + 1
+        assert draws.width == width
+        assert draws.value & guards == 0
+    own, *nbs = (RandomDraws(v, generate_draws(v, k, n, 3).draws) for v in range(1, 6))
+    for tie_break in (False, True):
+        assert select_colors(own, tuple(nbs), tie_break) == column_min_selection(own, nbs, tie_break)
 
 
 def test_compact_draws_keep_8_bytes_a_draw():
@@ -601,15 +609,16 @@ def test_certified_family_passes_first_attempt_here():
 
 
 # SHA-256 of coloring_to_json on criterion 2's graph at seed 0, taken when
-# each draw was one randrange call and each selection a column minimum, and
-# when the towers pruned a multi-value descent. Shared-order was re-recorded
-# when order i became the ranking of ids by (keys(x)[i], x) in place of k
-# shuffles. Any change to the draw stream, the orders or a selection rule
-# shows here.
+# each selection was a column minimum and the towers pruned a multi-value
+# descent. Shared-order was re-recorded when order i became the ranking of ids
+# by (keys(x)[i], x) in place of k shuffles, and randomized when draw i became
+# the i-th getrandbits(b) value of the node's stream, b the bit length of
+# k*n^4, in place of one randrange(1, k*n^4 + 1) call. Any change to the draw
+# stream, the orders or a selection rule shows here.
 GOLDEN_CRITERION_2 = {
     "algebraic-basic": "5d318e4e7c2ef3d6aeb266f3883e19392ed96b910f0bb81862a7fd094055f90a",
     "algebraic-weighted": "02737a25ae2c7d34d8aae95e45182978ac6ea35855c85946a9061dc2e865826a",
-    "randomized": "6f50ba2bf2ff98c1a640900b75f1b251e69baffe503ccc1c35ec9f58f8672633",
+    "randomized": "ca28107da515a0cdf6908d697625d92fe0ba1aaf02506dc71decd9a58afcc6df",
     "shared-order": "aeddec2fa458529fa1d4242f1757717a7b57bf0cc677f4623f66993d96a74444",
 }
 

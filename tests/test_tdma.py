@@ -194,10 +194,10 @@ PINNED_GRAPHS = {
     "certified": lambda: unit_disk_graph(12, 0.3, 30, 6),
 }
 PINNED_SCHEDULES = {
-    ("wide", "randomized"): "1760a8aa859d5c388c7448ca74974e5fc5b07980f6086d4411c92eba80308c09",
+    ("wide", "randomized"): "fd191ad3dd35bda846ad67c1f8e071e0a458715e0d9e03d5432100ed926ab4ff",
     ("wide", "algebraic-basic"): "1c9fc1a0e9606d36a7f52dd0ca584fbeac304d0cc12b3404e4e92b35740e4803",
     ("wide", "algebraic-weighted"): "23e2fc4e413f41617bb91a84d08839e2e41feeb9e717efabbb9f05880166ab19",
-    ("narrow", "randomized"): "c801818ccbca2e04a6cb9e0fef85d4b056cfc452de6f4fede5145ed78e11467d",
+    ("narrow", "randomized"): "ec44e60479663e7760aeaa96abef58694ac93d4914c9e9190f7019b17fd3c59d",
     ("narrow", "shared-order"): "3abf92e3514dc8cdbdb88d541e911934f7378b0cfe6bcfdf9fd7eb29a53acb6d",
     ("narrow", "algebraic-basic"): "ac6bd7e039d25e59760c8e16ea1e31ed9f76d0acd8fefda8d89a6909a9c721e1",
     ("narrow", "algebraic-weighted"): "afa1e2c0a727ac127ab8132ac27aced469af5d019d1bd51e5388ff174495909c",
