@@ -216,11 +216,12 @@ def _check_view(view: OneHopView, params: TowerParams) -> None:
         raise InvalidParams(
             f"view degree {view.degree} exceeds the bound {params.max_degree}"
         )
-    if view.node_id > params.id_space:
-        raise InvalidParams(f"id {view.node_id} outside [1, {params.id_space}]")
+    n = params.id_space
+    if view.node_id > n:
+        raise InvalidParams(f"id {view.node_id} outside [1, {n}]")
     for y in view.neighbors:
-        if y > params.id_space:
-            raise InvalidParams(f"id {y} outside [1, {params.id_space}]")
+        if y > n:
+            raise InvalidParams(f"id {y} outside [1, {n}]")
 
 
 def _memoised_free_colors(

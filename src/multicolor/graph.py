@@ -38,12 +38,26 @@ class OneHopView:
             raise InvalidParams(f"node id {self.node_id} must be >= 1")
         if self.node_id in self.neighbors:
             raise InvalidParams(f"view of {self.node_id} contains itself")
-        if any(v < 1 for v in self.neighbors):
+        if self.neighbors and min(self.neighbors) < 1:
             raise InvalidParams("neighbor ids must be >= 1")
 
     @property
     def degree(self) -> int:
         return len(self.neighbors)
+
+
+def _unchecked_view(node_id: int, neighbors: frozenset[int]) -> OneHopView:
+    """OneHopView(node_id, neighbors) without __post_init__'s checks.
+
+    Only for the verifier's view enumeration, whose ids already lie in
+    [1, id_space], never include node_id, and number at most the degree
+    bound; every other caller goes through the checked constructor.
+    """
+    view = object.__new__(OneHopView)
+    fields = view.__dict__
+    fields["node_id"] = node_id
+    fields["neighbors"] = neighbors
+    return view
 
 
 @dataclass(frozen=True)

@@ -441,11 +441,17 @@ class OrderFamily:
         return row
 
     def select_mask(self, node_id: int, neighbor_ids) -> int:
-        """Bitmask of won colors (bit i-1 set means color i is taken)."""
+        """Bitmask of won colors (bit i-1 set means color i is taken).
+
+        Each neighbor id is range-checked before it indexes the row, where 0
+        would read row[-1]; inline, since a view holds a few ids.
+        """
         row = self.beats_row(node_id)
+        n = self.id_space
         lost = 0
         for y in neighbor_ids:
-            self._check_id(y)
+            if not 0 < y <= n:
+                self._check_id(y)
             lost |= row[y - 1]
         return ((1 << self.k) - 1) & ~lost
 
@@ -488,7 +494,6 @@ def certify_family(
     e = _check_eps(eps)
     views = _iter_views(family.id_space, max_degree, max_views)
     k = family.k
-    full = (1 << k) - 1
     required = {
         d: min_colors_required(k, e, d) for d in range(1, max_degree + 1)
     }
@@ -496,20 +501,25 @@ def certify_family(
     worst: tuple[int, tuple[int, ...], int] | None = None  # (x, gamma, count)
     worst_metric = None  # count*(d+1), proportional to the achieved ratio
     checked = 0
-    for x, gamma in views:
-        row = family.beats_row(x)  # cached while x stays the same
-        lost = 0
-        for y in gamma:
-            lost |= row[y - 1]
-        count = k - (full & lost).bit_count()
-        checked += 1
-        d = len(gamma)
-        if count < required[d]:
-            failures += 1
-        metric = count * (d + 1)
-        if worst_metric is None or metric < worst_metric:
-            worst_metric = metric
-            worst = (x, gamma, count)
+    for x, d, gammas in views:
+        row = family.beats_row(x)
+        quota = required[d]
+        # the group's fewest wins and the first view with them: one degree per
+        # group, so that view is also the group's first of least count*(d+1)
+        low, low_gamma = k + 1, None
+        for gamma in gammas:
+            lost = 0
+            for y in gamma:
+                lost |= row[y - 1]
+            count = k - lost.bit_count()  # a row holds k bits
+            checked += 1
+            if count < quota:
+                failures += 1
+            if count < low:
+                low, low_gamma = count, gamma
+        if low_gamma is not None and (worst_metric is None or low * (d + 1) < worst_metric):
+            worst_metric = low * (d + 1)
+            worst = (x, low_gamma, low)
     return FamilyCertificate(
         passed=failures == 0,
         id_space=family.id_space,

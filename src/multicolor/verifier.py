@@ -12,8 +12,9 @@ decide an outcome. The limits no caller varies are module constants:
 VIOLATION_CAP conflicts named per report, MAX_EDGES materialized view-graph
 edges, and MAX_CHI_VERTICES vertices and MAX_CHI_WORK work units per
 chromatic search; only the view budget is a parameter. A sweep holds no view,
-so its default MAX_VIEWS bounds time; neighborhood_graph keeps every view, about
-312 B each, so its default MAX_GRAPH_VIEWS bounds memory (10^7 views: 3 GB).
+only (N+1)^2 ints of color unions, so its default MAX_VIEWS bounds time;
+neighborhood_graph keeps every view, about 312 B each, so its default
+MAX_GRAPH_VIEWS bounds memory (10^7 views: 3 GB).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Callable, Iterator
 
 from .coloring import Multicoloring
 from .errors import Incomplete, InvalidParams, TooLarge
-from .graph import Graph, OneHopView
+from .graph import Graph, OneHopView, _unchecked_view
 
 __all__ = [
     "VerificationReport",
@@ -167,11 +168,14 @@ MAX_GRAPH_VIEWS = 10**6  # default view budget of neighborhood_graph, about 300 
 
 
 def _iter_views(id_space: int, max_degree: int, max_views: int = MAX_VIEWS):
-    """All views (x, gamma), grouped by x, degree ascending.
+    """All views as groups (x, d, gammas): one per own id x and degree d.
 
-    The one view enumeration and the one place its budget is enforced: the
-    count is checked when this is called, before any view is made, and only
-    then is the generator returned.
+    gammas is combinations(others, d) over the ids other than x, so every
+    neighbor lies in [1, id_space], none is x and there are d <= max_degree
+    of them; a group is empty when fewer than d ids remain. Groups come by x,
+    degree ascending. The one view enumeration and the one place its budget
+    is enforced: the count is checked when this is called, before any view
+    is made, and only then is the generator returned.
     """
     total = nbr_vertex_count(id_space, max_degree)
     if total > max_views:
@@ -182,7 +186,7 @@ def _iter_views(id_space: int, max_degree: int, max_views: int = MAX_VIEWS):
         for x in ids:
             others = [y for y in ids if y != x]
             for d in range(1, max_degree + 1):
-                yield from ((x, gamma) for gamma in combinations(others, d))
+                yield x, d, combinations(others, d)
 
     return views()
 
@@ -233,7 +237,9 @@ def neighborhood_graph(
     if max_views is None:
         max_views = MAX_GRAPH_VIEWS
     views = _iter_views(id_space, max_degree, max_views)
-    vertices = tuple(OneHopView(x, frozenset(gamma)) for x, gamma in views)
+    vertices = tuple(
+        _unchecked_view(x, frozenset(gamma)) for x, _, gammas in views for gamma in gammas
+    )
     return NeighborhoodGraph(id_space, max_degree, vertices)
 
 
@@ -366,11 +372,13 @@ def certify_on_neighborhood(
 
     Disjointness across every neighborhood-graph edge is established without
     enumerating edges: group the views by (own id a, witnessed neighbor b)
-    and union their color masks; every edge joins some group (a, b) with the
-    group (b, a), so all edges are conflict-free if and only if every such
-    union pair is disjoint. On failure one more sweep collects the groups of
-    the first VIOLATION_CAP offending pairs, each of which holds at least one
-    violation, and joins them to name concrete view pairs.
+    and union their color masks into unions[a][b], one row of id_space + 1
+    ints per id a; every edge joins some group (a, b) with the group (b, a),
+    so all edges are conflict-free if and only if unions[a][b] and
+    unions[b][a] are disjoint for every a < b. On failure one more sweep
+    collects the groups of the first VIOLATION_CAP offending pairs, each of
+    which holds at least one violation, and joins them to name concrete
+    view pairs.
 
     view_colors may return an int bitmask (bit i-1 = color i) or an iterable
     of 1-based colors. min_colors, if given, maps a degree to the minimum
@@ -389,45 +397,48 @@ def certify_on_neighborhood(
             mask |= 1 << (c - 1)
         return mask
 
-    unions: dict[tuple[int, int], int] = {}
+    unions = [[0] * (id_space + 1) for _ in range(id_space + 1)]
     min_by_degree: dict[int, int] = {}
     bound_failures = 0
     checked = 0
-    for x, gamma in views:
-        view = OneHopView(x, frozenset(gamma))
-        mask = as_mask(view_colors(view))
-        if mask >> palette_size:
-            raise InvalidParams(
-                f"view ({x}, {sorted(gamma)}) selected a color beyond the palette"
-            )
-        checked += 1
-        d = len(gamma)
-        count = mask.bit_count()
-        if d not in min_by_degree or count < min_by_degree[d]:
-            min_by_degree[d] = count
-        if need is not None and count < need[d]:
-            bound_failures += 1
-        for b in gamma:
-            key = (x, b)
-            unions[key] = unions.get(key, 0) | mask
+    for x, d, gammas in views:
+        row = unions[x]
+        low = min_by_degree.get(d, palette_size + 1)
+        quota = 0 if need is None else need[d]  # no count is below 0
+        for gamma in gammas:
+            mask = as_mask(view_colors(_unchecked_view(x, frozenset(gamma))))
+            if mask >> palette_size:
+                raise InvalidParams(
+                    f"view ({x}, {sorted(gamma)}) selected a color beyond the palette"
+                )
+            checked += 1
+            count = mask.bit_count()
+            if count < low:
+                low = count
+            if count < quota:
+                bound_failures += 1
+            for b in gamma:
+                row[b] |= mask
+        if low <= palette_size:  # the degree has a view
+            min_by_degree[d] = low
 
+    ids = range(1, id_space + 1)
     bad_pairs = [
-        (a, b)
-        for (a, b) in unions
-        if a < b and (b, a) in unions and unions[(a, b)] & unions[(b, a)]
+        (a, b) for a in ids for b in range(a + 1, id_space + 1) if unions[a][b] & unions[b][a]
     ]
     named = bad_pairs[:VIOLATION_CAP]
     groups: dict[tuple[int, int], list[tuple[OneHopView, int]]] = {
         key: [] for a, b in named for key in ((a, b), (b, a))
     }
     if groups:
-        for x, gamma in _iter_views(id_space, max_degree, max_views):
-            hits = [groups[x, b] for b in gamma if (x, b) in groups]
-            if hits:
-                view = OneHopView(x, frozenset(gamma))
-                entry = (view, as_mask(view_colors(view)))
-                for group in hits:
-                    group.append(entry)
+        for x, _, gammas in _iter_views(id_space, max_degree, max_views):
+            for gamma in gammas:
+                hits = [groups[x, b] for b in gamma if (x, b) in groups]
+                if hits:
+                    view = _unchecked_view(x, frozenset(gamma))
+                    entry = (view, as_mask(view_colors(view)))
+                    for group in hits:
+                        group.append(entry)
     conflicts = (
         (u_view, v_view, (u_mask & v_mask).bit_length())  # one shared color
         for a, b in named

@@ -17,6 +17,7 @@ from multicolor import (
     OneHopView,
     OrderFamily,
     TooLarge,
+    certified_family,
     certify_on_neighborhood,
     choose_tower,
     chromatic_number,
@@ -199,6 +200,7 @@ def test_materialized_view_budget_refuses_before_any_view(monkeypatch):
 
     monkeypatch.setattr(verifier, "MAX_GRAPH_VIEWS", 23)
     monkeypatch.setattr(verifier, "OneHopView", no_view)
+    monkeypatch.setattr(verifier, "_unchecked_view", no_view)
     with pytest.raises(TooLarge, match="24 views"):
         neighborhood_graph(4, 2)  # 4 ids times 3 + 3 neighborhoods
 
@@ -354,6 +356,80 @@ def test_certify_flags_missed_quotas():
     )
     assert cert.disjoint and not cert.bound_ok and not cert.passed
     assert cert.bound_failures == nbr_vertex_count(8, 1)
+
+
+def test_certify_leaves_out_degrees_without_a_view():
+    """At N <= Delta some degree has no view: 3 ids give no degree-3 view."""
+    cert = certify_on_neighborhood(lambda v: {1}, 3, 3, 4)
+    assert cert.views_checked == nbr_vertex_count(3, 3) == 9
+    assert cert.min_count_by_degree == {1: 1, 2: 1}
+
+
+def test_sweep_hands_every_view_once_in_enumeration_order():
+    seen = []
+
+    def record(view):
+        seen.append(view)
+        return 0
+
+    certify_on_neighborhood(record, 7, 3, 1)
+    expected = [
+        OneHopView(x, frozenset(gamma))
+        for x in range(1, 8)
+        for d in range(1, 4)
+        for gamma in itertools.combinations([y for y in range(1, 8) if y != x], d)
+    ]
+    assert seen == expected and len(seen) == nbr_vertex_count(7, 3)
+    assert all(type(v.neighbors) is frozenset for v in seen)
+    assert len(set(seen)) == len(seen)
+
+
+def test_the_public_view_and_the_view_rules_keep_their_checks():
+    for node_id, neighbors in ((0, {1}), (2, {2, 3}), (2, {0, 3}), (2, {0})):
+        with pytest.raises(InvalidParams):
+            OneHopView(node_id, frozenset(neighbors))
+    assert OneHopView(2, frozenset()).degree == 0
+    p = choose_tower(7, 3)
+    bad_views = ((0, {1}), (8, {1}), (1, {0}), (1, {8}), (1, {2, 8}), (1, {2, 3, 4, 5}))
+    for node_id, neighbors in bad_views:
+        with pytest.raises(InvalidParams):  # id 0 is refused by the view itself
+            tower_color_indices(OneHopView(node_id, frozenset(neighbors)), p)
+    family = OrderFamily(12, 7, seed=3)
+    bad_ids = ((0, (1,)), (8, (1,)), (1, (0,)), (1, (8,)), (2, (3, 0)), (1, (2, 8)))
+    for node_id, neighbors in bad_ids:
+        with pytest.raises(InvalidParams):
+            family.select_mask(node_id, neighbors)
+    assert family.select_mask(1, ()) == (1 << 12) - 1
+
+
+# SHA-256 of the reprs of certified_family's (certificate, attempts) and of the
+# shared-order and tower certificates over every view, at (N, Delta) = (3, 3),
+# (8, 2) and (12, 3); recorded before the sweeps were grouped by id and degree.
+GOLDEN_CERTIFICATES = "7c5633be8c7e7d79b7561d2f8e836ef9ec8324557716ce86b28aa243ce6148e1"
+
+
+def test_certificates_are_byte_stable():
+    texts = []
+    for n_ids, delta in ((3, 3), (8, 2), (12, 3)):
+        family, cert, attempts = certified_family(n_ids, delta, 0.5, 11)
+        shared = certify_on_neighborhood(
+            lambda v: family.select_mask(v.node_id, v.neighbors),
+            n_ids,
+            delta,
+            family.k,
+            min_colors=lambda d: min_colors_required(family.k, 0.5, d),
+        )
+        p = choose_tower(n_ids, delta)
+        tower = certify_on_neighborhood(
+            lambda v: tower_color_indices(v, p),
+            n_ids,
+            delta,
+            p.palette_size,
+            min_colors=lambda d: p.guaranteed_colors,
+        )
+        texts.append(repr((cert, attempts)) + repr(shared) + repr(tower))
+    digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
+    assert digest == GOLDEN_CERTIFICATES
 
 
 def test_certify_rejects_out_of_palette_colors():
