@@ -121,8 +121,12 @@ class TowerParams:
 
     @cached_property
     def _free_colors(self) -> Callable[[int], tuple[int, ...]]:
-        """M: id -> sorted palette indices of its neighbor-free view (ids unchecked)."""
-        return _memoised_free_colors(self.qs, self.ds)
+        """M: id -> sorted palette indices of its neighbor-free view.
+
+        An id outside [1, id_space] is refused when it misses the memo, so
+        one that hits it was checked on its first use.
+        """
+        return _memoised_free_colors(self.id_space, self.qs, self.ds)
 
     @property
     def palette_size(self) -> int:
@@ -211,28 +215,16 @@ def choose_tower(id_space: int, max_degree: int, depth: int = 0, slack=2) -> Tow
     return TowerParams(id_space, max_degree, tuple(qs), tuple(ds), (f,) * (ell + 1))
 
 
-def _check_view(view: OneHopView, params: TowerParams) -> None:
-    if view.degree > params.max_degree:
-        raise InvalidParams(
-            f"view degree {view.degree} exceeds the bound {params.max_degree}"
-        )
-    n = params.id_space
-    if view.node_id > n:
-        raise InvalidParams(f"id {view.node_id} outside [1, {n}]")
-    for y in view.neighbors:
-        if y > n:
-            raise InvalidParams(f"id {y} outside [1, {n}]")
-
-
 def _memoised_free_colors(
-    qs: tuple[int, ...], ds: tuple[int, ...]
+    id_space: int, qs: tuple[int, ...], ds: tuple[int, ...]
 ) -> Callable[[int], tuple[int, ...]]:
     """M by a single-value descent: one leaf per alpha path, emitted as the
     1-based mixed-radix index of (alpha_0..alpha_ell, beta_x).
 
     Below level 0 a subtree depends only on its (level, value), so each is
     computed once and kept, at most depth * prod(qs) colors in all. Ids are
-    kept for the _MEMO_COLORS // prod(qs) most recently used.
+    kept for the _MEMO_COLORS // prod(qs) most recently used, and an id
+    outside [1, id_space] is refused on its miss.
     """
     depth = len(qs) - 1
     # palette indices spanned by one alpha at each level
@@ -254,20 +246,31 @@ def _memoised_free_colors(
                 out.extend([base + t for t in subtree(level + 1, acc % q)])
         return tuple(out)
 
+    def free(x: int) -> tuple[int, ...]:
+        if not 1 <= x <= id_space:
+            raise InvalidParams(f"id {x} outside [1, {id_space}]")
+        return leaves(0, x - 1)
+
     subtree = lru_cache(maxsize=None)(leaves)
-    return lru_cache(_MEMO_COLORS // math.prod(qs))(lambda x: leaves(0, x - 1))
+    return lru_cache(_MEMO_COLORS // math.prod(qs))(free)
 
 
-def tower_color_indices(view: OneHopView, params: TowerParams) -> frozenset[int]:
-    """All colors the node keeps for this view, as 1-based palette indices.
+def tower_color_indices(view: OneHopView, params: TowerParams) -> tuple[int, ...]:
+    """All colors the node keeps for this view, as ascending 1-based palette indices.
 
     The exclusion rule M(x) minus the union of M(y) over the neighbors y: a
     neighbor whose value equals the node's at some level keeps it equal down
     the rest of the tower, so it blocks exactly the colors it shares with M(x).
+    M(x) is ascending, and filtering it keeps that order.
     """
-    _check_view(view, params)
-    free = params._free_colors
-    return frozenset(free(view.node_id)).difference(*map(free, view.neighbors))
+    nbrs = view.neighbors
+    if len(nbrs) > params.max_degree:
+        raise InvalidParams(f"view degree {len(nbrs)} exceeds the bound {params.max_degree}")
+    free = params._free_colors  # refuses ids outside the id space
+    own = free(view.node_id)
+    kept = set(own)
+    kept.difference_update(*map(free, nbrs))
+    return tuple(filter(kept.__contains__, own))
 
 
 def tower_colors(view: OneHopView, params: TowerParams) -> frozenset[tuple[int, ...]]:
@@ -294,7 +297,7 @@ def _build_basic(g: Graph, max_degree: int, depth=0, slack=2):
     """Node computation for one tower instance, ready for the harness."""
     params = choose_tower(g.id_space, max_degree, depth, slack)
 
-    def compute(own, received) -> frozenset[int]:
+    def compute(own, received) -> tuple[int, ...]:
         view = OneHopView(own.node_id, frozenset(e.node_id for e in received))
         return tower_color_indices(view, params)
 
@@ -422,11 +425,13 @@ def weighted_colors(
     return frozenset(out)
 
 
-def weighted_color_indices(view: OneHopView, scheme: WeightedScheme) -> frozenset[int]:
-    """Selected weighted colors as 1-based palette indices.
+def weighted_color_indices(view: OneHopView, scheme: WeightedScheme) -> tuple[int, ...]:
+    """Selected weighted colors as ascending 1-based palette indices.
 
     Instance i owns the w_i * P_i slots after those of every instance t < i;
-    copy j of its tower color c sits at offset_i + (j-1)*P_i + c.
+    copy j of its tower color c sits at offset_i + (j-1)*P_i + c. Instances
+    and copies come in increasing offset, each an ascending run, so the
+    concatenation is ascending.
     """
     lo = scheme.lowest_instance(view.degree)
     out: list[int] = []
@@ -436,16 +441,16 @@ def weighted_color_indices(view: OneHopView, scheme: WeightedScheme) -> frozense
         if i >= lo:
             kept = tower_color_indices(view, inst)
             for shift in range(offset, offset + w * size, size):
-                out.extend(c + shift for c in kept)
+                out += map(shift.__add__, kept)
         offset += w * size
-    return frozenset(out)
+    return tuple(out)
 
 
 def _build_weighted(g: Graph, max_degree: int, eps=0.5, depth=0, slack=2):
     """Node computation for the weighted union, ready for the harness."""
     scheme = build_weighted_scheme(g.id_space, max(1, max_degree), eps, depth, slack)
 
-    def compute(own, received) -> frozenset[int]:
+    def compute(own, received) -> tuple[int, ...]:
         view = OneHopView(own.node_id, frozenset(e.node_id for e in received))
         return weighted_color_indices(view, scheme)
 

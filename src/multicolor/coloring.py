@@ -1,10 +1,16 @@
-"""The multicoloring record produced by every algorithm in this package."""
+"""The multicoloring record produced by every algorithm in this package.
+
+A node's colors are one strictly increasing tuple from end to end: the
+per-view rules return them so, the record keeps them so (normalizing any
+other iterable once), and replays and schedules hold the same tuples.
+"""
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import lt
 
 from .errors import InvalidParams, ParseError
 from .graph import _read_int
@@ -12,34 +18,41 @@ from .graph import _read_int
 __all__ = ["Multicoloring", "coloring_to_json", "coloring_from_json"]
 
 
+def _sorted_set(v: int, vals, top: int, noun: str = "color") -> tuple[int, ...]:
+    """Node v's set as a strictly increasing tuple of values in [1, top].
+
+    A strictly increasing tuple is kept as it is, the same object; any other
+    iterable becomes tuple(sorted(set(vals))). Sorted, only the two ends
+    need the range check.
+    """
+    if type(vals) is not tuple or not all(map(lt, vals, vals[1:])):
+        vals = tuple(sorted(set(vals)))
+    if vals and not (1 <= vals[0] and vals[-1] <= top):
+        bad = vals[0] if vals[0] < 1 else vals[-1]
+        raise InvalidParams(f"node {v}: {noun} {bad} outside [1, {top}]")
+    return vals
+
+
 @dataclass(frozen=True)
 class Multicoloring:
     """Assignment of a color subset of [1..palette_size] to every node.
 
+    Each node's colors are held as a strictly increasing tuple: any iterable
+    given is normalized to one, and a tuple that already is one is kept.
     params records how the coloring was produced (algorithm name, epsilon,
     seed, degree bound, id space, ...) so runs can be reproduced exactly.
     """
 
     palette_size: int
-    assignment: dict[int, frozenset[int]]
+    assignment: dict[int, tuple[int, ...]]
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.palette_size < 1:
             raise InvalidParams("palette size must be >= 1")
-        object.__setattr__(
-            self,
-            "assignment",
-            {v: frozenset(cols) for v, cols in self.assignment.items()},
-        )
-        for v, cols in self.assignment.items():
-            if not cols:
-                continue
-            for c in (min(cols), max(cols)):
-                if not 1 <= c <= self.palette_size:
-                    raise InvalidParams(
-                        f"node {v}: color {c} outside [1, {self.palette_size}]"
-                    )
+        k = self.palette_size
+        assignment = {v: _sorted_set(v, cols, k) for v, cols in self.assignment.items()}
+        object.__setattr__(self, "assignment", assignment)
 
     def fraction_of(self, v: int) -> Fraction:
         """Share of the palette held by node v, exact."""
@@ -49,7 +62,7 @@ class Multicoloring:
 def coloring_to_json(m: Multicoloring) -> str:
     payload = {
         "palette_size": m.palette_size,
-        "assignment": {str(v): sorted(cols) for v, cols in sorted(m.assignment.items())},
+        "assignment": {str(v): cols for v, cols in sorted(m.assignment.items())},
         "params": m.params,
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"

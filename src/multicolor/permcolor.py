@@ -22,11 +22,17 @@ Shared-order: the randomized rule on public keys. All nodes know k seeded
 global orders of the id space, order i ranking id x by (keys(x)[i], x) where
 keys(x) are k 32-bit words of x's keyed stream, packed in 5-byte fields; a
 node computes the keys of its view from the ids and takes color i when it
-precedes all its neighbors in order i. Whether a concrete family serves
-every possible one-hop view up to degree Delta can be certified
-exhaustively; the certificate's precedence rows come from the sieve's
-subtraction on the same packed keys, so one rule decides both. On failure
-the family is resampled from the next derived seed rather than grown.
+precedes all its neighbors in order i. A family memoizes the keys it
+cuts, up to _KEY_MEMO_BYTES (16 MB) of them, so a run cuts each id's keys
+once rather than once per view that holds the id. Whether a concrete
+family serves every possible one-hop view up to degree Delta can be
+certified exhaustively; the certificate's precedence rows come from the
+sieve's subtraction on the same packed keys, read through the memo, so one
+rule decides both. On failure the family is resampled from the next
+derived seed rather than grown.
+
+Both constructions return a node's colors as an ascending tuple, decoded
+from the sieve's guard bits in palette order.
 """
 
 from __future__ import annotations
@@ -282,8 +288,8 @@ def select_colors(
     own: RandomDraws,
     neighbors: tuple[RandomDraws, ...],
     tie_break_by_id: bool = False,
-) -> frozenset[int]:
-    """Colors where own draw is strictly below every neighbor draw.
+) -> tuple[int, ...]:
+    """Colors where own draw is strictly below every neighbor draw, ascending.
 
     On an exact tie nobody takes the color, unless tie_break_by_id is set, in
     which case the smallest node id among the tied minimum wins. The draws
@@ -309,7 +315,7 @@ def select_colors(
         keeps_ties = tie_break_by_id and own.node_id < nb.node_id
         alive &= (t | guards) - (mine if keeps_ties else beaten)
     tops = alive.to_bytes(width * k, "little")[width - 1 :: width]
-    return frozenset(compress(_palette_ids(k), tops))
+    return tuple(compress(_palette_ids(k), tops))
 
 
 # largest k * n draws a randomized run holds: a draw of up to b bits takes
@@ -334,7 +340,7 @@ def _build_randomized(g: Graph, max_degree: int, eps=0.5, tie_break_by_id=False)
     def generate_bits(node_id: int, seed: int) -> Sequence[int]:
         return generate_draws(node_id, k, n, seed).draws
 
-    def compute(own, received) -> frozenset[int]:
+    def compute(own, received) -> tuple[int, ...]:
         own_draws = RandomDraws(own.node_id, own.bits)
         nbr_draws = tuple(RandomDraws(e.node_id, e.bits) for e in received)
         return select_colors(own_draws, nbr_draws, tie_break_by_id)
@@ -366,6 +372,11 @@ def run_randomized(g: Graph, eps, seed: int, **opts) -> Multicoloring:
 # largest k * id_space an OrderFamily admits: a certificate keeps every key, at
 # 5 B each; lifting it waits for a benchmark change adding shared-order to wide-ids
 _MAX_ORDER_KEYS = 5 * 10**7
+# bytes of keys a family memoizes, so that a run cuts each id's keys once: at
+# k = 4595 about 680 ids. An id's entry costs its packed int plus about 140 B
+# for the PackedWords, the id and the dict slot (measured), charged as 160 B.
+_KEY_MEMO_BYTES = 16 << 20
+_KEY_MEMO_ENTRY = 160
 
 # a guard byte, 0x00 or 0x80, as the binary digit "0" or "1"
 _GUARD_DIGITS = bytes.maketrans(b"\x00\x80", b"01")
@@ -395,6 +406,8 @@ class OrderFamily:
         self.seed = seed
         # set here rather than by a cached_property: on CPython 3.11 an attribute
         # added after __init__ slows every attribute read of a certificate sweep
+        self._memo: dict[int, PackedWords] = {}
+        self._memo_bytes = 0
         self._keys: list[int] | None = None
         self._beats_row_id: int | None = None
         self._beats_row: list[int] | None = None
@@ -402,10 +415,20 @@ class OrderFamily:
     def keys(self, x: int) -> PackedWords:
         """keys(x)[i] is id x's key in order i: the i-th 32-bit word of its stream.
 
-        The words are cut as draws of 32 bits are, into 5-byte fields.
+        The words are cut as draws of 32 bits are, into 5-byte fields. The
+        first ids asked for keep theirs, up to _KEY_MEMO_BYTES in all, and
+        return the same object again.
         """
+        words = self._memo.get(x)
+        if words is not None:
+            return words
         self._check_id(x)
-        return _cut_stream(keyed_rng(self.seed, "orders", x), 32, self.k)
+        words = _cut_stream(keyed_rng(self.seed, "orders", x), 32, self.k)
+        cost = sys.getsizeof(words.value) + _KEY_MEMO_ENTRY
+        if self._memo_bytes + cost <= _KEY_MEMO_BYTES:
+            self._memo_bytes += cost
+            self._memo[x] = words
+        return words
 
     def _check_id(self, x: int) -> None:
         if not 1 <= x <= self.id_space:
@@ -426,6 +449,7 @@ class OrderFamily:
         # no comprehension in this method reads its locals: on CPython 3.11 those
         # become closure cells, set up on every call, cached ones too
         if self._keys is None:
+            # packed keys pack to themselves: the ids the memo keeps share its ints
             ids = range(1, self.id_space + 1)
             self._keys = [PackedWords.pack(keys, 5).value for keys in map(self.keys, ids)]
         guards, ones = _field_masks(self.k, 5)
@@ -456,8 +480,8 @@ class OrderFamily:
         return ((1 << self.k) - 1) & ~lost
 
 
-def select_by_orders(view: OneHopView, family: OrderFamily) -> frozenset[int]:
-    """Colors whose order ranks the node before all of its neighbors."""
+def select_by_orders(view: OneHopView, family: OrderFamily) -> tuple[int, ...]:
+    """Colors whose order ranks the node before all of its neighbors, ascending."""
     own, *nbrs = (RandomDraws(x, family.keys(x)) for x in (view.node_id, *view.neighbors))
     return select_colors(own, tuple(nbrs), tie_break_by_id=True)
 
@@ -594,7 +618,7 @@ def _build_shared(
         k = shared_palette_size(g.id_space, max_degree, eps, factor)
         family = OrderFamily(k, g.id_space, keyed_rng(seed, "attempt", 0).getrandbits(64))
 
-    def compute(own, received) -> frozenset[int]:
+    def compute(own, received) -> tuple[int, ...]:
         view = OneHopView(own.node_id, frozenset(e.node_id for e in received))
         return select_by_orders(view, family)
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
 
-from .coloring import Multicoloring
+from .coloring import Multicoloring, _sorted_set
 from .errors import ContractViolation, InvalidParams
 from .graph import Graph, OneHopView
 
@@ -64,16 +64,17 @@ class NodeProgram:
 
     A construction's one registered builder makes it. compute receives the
     node's own envelope and the envelopes of its neighbors (sorted by id) and
-    returns 1-based palette colors, as any iterable. A program is
-    deterministic exactly when generate_bits is None; its envelopes carry no
-    bits. generate_bits may return any iterable of ints: an immutable
+    returns 1-based palette colors, as any iterable; the coloring holds them
+    as a sorted tuple, and takes a rule's sorted tuple as it is. A program
+    is deterministic exactly when generate_bits is None; its envelopes
+    carry no bits. generate_bits may return any iterable of ints: an immutable
     sequence (a tuple, or packed words) is sent as it is, anything else, a
     list, an array or a generator, as a tuple of its items.
     """
 
     name: str
     palette_size: int
-    compute: Callable[[NodeEnvelope, tuple[NodeEnvelope, ...]], frozenset[int]]
+    compute: Callable[[NodeEnvelope, tuple[NodeEnvelope, ...]], Iterable[int]]
     generate_bits: Callable[[int, int], Iterable[int]] | None = None
     meta: dict = field(default_factory=dict)
 
@@ -210,11 +211,12 @@ def replay_view(
     envelopes: tuple[NodeEnvelope, ...],
     program: NodeProgram,
     seed: int | None = None,
-) -> frozenset[int]:
+) -> tuple[int, ...]:
     """Recompute one node's color set from its view and received envelopes.
 
     Returns exactly what the node would produce inside run_one_shot on any
-    host graph inducing this view (same seed for randomized programs).
+    host graph inducing this view (same seed for randomized programs): the
+    sorted tuple its coloring would hold.
     """
     got = frozenset(e.node_id for e in envelopes)
     if got != view.neighbors:
@@ -229,4 +231,4 @@ def replay_view(
         )
     own = NodeEnvelope(view.node_id, _make_bits(program, view.node_id, seed))
     ordered = tuple(sorted(envelopes, key=lambda e: e.node_id))
-    return frozenset(program.compute(own, ordered))
+    return _sorted_set(view.node_id, program.compute(own, ordered), program.palette_size)

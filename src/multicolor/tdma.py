@@ -1,7 +1,8 @@
 """Turning verified multicolorings into TDMA frame schedules.
 
-Color i becomes slot i of a frame of palette_size slots. Conversion refuses
-colorings that fail disjointness verification, so neighboring nodes in a
+Color i becomes slot i of a frame of palette_size slots, and a node's slots
+are its coloring's sorted tuple, the same object. Conversion refuses
+colorings that are not disjoint on every edge, so neighboring nodes in a
 produced schedule never share a slot.
 """
 
@@ -10,13 +11,15 @@ from __future__ import annotations
 import csv
 import io
 import json
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
-from .coloring import _MALFORMED, Multicoloring, _int_lists, _json_int, _unique_keys
+from .coloring import _MALFORMED, Multicoloring, _int_lists, _json_int, _sorted_set, _unique_keys
 from .errors import InvalidParams, RefusedInvalid
 from .graph import Graph
-from .verifier import verify
+from .verifier import _conflicts, verify  # noqa: F401  perfbench's tracer hooks tdma.verify
 
 __all__ = [
     "TdmaSchedule",
@@ -31,7 +34,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TdmaSchedule:
-    """Per-node transmit slots within a frame of frame_length slots."""
+    """Per-node transmit slots within a frame of frame_length slots.
+
+    Each node's slots are a strictly increasing tuple, normalized as a
+    Multicoloring's colors are.
+    """
 
     frame_length: int
     slots: dict[int, tuple[int, ...]]
@@ -40,27 +47,21 @@ class TdmaSchedule:
     def __post_init__(self):
         if self.frame_length < 1:
             raise InvalidParams("frame length must be >= 1")
-        object.__setattr__(
-            self,
-            "slots",
-            {v: tuple(sorted(s)) for v, s in self.slots.items()},
-        )
-        for v, s in self.slots.items():
-            # slots are sorted, so the extremes decide
-            for slot in s[:1] + s[-1:]:
-                if not 1 <= slot <= self.frame_length:
-                    raise InvalidParams(
-                        f"node {v}: slot {slot} outside [1, {self.frame_length}]"
-                    )
+        n = self.frame_length
+        slots = {v: _sorted_set(v, s, n, "slot") for v, s in self.slots.items()}
+        object.__setattr__(self, "slots", slots)
 
 
 def to_schedule(m: Multicoloring, g: Graph) -> TdmaSchedule:
-    """Convert a coloring to a schedule after re-verifying disjointness."""
-    report = verify(g, m)
-    if not report.valid:
-        u, v, c = report.violations[0]
+    """Convert a coloring to a schedule after checking disjointness again.
+
+    The schedule's slots are the coloring's tuples themselves.
+    """
+    violations, count = _conflicts(g, m)
+    if count:
+        u, v, c = violations[0]
         raise RefusedInvalid(
-            f"coloring has {report.violation_count} slot conflicts "
+            f"coloring has {count} slot conflicts "
             f"(first: nodes {u} and {v} share color {c})"
         )
     params = dict(m.params)
@@ -106,12 +107,25 @@ def utilization(s: TdmaSchedule, g: Graph) -> UtilizationReport:
     )
 
 
-def _json_slots(slots: tuple[int, ...]) -> str:
-    """A node's slot list as indent=2 lays it out, six spaces deep."""
+# largest palette whose decimal strings schedule_to_json keeps in one table:
+# about 7 MB at 2^17; larger slots are written through str()
+_MAX_STRING_TABLE = 1 << 17
+
+
+@lru_cache(maxsize=4)
+def _decimal_strings(size: int) -> tuple[str, ...]:
+    """str(i) for i in range(size), made once per palette."""
+    return tuple(map(str, range(size)))
+
+
+def _json_slots(slots: tuple[int, ...], strings: tuple[str, ...]) -> str:
+    """A node's sorted slots as indent=2 lays them out, six spaces deep."""
     if not slots:
         return "[]"
-    items = json.dumps(slots)[1:-1].replace(", ", ",\n        ")
-    return f"[\n        {items}\n      ]"
+    cut = bisect_left(slots, len(strings))
+    items = [strings[c] for c in slots[:cut]]
+    items += map(str, slots[cut:])
+    return "[\n        " + ",\n        ".join(items) + "\n      ]"
 
 
 def schedule_to_json(s: TdmaSchedule) -> str:
@@ -119,11 +133,13 @@ def schedule_to_json(s: TdmaSchedule) -> str:
 
     payload is {"frame_length", "meta", "nodes": [{"id", "slots"}, ...]}.
     indent forces json's pure-Python encoder, so only meta goes through it;
-    each node's slots are one C-encoded list, broken at its commas.
+    each node's slots are joined from a table of the palette's decimal
+    strings.
     """
     meta = json.dumps(s.meta, indent=2, sort_keys=True).replace("\n", "\n  ")
+    strings = _decimal_strings(min(s.frame_length, _MAX_STRING_TABLE) + 1)
     nodes = ",\n".join(
-        f'    {{\n      "id": {json.dumps(v)},\n      "slots": {_json_slots(slots)}\n    }}'
+        f'    {{\n      "id": {json.dumps(v)},\n      "slots": {_json_slots(slots, strings)}\n    }}'
         for v, slots in sorted(s.slots.items())
     )
     nodes = f"[\n{nodes}\n  ]" if nodes else "[]"

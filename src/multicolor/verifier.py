@@ -88,27 +88,44 @@ def min_colors_required(palette_size: int, eps, delta: int) -> int:
     return math.ceil(target)
 
 
-def verify(g: Graph, m: Multicoloring, eps=None) -> VerificationReport:
-    """Check edge disjointness and palette fractions of m on g."""
-    if eps is not None and not 0 <= eps <= 1:  # also refuses nan
-        raise InvalidParams(f"epsilon {eps} outside [0, 1]")
-    e = Fraction(eps) if eps is not None else None
-    missing = [v for v in g.node_ids() if v not in m.assignment]
-    extra = [v for v in m.assignment if not g.has_node(v)]
+def _conflicts(g: Graph, m: Multicoloring) -> tuple[list[tuple[int, int, int]], int]:
+    """The first VIOLATION_CAP shared colors (u, v, c) of m on g, and their count.
+
+    Ordered as the sorted edges (u < v), colors ascending within an edge.
+    One set is alive at a time: node u's colors, tested against each of its
+    higher-id neighbors' sorted tuples. Raises Incomplete unless m colors
+    exactly g's nodes.
+    """
+    a = m.assignment
+    missing = [v for v in g.node_ids() if v not in a]
+    extra = [v for v in a if not g.has_node(v)]
     if missing or extra:
         raise Incomplete(
             f"coloring does not match the node set (missing {missing[:5]}, "
             f"extra {extra[:5]})"
         )
-    violations = []
-    violation_count = 0
-    for u, v in g.edges():
-        shared = m.assignment[u] & m.assignment[v]
-        if shared:
-            violation_count += len(shared)
-            for c in sorted(shared):
-                if len(violations) < VIOLATION_CAP:
-                    violations.append((u, v, c))
+    violations: list[tuple[int, int, int]] = []
+    count = 0
+    for u in g.node_ids():
+        higher = sorted(v for v in g.adj[u] if v > u)
+        if not higher or not a[u]:
+            continue
+        mine = set(a[u])
+        for v in higher:
+            if mine.isdisjoint(a[v]):
+                continue
+            shared = [c for c in a[v] if c in mine]
+            count += len(shared)
+            violations.extend((u, v, c) for c in shared[: VIOLATION_CAP - len(violations)])
+    return violations, count
+
+
+def verify(g: Graph, m: Multicoloring, eps=None) -> VerificationReport:
+    """Check edge disjointness and palette fractions of m on g."""
+    if eps is not None and not 0 <= eps <= 1:  # also refuses nan
+        raise InvalidParams(f"epsilon {eps} outside [0, 1]")
+    e = Fraction(eps) if eps is not None else None
+    violations, violation_count = _conflicts(g, m)
     fractions = {v: m.fraction_of(v) for v in g.node_ids()}
     worst_ratio = None
     rho: dict[int, Fraction] = {}

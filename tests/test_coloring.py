@@ -20,11 +20,28 @@ def test_colors_must_fit_palette():
         Multicoloring(0, {})
 
 
+def test_colors_become_one_sorted_tuple():
+    """Unsorted, repeated and set input alike become the strictly increasing
+    tuple; a tuple that already is one is kept, the same object."""
+    kept = (2, 5, 9)
+    m = Multicoloring(9, {1: [3, 1, 2], 2: (5, 5, 4), 3: {7, 6}, 4: kept, 5: iter((8, 1))})
+    assert m.assignment == {1: (1, 2, 3), 2: (4, 5), 3: (6, 7), 4: (2, 5, 9), 5: (1, 8)}
+    assert m.assignment[4] is kept
+    assert all(type(cols) is tuple for cols in m.assignment.values())
+
+
+@pytest.mark.parametrize("cols", [(0, 1), (1, 4), (0,), (4,), [4, 1], {0, 2}])
+def test_sorted_input_is_range_checked_too(cols):
+    """Color 0 and color k+1 are refused whether the input was sorted or not."""
+    with pytest.raises(InvalidParams, match="outside \\[1, 3\\]"):
+        Multicoloring(3, {1: cols})
+
+
 def test_fraction_is_exact():
     m = Multicoloring(7, {1: {1, 2, 3}, 2: frozenset()})
     assert m.fraction_of(1) == Fraction(3, 7)
     assert m.fraction_of(2) == Fraction(0)
-    assert m.assignment[1] == frozenset({1, 2, 3})
+    assert m.assignment == {1: (1, 2, 3), 2: ()}
 
 
 def test_json_round_trip():

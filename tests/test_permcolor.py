@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import sys
 import tracemalloc
 from array import array
 from fractions import Fraction
@@ -28,10 +29,19 @@ from multicolor import (
     select_by_orders,
     select_colors,
     shared_palette_size,
+    unit_disk_graph,
     verify,
 )
 from multicolor.coloring import coloring_to_json
-from multicolor.permcolor import _MAX_DRAWS, PackedWords, _field_masks, min_colors_required
+from multicolor import permcolor
+from multicolor.permcolor import (
+    _KEY_MEMO_BYTES,
+    _MAX_DRAWS,
+    PackedWords,
+    _cut_stream,
+    _field_masks,
+    min_colors_required,
+)
 from multicolor.rng import keyed_rng
 from multicolor.simulator import run_one_shot
 from multicolor.verifier import nbr_vertex_count as neighborhood_view_count
@@ -174,26 +184,26 @@ def test_select_colors_worked_example():
     own = RandomDraws(1, (2, 9, 4))
     u = RandomDraws(2, (5, 1, 7))
     w = RandomDraws(3, (3, 8, 8))
-    assert select_colors(own, (u, w)) == {1, 3}
+    assert select_colors(own, (u, w)) == (1, 3)
 
 
 def test_select_colors_no_neighbors_takes_everything():
     own = RandomDraws(1, (5, 5, 5))
-    assert select_colors(own, ()) == {1, 2, 3}
+    assert select_colors(own, ()) == (1, 2, 3)
 
 
 def test_ties_waste_the_color_on_both_sides():
     u = RandomDraws(1, (5, 2))
     v = RandomDraws(2, (5, 9))
-    assert select_colors(u, (v,)) == {2}
-    assert select_colors(v, (u,)) == frozenset()
+    assert select_colors(u, (v,)) == (2,)
+    assert select_colors(v, (u,)) == ()
 
 
 def test_tie_break_by_id_awards_the_smaller_id():
     u = RandomDraws(1, (5,))
     v = RandomDraws(2, (5,))
-    assert select_colors(u, (v,), tie_break_by_id=True) == {1}
-    assert select_colors(v, (u,), tie_break_by_id=True) == frozenset()
+    assert select_colors(u, (v,), tie_break_by_id=True) == (1,)
+    assert select_colors(v, (u,), tie_break_by_id=True) == ()
 
 
 def test_tie_break_only_applies_to_the_tied_minimum():
@@ -201,8 +211,8 @@ def test_tie_break_only_applies_to_the_tied_minimum():
     own = RandomDraws(5, (4,))
     below = RandomDraws(3, (4,))
     above = RandomDraws(2, (8,))
-    assert select_colors(own, (below, above), tie_break_by_id=True) == frozenset()
-    assert select_colors(below, (own, above), tie_break_by_id=True) == {1}
+    assert select_colors(own, (below, above), tie_break_by_id=True) == ()
+    assert select_colors(below, (own, above), tie_break_by_id=True) == (1,)
 
 
 def test_select_colors_rejects_length_mismatch():
@@ -223,7 +233,7 @@ def test_two_node_partition_identity(du, dv, tie_break):
     v = RandomDraws(2, tuple(dv))
     su = select_colors(u, (v,), tie_break)
     sv = select_colors(v, (u,), tie_break)
-    assert not su & sv
+    assert set(su).isdisjoint(sv)
     ties = sum(a == b for a, b in zip(du, dv))
     if tie_break:
         assert len(su) + len(sv) == len(du)
@@ -232,9 +242,9 @@ def test_two_node_partition_identity(du, dv, tie_break):
 
 
 def column_min_selection(own, neighbors, tie_break_by_id):
-    """The strict-minimum rule, one color column at a time."""
+    """The strict-minimum rule, one color column at a time, colors ascending."""
     if not neighbors:
-        return frozenset(range(1, len(own.draws) + 1))
+        return tuple(range(1, len(own.draws) + 1))
     won = []
     columns = zip(own.draws, *(nb.draws for nb in neighbors))
     for i, col in enumerate(columns, start=1):
@@ -246,7 +256,7 @@ def column_min_selection(own, neighbors, tie_break_by_id):
             tied = [nb.node_id for nb in neighbors if nb.draws[i - 1] == m]
             if all(own.node_id < t for t in tied):
                 won.append(i)
-    return frozenset(won)
+    return tuple(won)
 
 
 @settings(max_examples=300)
@@ -334,7 +344,7 @@ def test_selection_is_monotone_under_neighbor_removal(do, da, db):
     own = RandomDraws(1, tuple(do))
     a = RandomDraws(2, tuple(da))
     b = RandomDraws(3, tuple(db))
-    assert select_colors(own, (a, b)) <= select_colors(own, (a,))
+    assert set(select_colors(own, (a, b))) <= set(select_colors(own, (a,)))
 
 
 def test_run_randomized_produces_a_valid_coloring():
@@ -389,7 +399,7 @@ def test_two_id_single_order_is_forced():
     fam = OrderFamily(1, 2, seed=0)
     first = select_by_orders(OneHopView(1, frozenset({2})), fam)
     second = select_by_orders(OneHopView(2, frozenset({1})), fam)
-    assert sorted([first, second], key=len) == [frozenset(), frozenset({1})]
+    assert sorted([first, second], key=len) == [(), (1,)]
 
 
 def test_select_by_orders_matches_mask_interface():
@@ -399,7 +409,7 @@ def test_select_by_orders_matches_mask_interface():
         for gamma in ([others[0]], others[:3], others):
             mask = fam.select_mask(x, gamma)
             colors = select_by_orders(OneHopView(x, frozenset(gamma)), fam)
-            assert colors == {i + 1 for i in range(20) if mask >> i & 1}
+            assert colors == tuple(i + 1 for i in range(20) if mask >> i & 1)
 
 
 @settings(max_examples=200)
@@ -411,7 +421,7 @@ def test_select_by_orders_equals_every_order_rule(k, id_space, seed, data):
     x = data.draw(st.integers(1, id_space))
     others = [y for y in range(1, id_space + 1) if y != x]
     gamma = data.draw(st.sets(st.sampled_from(others), max_size=4))
-    expected = frozenset(
+    expected = tuple(
         i
         for i, rank in enumerate(ranks_of(fam), start=1)
         if all(rank[x - 1] < rank[y - 1] for y in gamma)
@@ -421,9 +431,7 @@ def test_select_by_orders_equals_every_order_rule(k, id_space, seed, data):
 
 def test_degree_zero_view_wins_every_order():
     fam = OrderFamily(6, 4, seed=0)
-    assert select_by_orders(OneHopView(2, frozenset()), fam) == frozenset(
-        range(1, 7)
-    )
+    assert select_by_orders(OneHopView(2, frozenset()), fam) == tuple(range(1, 7))
 
 
 # 2**32 - 1 is the largest key, just below a 5-byte field's guard bit
@@ -509,7 +517,7 @@ def test_forced_ties_go_to_the_smallest_id(monkeypatch):
     for x in view:
         gamma = frozenset(view - {x})
         won = range(1, 6) if x == 2 else range(0)
-        assert select_by_orders(OneHopView(x, gamma), fam) == frozenset(won)
+        assert select_by_orders(OneHopView(x, gamma), fam) == tuple(won)
         assert fam.select_mask(x, gamma) == sum(1 << (c - 1) for c in won)
 
 
@@ -524,6 +532,78 @@ def test_selection_stores_no_rank_table():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 10**6
+
+
+def test_memoized_keys_are_the_fresh_cut():
+    fam = OrderFamily(37, 40, seed=3)
+    for x in range(1, 41):
+        first = fam.keys(x)
+        assert first == _cut_stream(keyed_rng(3, "orders", x), 32, 37)
+        assert fam.keys(x) is first  # cut once
+
+
+def test_key_memo_stays_under_its_budget():
+    """A narrow-ids family asked for every id keeps about 680 of them, under
+    the 16 MB budget; every key past the budget is cut again when asked."""
+    fam = OrderFamily(4595, 1200, seed=5)
+    tracemalloc.start()
+    try:
+        for x in range(1, 1201):
+            fam.keys(x)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held <= _KEY_MEMO_BYTES
+    assert 600 < len(fam._memo) < 1200
+
+
+def test_key_memo_budget_counts_each_entry(monkeypatch):
+    """With one-order keys an entry is mostly overhead, which the budget
+    charges too: 1 MB holds a few thousand of them, not 37,000 key ints."""
+    monkeypatch.setattr(permcolor, "_KEY_MEMO_BYTES", 1 << 20)
+    fam = OrderFamily(1, 50_000, seed=5)
+    tracemalloc.start()
+    try:
+        for x in range(1, 50_001):
+            fam.keys(x)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held <= 1 << 20
+
+
+@pytest.mark.parametrize("room", [0, 3])
+def test_a_family_past_its_memo_budget_colors_the_same(monkeypatch, room):
+    """A budget with room for the keys of `room` ids keeps exactly those,
+    and the coloring is the one the full memo gives."""
+    g = capped_graph(gnp_graph(60, 0.1, 90, seed=4), cap=5)
+    expected = run_shared(g, 0.5, seed=2).assignment
+    k = shared_palette_size(90, 5, 0.5)
+    entries = [
+        sys.getsizeof(OrderFamily(k, 90, seed=1).keys(x).value) + permcolor._KEY_MEMO_ENTRY
+        for x in range(1, room + 1)
+    ]
+    monkeypatch.setattr(permcolor, "_KEY_MEMO_BYTES", sum(entries))
+    assert run_shared(g, 0.5, seed=2).assignment == expected
+    fam = OrderFamily(k, 90, seed=1)
+    for x in range(1, 91):
+        fam.keys(x)
+    assert sorted(fam._memo) == list(range(1, room + 1))
+
+
+def test_shared_order_coloring_holds_sorted_tuples():
+    """A narrow-ids sized coloring (300 nodes, 4595 orders) holds each node's
+    colors as one tuple of the palette's own ints: 3.6 MB for these 411,054
+    colors, where one frozenset per node held 21.7 MB."""
+    g = capped_graph(unit_disk_graph(300, 0.06, 1200, seed=5), cap=8)
+    tracemalloc.start()
+    try:
+        m = run_shared(g, 0.5, seed=5, max_degree=8)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert m.palette_size == 4595
+    assert held < 6 * 10**6
 
 
 def test_exhaustive_expected_selection_rate():

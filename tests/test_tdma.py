@@ -53,6 +53,22 @@ def test_conflicting_coloring_is_refused():
         to_schedule(Multicoloring(2, {1: {1}, 2: {1}}), K2)
 
 
+def test_refusal_names_the_first_conflict_and_the_count():
+    g = Graph(3, {1: {2, 3}, 2: {1, 3}, 3: {1, 2}})
+    m = Multicoloring(4, {1: {2, 4}, 2: {1, 2, 4}, 3: {1, 4}})
+    with pytest.raises(RefusedInvalid) as err:
+        to_schedule(m, g)
+    assert str(err.value) == "coloring has 5 slot conflicts (first: nodes 1 and 2 share color 2)"
+
+
+def test_schedule_slots_are_the_colorings_tuples():
+    g = gnp_graph(40, 0.15, 100, seed=2)
+    for name in ("randomized", "algebraic-weighted"):
+        m, _ = run_one_shot(g, name, seed=4, eps=0.5)
+        s = to_schedule(m, g)
+        assert all(s.slots[v] is m.assignment[v] for v in g.node_ids())
+
+
 def test_schedule_validation_and_normalization():
     s = TdmaSchedule(4, {1: (3, 1)})
     assert s.slots[1] == (1, 3)  # sorted on construction
@@ -174,7 +190,9 @@ def test_json_text_equals_the_indenting_encoder(s):
 
 def test_json_text_of_edge_cases():
     meta = {"é": {"x": [1.5, None, True, False, "ü\n"], "y": {}}, "a": []}
-    for s in (TdmaSchedule(1, {}), TdmaSchedule(3, {2: (), 1: (3, 1)}, meta)):
+    # slots past the table of decimal strings (2^17) are written one by one
+    wide = TdmaSchedule(10**6, {1: (7, 2**17 - 1, 2**17, 2**17 + 1, 10**6), 2: (200_000,)})
+    for s in (TdmaSchedule(1, {}), TdmaSchedule(3, {2: (), 1: (3, 1)}, meta), wide):
         assert schedule_to_json(s) == indented_json(s)
 
 

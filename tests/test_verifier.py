@@ -78,6 +78,26 @@ def test_violation_cap_truncates_the_sample_but_not_the_count(monkeypatch):
     assert not r.valid
 
 
+@pytest.mark.parametrize("cap", [3, 100])
+def test_violations_come_by_sorted_edge_then_color(monkeypatch, cap):
+    """Several conflicts on several edges: the list and the count are those of
+    intersecting every edge's two color sets, edges sorted, colors ascending."""
+    monkeypatch.setattr(verifier, "VIOLATION_CAP", cap)
+    g = gnp_graph(40, 0.3, 60, seed=3)
+    rng = random.Random(5)
+    m = Multicoloring(8, {v: rng.sample(range(1, 9), rng.randrange(0, 6)) for v in g.node_ids()})
+    shared = [
+        (u, v, c)
+        for u, v in g.edges()
+        for c in sorted(set(m.assignment[u]) & set(m.assignment[v]))
+    ]
+    assert len(shared) > cap
+    r = verify(g, m)
+    assert r.violations == shared[:cap]
+    assert r.violation_count == len(shared)
+    assert not r.valid
+
+
 def test_verify_refuses_an_epsilon_outside_the_unit_interval():
     m = Multicoloring(2, {1: {1}, 2: {2}})
     for eps in (5, -0.5, Fraction(3, 2), float("nan"), float("inf")):
