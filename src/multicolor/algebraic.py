@@ -11,6 +11,17 @@ when that color is in M(y), and a node keeps M(x) minus its neighbors' M(y):
 adjacent color sets are disjoint by construction, and each node keeps at least
 prod_i (q_i - Delta*d_i) colors out of q_ell * prod_i q_i.
 
+Both steps run on packed fields of one int, as permcolor's sieve does
+(Lamport, "Multiple byte processing with full-word instructions", CACM
+1975). A level evaluates its polynomial at all q points at once: the packed
+powers alpha^k of every alpha, scaled by the digits of the value and
+summed, then reduced mod q in every field by one multiply, shift and mask
+(Granlund and Montgomery, "Division by invariant integers using
+multiplication", PLDI 1994). M(x) is kept with x's betas packed one per
+alpha path, in the sieve's guarded fields, so a neighbor y blocks exactly
+the paths where its beta equals x's: one zero test of mine ^ theirs per
+neighbor, and the surviving guard bits select the kept colors from M(x).
+
 Weighted union: one basic instance per degree scale 2^i is replicated with a
 weight that balances palette mass across scales; a node of degree delta only
 draws from instances with 2^i >= delta, so low-degree nodes keep a larger
@@ -26,9 +37,12 @@ against it.
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import compress
 from typing import Callable
 
 from . import simulator
@@ -36,6 +50,7 @@ from .coloring import Multicoloring
 from .errors import Infeasible, InvalidParams, TooLarge
 from .gf import is_prime, next_prime
 from .graph import Graph, OneHopView
+from .permcolor import PackedWords, _field_masks, _field_width
 
 __all__ = [
     "TowerParams",
@@ -53,7 +68,10 @@ __all__ = [
 ]
 
 _Q_CAP = 2**62  # defensive ceiling for the prime search
-# colors memoised per tower, about 40 B each in tuples: at most ~21 MB a tower
+# colors memoised per tower, about 40 B each in tuples, and beside each its
+# beta's field of 1 or 2 bytes in a packed int (q_ell <= sqrt(_MAX_PALETTE)):
+# at most ~22 MB a tower. The per-(q, d) power tables of _power_table hold
+# (d+1) * q fields each, q bounded by the palette guard.
 _MEMO_COLORS = 1 << 19
 # largest palette, the TDMA frame, of a tower or a weighted union: a node's
 # M(x) holds palette / q_ell of its tower's colors, about 40 B each in a tuple
@@ -120,13 +138,22 @@ class TowerParams:
         return len(self.qs) - 1
 
     @cached_property
-    def _free_colors(self) -> Callable[[int], tuple[int, ...]]:
-        """M: id -> sorted palette indices of its neighbor-free view.
+    def _free_colors(self) -> Callable[[int], tuple[tuple[int, ...], int]]:
+        """M: id -> sorted palette indices of its neighbor-free view, and their packed betas.
 
         An id outside [1, id_space] is refused when it misses the memo, so
         one that hits it was checked on its first use.
         """
-        return _memoised_free_colors(self.id_space, self.qs, self.ds)
+        return _memoised_free_colors(self.id_space, self.qs, self.ds, self._beta_masks[2])
+
+    @cached_property
+    def _beta_masks(self) -> tuple[int, int, int]:
+        """The guard bits and ones of M(x)'s beta fields, one per alpha path, and their width.
+
+        A beta below q_ell takes permcolor's field width, its top bit free.
+        """
+        width = _field_width((self.qs[-1] - 1).bit_length())
+        return (*_field_masks(math.prod(self.qs), width), width)
 
     @property
     def palette_size(self) -> int:
@@ -215,41 +242,112 @@ def choose_tower(id_space: int, max_degree: int, depth: int = 0, slack=2) -> Tow
     return TowerParams(id_space, max_degree, tuple(qs), tuple(ds), (f,) * (ell + 1))
 
 
-def _memoised_free_colors(
-    id_space: int, qs: tuple[int, ...], ds: tuple[int, ...]
-) -> Callable[[int], tuple[int, ...]]:
-    """M by a single-value descent: one leaf per alpha path, emitted as the
-    1-based mixed-radix index of (alpha_0..alpha_ell, beta_x).
+@lru_cache(maxsize=16)
+def _power_table(q: int, d: int) -> tuple[tuple[int, ...], int, int, int, int]:
+    """Packed powers of GF(q) and the constants that reduce their sums mod q.
 
-    Below level 0 a subtree depends only on its (level, value), so each is
-    computed once and kept, at most depth * prod(qs) colors in all. Ids are
-    kept for the _MEMO_COLORS // prod(qs) most recently used, and an id
-    outside [1, id_space] is refused on its miss.
+    Field alpha of powers[k] holds alpha^k mod q, for every alpha in [0, q).
+    A sum S of c_k * powers[k] with digits c_k < q holds at most
+    top = (d+1)(q-1)^2 in a field, and floor(f * magic / 2^shift) is f // q
+    for every f <= top (Granlund and Montgomery, PLDI 1994): with
+    magic = floor(2^shift / q) + 1 the error term f * (magic*q - 2^shift)
+    stays below 2^shift, since f * q < 2^shift. Fields are whole 32-bit
+    words wide enough that f * magic never carries into the next, and the
+    mask keeps the low bits of each, which hold f * magic >> shift. A table
+    takes (d+1) * q fields, and q is bounded by the palette guard.
+    """
+    top = (d + 1) * (q - 1) ** 2
+    shift = top.bit_length() + q.bit_length()
+    magic = (1 << shift) // q + 1
+    width = 4 * -(-(top * magic).bit_length() // 32)
+    powers = tuple(
+        PackedWords.pack([pow(a, k, q) for a in range(q)], width).value for k in range(d + 1)
+    )
+    field = ((1 << 8 * width - shift) - 1).to_bytes(width, "little")
+    return powers, magic, shift, int.from_bytes(field * q, "little"), width
+
+
+def _evaluate(q: int, d: int, value: int) -> tuple[int, int]:
+    """p(alpha) for every alpha in [0, q), packed in fields of width bytes: (packed, width).
+
+    p is the degree-<=d polynomial over GF(q) whose coefficients are the
+    base-q digits of value, constant term first. All q values come from
+    d+1 scalar multiplies of the packed powers and one multiply-shift-mask
+    reduction; q times a field's quotient is at most the field, so the
+    subtraction borrows across none.
+    """
+    powers, magic, shift, mask, width = _power_table(q, d)
+    acc = 0
+    for power in powers:
+        value, c = divmod(value, q)
+        acc += c * power
+    return acc - q * ((acc * magic >> shift) & mask), width
+
+
+def _words(raw: bytes) -> array:
+    """raw read as little-endian 32-bit words."""
+    words = array("I", raw)
+    if sys.byteorder == "big":
+        words.byteswap()
+    return words
+
+
+def _low_bytes(raw: bytes, width: int, low: int) -> bytes:
+    """The low `low` bytes of each width-byte field of raw; low is 1, 2 or 4 and divides width.
+
+    The array only groups bytes, it reads no value, so this holds on any byte order.
+    """
+    return array({1: "B", 2: "H", 4: "I"}[low], raw)[:: width // low].tobytes()
+
+
+def _memoised_free_colors(
+    id_space: int, qs: tuple[int, ...], ds: tuple[int, ...], beta_width: int
+) -> Callable[[int], tuple[tuple[int, ...], int]]:
+    """M by a single-value descent: x -> (palette indices, packed betas).
+
+    Each level evaluates its polynomial at every alpha at once (_evaluate).
+    There is one leaf per alpha path, emitted as the 1-based mixed-radix
+    index of (alpha_0..alpha_ell, beta_x); beta_x of path j also sits in
+    field j of the packed int, in fields of beta_width bytes. A subtree's indices
+    travel as 32-bit words (a palette index is below _MAX_PALETTE), so a
+    level adds every alpha's offset to them with one addition. Below level
+    0 a subtree depends only on its (level, value), so each is computed once
+    and kept with its beta bytes, at most depth * prod(qs) colors in all,
+    and a deeper level only concatenates its subtrees' bytes. Ids are kept
+    for the _MEMO_COLORS // prod(qs) most recently used, and an id outside
+    [1, id_space] is refused on its miss.
     """
     depth = len(qs) - 1
-    # palette indices spanned by one alpha at each level
-    strides = [qs[-1] * math.prod(qs[i + 1 :]) for i in range(depth + 1)]
+    # alpha paths below each level, and the palette indices spanned by one alpha
+    paths = [math.prod(qs[i:]) for i in range(depth + 2)]
+    strides = [qs[-1] * paths[i + 1] for i in range(depth + 1)]
+    # the index offset of every path: alpha * stride of each level's alpha,
+    # and the last level's 1 + alpha * q_ell in its evaluation's fields
+    offsets = []
+    for i in range(depth):
+        per_path = [a * strides[i] for a in range(qs[i]) for _ in range(paths[i + 1])]
+        offsets.append(PackedWords.pack(per_path, 4).value)
+    last, last_width = qs[-1], _power_table(qs[-1], ds[-1])[-1]
+    offsets.append(PackedWords.pack(range(1, last * last, last), last_width).value)
 
-    def leaves(level: int, value: int) -> tuple[int, ...]:
-        q, stride = qs[level], strides[level]
-        # base-q digits, highest first; TowerParams ensures value < q^(d+1)
-        digits = [value // q**k % q for k in range(ds[level], -1, -1)]
-        out: list[int] = []
-        for alpha in range(q):
-            acc = 0
-            for c in digits:
-                acc = acc * alpha + c  # Horner, reduced once below
-            if level == depth:
-                out.append(alpha * stride + acc % q + 1)
-            else:
-                base = alpha * stride
-                out.extend([base + t for t in subtree(level + 1, acc % q)])
-        return tuple(out)
+    def leaves(level: int, value: int) -> tuple[bytes, bytes]:
+        # TowerParams ensures value < q^(d+1)
+        q = qs[level]
+        acc, width = _evaluate(q, ds[level], value)
+        if level == depth:
+            size = q * width
+            betas = _low_bytes(acc.to_bytes(size, "little"), width, beta_width)
+            return _low_bytes((acc + offsets[level]).to_bytes(size, "little"), width, 4), betas
+        values = _words(acc.to_bytes(q * width, "little"))[:: width // 4]
+        subs = [subtree(level + 1, v) for v in values]
+        colors = int.from_bytes(b"".join([c for c, _ in subs]), "little") + offsets[level]
+        return colors.to_bytes(4 * paths[level], "little"), b"".join([b for _, b in subs])
 
-    def free(x: int) -> tuple[int, ...]:
+    def free(x: int) -> tuple[tuple[int, ...], int]:
         if not 1 <= x <= id_space:
             raise InvalidParams(f"id {x} outside [1, {id_space}]")
-        return leaves(0, x - 1)
+        colors, betas = leaves(0, x - 1)
+        return tuple(_words(colors).tolist()), int.from_bytes(betas, "little")
 
     subtree = lru_cache(maxsize=None)(leaves)
     return lru_cache(_MEMO_COLORS // math.prod(qs))(free)
@@ -260,17 +358,23 @@ def tower_color_indices(view: OneHopView, params: TowerParams) -> tuple[int, ...
 
     The exclusion rule M(x) minus the union of M(y) over the neighbors y: a
     neighbor whose value equals the node's at some level keeps it equal down
-    the rest of the tower, so it blocks exactly the colors it shares with M(x).
-    M(x) is ascending, and filtering it keeps that order.
+    the rest of the tower, so it blocks exactly the alpha paths where its
+    beta equals the node's. Per neighbor one zero test on the packed betas
+    finds them all: a field of ((mine ^ theirs) | guards) - ones keeps its
+    guard bit exactly when the two betas differ. M(x) is ascending, and
+    compressing it by the surviving guard bits keeps that order.
     """
     nbrs = view.neighbors
     if len(nbrs) > params.max_degree:
         raise InvalidParams(f"view degree {len(nbrs)} exceeds the bound {params.max_degree}")
     free = params._free_colors  # refuses ids outside the id space
-    own = free(view.node_id)
-    kept = set(own)
-    kept.difference_update(*map(free, nbrs))
-    return tuple(filter(kept.__contains__, own))
+    own, mine = free(view.node_id)
+    guards, ones, width = params._beta_masks
+    alive = guards
+    for y in nbrs:
+        alive &= ((mine ^ free(y)[1]) | guards) - ones
+    tops = alive.to_bytes(width * len(own), "little")[width - 1 :: width]
+    return tuple(compress(own, tops))
 
 
 def tower_colors(view: OneHopView, params: TowerParams) -> frozenset[tuple[int, ...]]:

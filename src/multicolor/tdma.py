@@ -52,10 +52,27 @@ class TdmaSchedule:
         object.__setattr__(self, "slots", slots)
 
 
+def _unchecked_schedule(m: Multicoloring, meta: dict) -> TdmaSchedule:
+    """TdmaSchedule(m.palette_size, m.assignment, meta) without __post_init__'s normalizer.
+
+    Only for to_schedule: a Multicoloring already holds every node's colors
+    as a strictly increasing tuple within [1, palette_size], and its palette
+    size, at least 1, is the frame length, so normalizing them again would
+    change nothing. Every other caller goes through the checked constructor.
+    """
+    schedule = object.__new__(TdmaSchedule)
+    fields = schedule.__dict__
+    fields["frame_length"] = m.palette_size
+    fields["slots"] = dict(m.assignment)
+    fields["meta"] = meta
+    return schedule
+
+
 def to_schedule(m: Multicoloring, g: Graph) -> TdmaSchedule:
     """Convert a coloring to a schedule after checking disjointness again.
 
-    The schedule's slots are the coloring's tuples themselves.
+    The schedule's slots are the coloring's tuples themselves, taken
+    without a second normalizing pass.
     """
     violations, count = _conflicts(g, m)
     if count:
@@ -71,11 +88,7 @@ def to_schedule(m: Multicoloring, g: Graph) -> TdmaSchedule:
         "seed": params.pop("seed", None),
         "params": params,
     }
-    return TdmaSchedule(
-        frame_length=m.palette_size,
-        slots=m.assignment,
-        meta=meta,
-    )
+    return _unchecked_schedule(m, meta)
 
 
 @dataclass(frozen=True)

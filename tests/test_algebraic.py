@@ -29,6 +29,7 @@ from multicolor import (
 )
 from multicolor import algebraic
 from multicolor.algebraic import _iroot_ceil
+from multicolor.graph import _unchecked_view
 from multicolor.algebraic import (
     _MAX_PALETTE,
     _MEMO_COLORS,
@@ -364,6 +365,107 @@ def test_memo_stays_within_its_budget_under_eviction():
         assert memo.cache_info().currsize <= limit
     fresh = choose_tower(10**6, 8, depth=1)  # the memo is no part of the value
     assert (p, hash(p), repr(p)) == (fresh, hash(fresh), repr(fresh))
+
+
+# -- packed kernels against their loop oracles -------------------------------
+
+
+def horner_free_colors(params, x):
+    """Loop oracle of M(x): one Horner evaluation per alpha, level by level,
+    each leaf the 1-based mixed-radix index of (alpha_0..alpha_ell, beta_x)."""
+    qs, ds = params.qs, params.ds
+    strides = [qs[-1] * math.prod(qs[i + 1 :]) for i in range(params.depth + 1)]
+
+    def leaves(level, value):
+        q = qs[level]
+        coeffs = digits(value, q, ds[level])
+        out = []
+        for alpha in range(q):
+            beta = horner(coeffs, alpha, q)
+            if level == params.depth:
+                out.append(alpha * strides[level] + beta + 1)
+            else:
+                out += [alpha * strides[level] + t for t in leaves(level + 1, beta)]
+        return out
+
+    return tuple(leaves(0, x - 1))
+
+
+def set_difference_rule(view, params):
+    """Loop oracle of the exclusion: M(x) minus the union of the neighbors' M(y), as sets."""
+    own = horner_free_colors(params, view.node_id)
+    kept = set(own).difference(*(horner_free_colors(params, y) for y in view.neighbors))
+    return tuple(filter(kept.__contains__, own))
+
+
+def packed_fields(packed, count, width):
+    """The count width-byte fields of a packed int, least significant first."""
+    raw = packed.to_bytes(count * width, "little")
+    return [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
+
+
+def evaluated(q, d, value):
+    """algebraic._evaluate's packed values, unpacked."""
+    packed, width = algebraic._evaluate(q, d, value)
+    assert width % 4 == 0
+    return packed_fields(packed, q, width)
+
+
+@pytest.mark.parametrize("q, d", [(2, 1), (2, 4), (3, 2), (5, 3), (7, 1), (7, 3), (13, 2)])
+def test_packed_evaluation_equals_horner_at_every_value(q, d):
+    for value in range(q ** (d + 1)):
+        coeffs = digits(value, q, d)
+        assert evaluated(q, d, value) == [horner(coeffs, a, q) for a in range(q)]
+
+
+@pytest.mark.parametrize("q", [257, 809, 3163])
+def test_packed_evaluation_equals_horner_above_a_byte(q):
+    rng = random.Random(q)
+    for d in range(1, 7):
+        # the largest value, all digits q - 1, gives every field its largest sum
+        for value in [q ** (d + 1) - 1] + [rng.randrange(q ** (d + 1)) for _ in range(10)]:
+            coeffs = digits(value, q, d)
+            assert evaluated(q, d, value) == [horner(coeffs, a, q) for a in range(q)]
+
+
+RULE_TOWERS = {
+    "N30-D3": (30, 3, 0),
+    "N1e6-D16": (10**6, 16, 0),
+    "N1e6-D64": (10**6, 64, 0),  # q = 257: two-byte beta fields
+    "N1e6-D8-depth1": (10**6, 8, 1),
+    "N1e7-D2-depth2": (10**7, 2, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RULE_TOWERS))
+def test_packed_rule_equals_the_set_difference_oracle(name):
+    id_space, max_degree, depth = RULE_TOWERS[name]
+    p = choose_tower(id_space, max_degree, depth)
+    assert p.depth == depth
+    width = p._beta_masks[2]
+    assert width == (2 if p.qs[-1] > 128 else 1)
+    rng = random.Random(name)
+    for _ in range(12 if max_degree > 16 else 40):
+        ids = rng.sample(range(1, id_space + 1), rng.randrange(1, max_degree + 2))
+        view = OneHopView(ids[0], frozenset(ids[1:]))
+        assert tower_color_indices(view, p) == set_difference_rule(view, p)
+        colors, betas = p._free_colors(view.node_id)
+        assert colors == horner_free_colors(p, view.node_id)
+        q = p.qs[-1]
+        assert packed_fields(betas, len(colors), width) == [(c - 1) % q for c in colors]
+
+
+@pytest.mark.parametrize("shape", [(100, 2, 0), (10**6, 64, 0), (10**6, 8, 1)], ids=str)
+def test_out_of_range_ids_are_refused_as_own_id_and_as_neighbor(shape):
+    p = choose_tower(*shape)
+    n = p.id_space
+    tower_color_indices(OneHopView(1, frozenset({2})), p)  # the memo is warm
+    # unchecked views: OneHopView itself refuses an id below 1
+    for bad in (0, n + 1):
+        with pytest.raises(InvalidParams, match=f"id {bad} outside"):
+            tower_color_indices(_unchecked_view(bad, frozenset({1})), p)
+        with pytest.raises(InvalidParams, match=f"id {bad} outside"):
+            tower_color_indices(_unchecked_view(1, frozenset({2, bad})), p)
 
 
 def test_count_never_falls_below_the_guarantee():
