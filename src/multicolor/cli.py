@@ -65,7 +65,7 @@ def cmd_run(args) -> int:
     }
     coloring, trace = simulator.run_one_shot(g, args.algo, seed, **opts)
     Path(args.output).write_text(coloring_to_json(coloring))
-    report = verifier.verify(g, coloring, eps=args.eps if args.algo in ("randomized", "shared-order") else None)
+    report = verifier.verify(g, coloring, eps=coloring.params.get("epsilon"))
     if args.report:
         Path(args.report).write_text(
             json.dumps(report.summary(), indent=2, sort_keys=True) + "\n"

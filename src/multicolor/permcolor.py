@@ -31,8 +31,8 @@ sieve's subtraction on the same packed keys, read through the memo, so one
 rule decides both. On failure the family is resampled from the next
 derived seed rather than grown.
 
-Both constructions return a node's colors as an ascending tuple, decoded
-from the sieve's guard bits in palette order.
+Both hand the sieve envelopes of one width, so nothing is repacked, and it
+returns a node's colors as an ascending tuple, decoded in palette order.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from __future__ import annotations
 import math
 import random
 import sys
-from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -111,10 +110,10 @@ def shared_palette_size(id_space, max_degree: int, eps, factor: int = 1) -> int:
 
 @dataclass(frozen=True)
 class RandomDraws:
-    """One node's private draws or public order keys; draws[i-1] competes for color i."""
+    """generate_draws' result: one node's k private draws; draws[i-1] competes for color i."""
 
     node_id: int
-    draws: Sequence[int]
+    draws: PackedWords
 
 
 def _field_width(bits: int) -> int:
@@ -147,8 +146,8 @@ class PackedWords(Sequence):
     fields against another node's with one subtraction. Values of up to
     bits bits take bits // 8 + 1 bytes each, not 8: CPython keeps 30 bits
     in 4 bytes, so an 8-byte field costs 8.53 B. The values can be read as
-    from a tuple; two packings of the same values are equal whatever their
-    widths.
+    from a tuple; two packed words are equal when their width, length and
+    value are.
     """
 
     __slots__ = ("value", "length", "width")
@@ -162,23 +161,17 @@ class PackedWords(Sequence):
     def pack(cls, values: Sequence[int], width: int | None = None) -> PackedWords:
         """values in fields of width bytes, by default the least that fits them.
 
-        Packed words keep their width unless another is given. Every value
-        must be below 2**(8*width - 1), which leaves its guard bit.
+        Every value must be below 2**(8*width - 1), leaving its guard bit
+        free, or InvalidParams is raised. Runs cut draws and keys packed.
         """
-        if isinstance(values, PackedWords):
-            if width in (None, values.width):
-                return values
-            values = values.tolist()
+        top = max(values, default=0)
+        least = _field_width(top.bit_length())
         if width is None:
-            width = _field_width(max(values, default=0).bit_length())
-        if width > 8:
-            raw = b"".join(v.to_bytes(width, "little") for v in values)
-            return cls(int.from_bytes(raw, "little"), len(raw) // width, width)
-        words = array("Q", values)
-        if sys.byteorder == "big":
-            words.byteswap()
-        fields = _respread(words.tobytes(), 8, width, width)
-        return cls(int.from_bytes(fields, "little"), len(words), width)
+            width = least
+        elif least > width:
+            raise InvalidParams(f"value {top} leaves no guard bit in {width}-byte fields")
+        raw = b"".join(v.to_bytes(width, "little") for v in values)
+        return cls(int.from_bytes(raw, "little"), len(values), width)
 
     def tolist(self) -> list[int]:
         w = self.width
@@ -207,7 +200,9 @@ class PackedWords(Sequence):
     def __len__(self) -> int:
         return self.length
 
-    def __getitem__(self, index: int) -> int:
+    def __getitem__(self, index: int | slice):
+        if isinstance(index, slice):
+            return self.tolist()[index]
         i = range(self.length)[index]  # negative from the end; IndexError out of range
         return (self.value >> 8 * self.width * i) & ((1 << 8 * self.width - 1) - 1)
 
@@ -217,12 +212,10 @@ class PackedWords(Sequence):
     def __eq__(self, other):
         if not isinstance(other, PackedWords):
             return NotImplemented
-        if self.width == other.width:
-            return self.length == other.length and self.value == other.value
-        return self.tolist() == other.tolist()
+        return (self.width, self.length, self.value) == (other.width, other.length, other.value)
 
     def __hash__(self) -> int:
-        return hash(tuple(self.tolist()))
+        return hash((self.width, self.length, self.value))
 
     def __repr__(self) -> str:
         return f"PackedWords.pack({self.tolist()!r}, width={self.width})"
@@ -285,35 +278,36 @@ def _palette_ids(k: int) -> tuple[int, ...]:
 
 
 def select_colors(
-    own: RandomDraws,
-    neighbors: tuple[RandomDraws, ...],
+    own: simulator.NodeEnvelope,
+    neighbors: tuple[simulator.NodeEnvelope, ...],
     tie_break_by_id: bool = False,
 ) -> tuple[int, ...]:
-    """Colors where own draw is strictly below every neighbor draw, ascending.
+    """Colors where own value is strictly below every neighbor's, ascending.
 
-    On an exact tie nobody takes the color, unless tie_break_by_id is set, in
-    which case the smallest node id among the tied minimum wins. The draws
-    are compared as PackedWords of one common width, all k colors against
-    one neighbor in one subtraction: a field of (theirs | guards) - mine
-    keeps its guard bit exactly when mine <= theirs, and - (mine + ones)
-    exactly when mine < theirs.
+    Envelopes of one width: all bits are PackedWords of own's length and
+    width, or InvalidParams is raised. On an exact tie nobody takes the
+    color, unless tie_break_by_id is set; then the smallest id among the
+    tied minimum wins. One subtraction compares all k colors with one
+    neighbor: a field of (theirs | guards) - mine keeps its guard bit
+    exactly when mine <= theirs, and - (mine + ones) when mine < theirs.
     """
-    k = len(own.draws)
-    for nb in neighbors:
-        if len(nb.draws) != k:
-            raise InvalidParams(
-                f"draw count mismatch: node {nb.node_id} has {len(nb.draws)}, expected {k}"
-            )
-    packed = [PackedWords.pack(d) for d in (own.draws, *(nb.draws for nb in neighbors))]
-    width = max(p.width for p in packed)
-    mine, *theirs = (PackedWords.pack(p, width).value for p in packed)
+    words = own.bits
+    if not isinstance(words, PackedWords):
+        raise InvalidParams(f"node {own.node_id} sent {type(words).__name__} bits, not packed words")
+    k, width = words.length, words.width
     guards, ones = _field_masks(k, width)
+    mine = words.value
     beaten = mine + ones
     alive = guards
-    for nb, t in zip(neighbors, theirs):
+    for nb in neighbors:
+        theirs = nb.bits
+        if not isinstance(theirs, PackedWords) or (theirs.length, theirs.width) != (k, width):
+            raise InvalidParams(
+                f"node {nb.node_id}'s bits are not {k} packed words of {width} bytes"
+            )
         # a tie with a larger id keeps the color
         keeps_ties = tie_break_by_id and own.node_id < nb.node_id
-        alive &= (t | guards) - (mine if keeps_ties else beaten)
+        alive &= (theirs.value | guards) - (mine if keeps_ties else beaten)
     tops = alive.to_bytes(width * k, "little")[width - 1 :: width]
     return tuple(compress(_palette_ids(k), tops))
 
@@ -341,9 +335,7 @@ def _build_randomized(g: Graph, max_degree: int, eps=0.5, tie_break_by_id=False)
         return generate_draws(node_id, k, n, seed).draws
 
     def compute(own, received) -> tuple[int, ...]:
-        own_draws = RandomDraws(own.node_id, own.bits)
-        nbr_draws = tuple(RandomDraws(e.node_id, e.bits) for e in received)
-        return select_colors(own_draws, nbr_draws, tie_break_by_id)
+        return select_colors(own, received, tie_break_by_id)
 
     return simulator.NodeProgram(
         name="randomized",
@@ -449,9 +441,9 @@ class OrderFamily:
         # no comprehension in this method reads its locals: on CPython 3.11 those
         # become closure cells, set up on every call, cached ones too
         if self._keys is None:
-            # packed keys pack to themselves: the ids the memo keeps share its ints
+            # keys are cut in 5-byte fields: the ids the memo keeps share its ints
             ids = range(1, self.id_space + 1)
-            self._keys = [PackedWords.pack(keys, 5).value for keys in map(self.keys, ids)]
+            self._keys = [keys.value for keys in map(self.keys, ids)]
         guards, ones = _field_masks(self.k, 5)
         raised = self._keys[x - 1] | guards
         row = []
@@ -482,7 +474,8 @@ class OrderFamily:
 
 def select_by_orders(view: OneHopView, family: OrderFamily) -> tuple[int, ...]:
     """Colors whose order ranks the node before all of its neighbors, ascending."""
-    own, *nbrs = (RandomDraws(x, family.keys(x)) for x in (view.node_id, *view.neighbors))
+    ids = (view.node_id, *view.neighbors)
+    own, *nbrs = (simulator.NodeEnvelope(x, family.keys(x)) for x in ids)
     return select_colors(own, tuple(nbrs), tie_break_by_id=True)
 
 

@@ -3,17 +3,37 @@
 import importlib.util
 from pathlib import Path
 
-from multicolor import permcolor
+import pytest
+
+from multicolor import gnp_graph, permcolor, simulator
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 
-def test_every_traced_point_exists():
+def load_tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_every_traced_point_exists():
+    tracing = load_tracing()
     for module, attribute, _, _ in tracing.POINTS:
         assert hasattr(module, attribute), f"{module.__name__}.{attribute}"
+
+
+@pytest.mark.parametrize("algorithm", simulator.registered_algorithms())
+def test_traced_counts_read_the_real_return_values(algorithm):
+    """The tracer counts draws off generate_draws' result (k per node) and
+    messages off run_one_shot's trace (one per edge end)."""
+    g = gnp_graph(10, 0.3, 20, seed=4)
+    assert g.edge_count() > 0
+    tracer = load_tracing().Tracer()
+    coloring, _ = tracer.run("t", "root", lambda: simulator.run_one_shot(g, algorithm, 3))
+    draws = coloring.palette_size * g.n if algorithm == "randomized" else 0
+    assert tracer.last_counts.get("permcolor.draws", 0) == draws
+    assert tracer.last_counts["simulator.messages"] == 2 * g.edge_count()
 
 
 def test_order_family_keeps_what_the_benchmark_reads():

@@ -15,7 +15,6 @@ from multicolor import (
     InvalidParams,
     NodeEnvelope,
     OneHopView,
-    RandomDraws,
     TooLarge,
     OrderFamily,
     certified_family,
@@ -43,7 +42,7 @@ from multicolor.permcolor import (
     min_colors_required,
 )
 from multicolor.rng import keyed_rng
-from multicolor.simulator import run_one_shot
+from multicolor.simulator import build_program, replay_view, run_one_shot
 from multicolor.verifier import nbr_vertex_count as neighborhood_view_count
 from test_acceptance import capped_graph
 
@@ -151,7 +150,7 @@ def test_draws_equal_one_getrandbits_per_color(k, n, bits):
         assert isinstance(draws, PackedWords) and len(draws) == k
         assert draws.width == width
         assert draws.value & guards == 0
-    own, *nbs = (RandomDraws(v, generate_draws(v, k, n, 3).draws) for v in range(1, 6))
+    own, *nbs = (NodeEnvelope(v, generate_draws(v, k, n, 3).draws) for v in range(1, 6))
     for tie_break in (False, True):
         assert select_colors(own, tuple(nbs), tie_break) == column_min_selection(own, nbs, tie_break)
 
@@ -177,47 +176,77 @@ def test_draws_domain_checks():
         generate_draws(1, 5, 0, seed=0)
 
 
+# -- packed words ------------------------------------------------------------
+
+
+def test_pack_refuses_a_value_wider_than_its_field():
+    # 300 wrapped to 44 in one byte
+    with pytest.raises(InvalidParams):
+        PackedWords.pack([300], 1)
+
+
+def test_pack_refuses_a_value_on_the_guard_bit():
+    # 200 set the top bit of its byte, which the sieve needs free
+    with pytest.raises(InvalidParams):
+        PackedWords.pack([200], 1)
+    assert list(PackedWords.pack([127], 1)) == [127]
+    assert PackedWords.pack([200]).width == 2
+
+
+def test_packed_words_slice_as_a_list_does():
+    words = PackedWords.pack([1, 2, 3])
+    assert words[0:2] == [1, 2]
+    assert words[::-1] == [3, 2, 1]
+    assert words[5:] == []
+    assert words[-1] == 3
+
+
 # -- strict-minimum selection ------------------------------------------------
 
 
+def sent(node_id, values, width=1):
+    """node_id's envelope, its values packed in fields of width bytes, as a run sends it."""
+    return NodeEnvelope(node_id, PackedWords.pack(values, width))
+
+
 def test_select_colors_worked_example():
-    own = RandomDraws(1, (2, 9, 4))
-    u = RandomDraws(2, (5, 1, 7))
-    w = RandomDraws(3, (3, 8, 8))
+    own = sent(1, (2, 9, 4))
+    u = sent(2, (5, 1, 7))
+    w = sent(3, (3, 8, 8))
     assert select_colors(own, (u, w)) == (1, 3)
 
 
 def test_select_colors_no_neighbors_takes_everything():
-    own = RandomDraws(1, (5, 5, 5))
+    own = sent(1, (5, 5, 5))
     assert select_colors(own, ()) == (1, 2, 3)
 
 
 def test_ties_waste_the_color_on_both_sides():
-    u = RandomDraws(1, (5, 2))
-    v = RandomDraws(2, (5, 9))
+    u = sent(1, (5, 2))
+    v = sent(2, (5, 9))
     assert select_colors(u, (v,)) == (2,)
     assert select_colors(v, (u,)) == ()
 
 
 def test_tie_break_by_id_awards_the_smaller_id():
-    u = RandomDraws(1, (5,))
-    v = RandomDraws(2, (5,))
+    u = sent(1, (5,))
+    v = sent(2, (5,))
     assert select_colors(u, (v,), tie_break_by_id=True) == (1,)
     assert select_colors(v, (u,), tie_break_by_id=True) == ()
 
 
 def test_tie_break_only_applies_to_the_tied_minimum():
     # neighbor 3 ties the minimum, neighbor 2 is above it
-    own = RandomDraws(5, (4,))
-    below = RandomDraws(3, (4,))
-    above = RandomDraws(2, (8,))
+    own = sent(5, (4,))
+    below = sent(3, (4,))
+    above = sent(2, (8,))
     assert select_colors(own, (below, above), tie_break_by_id=True) == ()
     assert select_colors(below, (own, above), tie_break_by_id=True) == (1,)
 
 
 def test_select_colors_rejects_length_mismatch():
     with pytest.raises(InvalidParams):
-        select_colors(RandomDraws(1, (1, 2)), (RandomDraws(2, (1,)),))
+        select_colors(sent(1, (1, 2)), (sent(2, (1,)),))
 
 
 draws_strategy = st.lists(
@@ -229,8 +258,8 @@ draws_strategy = st.lists(
 @given(draws_strategy, draws_strategy, st.booleans())
 def test_two_node_partition_identity(du, dv, tie_break):
     """On an edge the two selections are disjoint and |S_u|+|S_v| = k - ties."""
-    u = RandomDraws(1, tuple(du))
-    v = RandomDraws(2, tuple(dv))
+    u = sent(1, du)
+    v = sent(2, dv)
     su = select_colors(u, (v,), tie_break)
     sv = select_colors(v, (u,), tie_break)
     assert set(su).isdisjoint(sv)
@@ -244,41 +273,24 @@ def test_two_node_partition_identity(du, dv, tie_break):
 def column_min_selection(own, neighbors, tie_break_by_id):
     """The strict-minimum rule, one color column at a time, colors ascending."""
     if not neighbors:
-        return tuple(range(1, len(own.draws) + 1))
+        return tuple(range(1, len(own.bits) + 1))
     won = []
-    columns = zip(own.draws, *(nb.draws for nb in neighbors))
+    columns = zip(own.bits, *(nb.bits for nb in neighbors))
     for i, col in enumerate(columns, start=1):
         own_d = col[0]
         m = min(islice(col, 1, None))
         if own_d < m:
             won.append(i)
         elif tie_break_by_id and own_d == m:
-            tied = [nb.node_id for nb in neighbors if nb.draws[i - 1] == m]
+            tied = [nb.node_id for nb in neighbors if nb.bits[i - 1] == m]
             if all(own.node_id < t for t in tied):
                 won.append(i)
     return tuple(won)
 
 
-@settings(max_examples=300)
-@given(
-    st.integers(1, 8),
-    st.lists(st.integers(1, 8), max_size=5),
-    st.integers(1, 12),
-    st.booleans(),
-    st.data(),
-)
-def test_sieve_equals_the_column_minimum(own_id, nb_ids, k, tie_break, data):
-    # draws from {1, 2, 3}, so ties are common; ids may even repeat
-    draws = st.lists(st.integers(1, 3), min_size=k, max_size=k).map(tuple)
-    own = RandomDraws(own_id, data.draw(draws))
-    nbs = tuple(RandomDraws(v, data.draw(draws)) for v in nb_ids)
-    assert select_colors(own, nbs, tie_break) == column_min_selection(own, nbs, tie_break)
-
-
 # values at the guard edges: the top bit of an 8-byte field, the largest
-# array('Q') word, and a value that needs 9-byte fields
+# 8-byte word, and a value that needs 9-byte fields
 EDGE_VALUES = (0, 1, 2, 3, 2**63 - 2, 2**63 - 1, 2**63, 2**64 - 1, 2**70)
-HOLDERS = ("tuple", "array", "packed", "wider")
 
 
 def edge_words(k):
@@ -286,36 +298,52 @@ def edge_words(k):
     return small | st.lists(st.sampled_from(EDGE_VALUES), min_size=k, max_size=k)
 
 
-def held(values, holder):
-    """values as a tuple, an array('Q') where they fit one, or packed words
-    at the least width or two bytes wider."""
-    if holder == "array" and max(values, default=0) < 2**64:
-        return array("Q", values)
-    if holder in ("packed", "wider"):
-        packed = PackedWords.pack(values)
-        return PackedWords.pack(values, packed.width + 2 * (holder == "wider"))
-    return tuple(values)
-
-
 @settings(max_examples=300)
 @given(
     st.integers(1, 8),
-    st.lists(st.tuples(st.integers(1, 8), st.sampled_from(HOLDERS)), max_size=5),
+    st.lists(st.integers(1, 8), max_size=5),
     st.integers(1, 12),
-    st.sampled_from(HOLDERS),
+    st.integers(0, 2),
     st.booleans(),
     st.data(),
 )
-def test_array_draws_act_as_tuple_draws(own_id, nbs, k, own_holder, tie_break, data):
-    """The sieve sees only the values, whatever holds them and at whatever width."""
-    own = RandomDraws(own_id, tuple(data.draw(edge_words(k))))
-    theirs = tuple(RandomDraws(v, tuple(data.draw(edge_words(k)))) for v, _ in nbs)
-    mixed = select_colors(
-        RandomDraws(own_id, held(own.draws, own_holder)),
-        tuple(RandomDraws(nb.node_id, held(nb.draws, h)) for nb, (_, h) in zip(theirs, nbs)),
-        tie_break,
-    )
-    assert mixed == column_min_selection(own, theirs, tie_break)
+def test_sieve_equals_the_column_minimum(own_id, nb_ids, k, extra, tie_break, data):
+    """Values from {0, 1, 2, 3}, so ties are common, or next to a field's guard
+    bit, packed at the least width that holds the neighborhood's or wider;
+    ids may even repeat."""
+    rows = [data.draw(edge_words(k)) for _ in range(1 + len(nb_ids))]
+    width = max(PackedWords.pack(row).width for row in rows) + extra
+    own, *nbs = (sent(v, row, width) for v, row in zip((own_id, *nb_ids), rows))
+    assert select_colors(own, tuple(nbs), tie_break) == column_min_selection(own, nbs, tie_break)
+
+
+RESHAPED = {
+    "tuple": tuple,
+    "array": lambda words: array("Q", words),
+    "wider": lambda words: PackedWords.pack(words, words.width + 1),
+    "shorter": lambda words: PackedWords.pack(words[:-1], words.width),
+}
+
+
+@pytest.mark.parametrize("reshape", RESHAPED.values(), ids=RESHAPED)
+def test_sieve_refuses_bits_of_another_shape(reshape):
+    """The sieve reads envelopes of one width: tuple or array bits, or packed
+    words of another width or length, are refused, directly and through
+    replay_view."""
+    own = sent(1, (2, 9, 4))
+    other = NodeEnvelope(2, reshape(own.bits))
+    for node, neighbor in ((own, other), (other, own)):
+        with pytest.raises(InvalidParams):
+            select_colors(node, (neighbor,))
+    g = gnp_graph(12, 0.4, 30, seed=2)
+    program = build_program("randomized", g, seed=3)
+    coloring, trace = run_one_shot(g, program, seed=3)
+    v = next(v for v in g.node_ids() if trace.nodes[v].received)
+    received = trace.nodes[v].received
+    assert replay_view(g.view(v), received, program, seed=3) == coloring.assignment[v]
+    reshaped = tuple(NodeEnvelope(e.node_id, reshape(e.bits)) for e in received)
+    with pytest.raises(InvalidParams):
+        replay_view(g.view(v), reshaped, program, seed=3)
 
 
 @settings(max_examples=200)
@@ -331,7 +359,7 @@ def test_packed_payload_bytes_equal_the_counted_form(values, extra):
     the byte length of every value does."""
     packed = PackedWords.pack(values)
     packed = PackedWords.pack(values, packed.width + extra)
-    assert list(packed) == values and packed == PackedWords.pack(values)
+    assert list(packed) == values == list(PackedWords.pack(values))
     counted = NodeEnvelope(1, tuple(values)).payload_bytes()
     assert NodeEnvelope(1, packed).payload_bytes() == counted
     if max(values, default=0) < 2**64:
@@ -341,9 +369,9 @@ def test_packed_payload_bytes_equal_the_counted_form(values, extra):
 @settings(max_examples=100)
 @given(draws_strategy, draws_strategy, draws_strategy)
 def test_selection_is_monotone_under_neighbor_removal(do, da, db):
-    own = RandomDraws(1, tuple(do))
-    a = RandomDraws(2, tuple(da))
-    b = RandomDraws(3, tuple(db))
+    own = sent(1, do)
+    a = sent(2, da)
+    b = sent(3, db)
     assert set(select_colors(own, (a, b))) <= set(select_colors(own, (a,)))
 
 
@@ -451,7 +479,7 @@ def test_beats_row_is_the_key_order_with_ties(k, id_space, values, data):
         )
     )
     fam = OrderFamily(k, id_space, seed=0)
-    fam.keys = lambda x: table[x - 1]
+    fam.keys = lambda x: PackedWords.pack(table[x - 1], 5)
     ranks = ranks_of(fam)
     for x in range(1, id_space + 1):
         assert fam.beats_row(x) == [
@@ -511,7 +539,7 @@ def test_ids_outside_the_space_are_rejected():
 
 def test_forced_ties_go_to_the_smallest_id(monkeypatch):
     """With equal keys in every order, the (key, id) order is the id order."""
-    monkeypatch.setattr(OrderFamily, "keys", lambda self, x: [7] * self.k)
+    monkeypatch.setattr(OrderFamily, "keys", lambda self, x: PackedWords.pack([7] * self.k, 5))
     fam = OrderFamily(5, 6, seed=0)
     view = {2, 3, 5, 6}
     for x in view:
