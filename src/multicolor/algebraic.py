@@ -535,19 +535,27 @@ def weighted_color_indices(view: OneHopView, scheme: WeightedScheme) -> tuple[in
     Instance i owns the w_i * P_i slots after those of every instance t < i;
     copy j of its tower color c sits at offset_i + (j-1)*P_i + c. Instances
     and copies come in increasing offset, each an ascending run, so the
-    concatenation is ascending.
+    concatenation is ascending. An instance's kept indices are packed once
+    as 32-bit words (every index is below _MAX_PALETTE), a copy's offset is
+    added to all of them with one multiply-add, and the node's copies are
+    decoded together.
     """
     lo = scheme.lowest_instance(view.degree)
-    out: list[int] = []
+    copies: list[bytes] = []
     offset = 0
     for i, (inst, w) in enumerate(zip(scheme.instances, scheme.weights), start=1):
         size = inst.palette_size
         if i >= lo:
-            kept = tower_color_indices(view, inst)
+            kept = array("I", tower_color_indices(view, inst))
+            if sys.byteorder == "big":
+                kept.byteswap()
+            base = int.from_bytes(kept, "little")
+            # a 1 in each word; the kept count varies by node, so it is not cached
+            ones = int.from_bytes(b"\x01\x00\x00\x00" * len(kept), "little")
             for shift in range(offset, offset + w * size, size):
-                out += map(shift.__add__, kept)
+                copies.append((base + shift * ones).to_bytes(4 * len(kept), "little"))
         offset += w * size
-    return tuple(out)
+    return tuple(_words(b"".join(copies)).tolist())
 
 
 def _build_weighted(g: Graph, max_degree: int, eps=0.5, depth=0, slack=2):

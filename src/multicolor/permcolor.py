@@ -7,29 +7,30 @@ the top bit of each field free, so the sieve compares all k positions
 against one neighbor with one big-int subtraction (Lamport, "Multiple byte
 processing with full-word instructions", CACM 1975).
 
-Randomized: every node privately draws k numbers uniform on [0, 2^b), b the
-bit length of k*n^4, and takes the colors where its draw is strictly
-smallest among its neighborhood. Two draws tie with probability 2^-b, below
-1/(k*n^4) since 2^(b-1) <= k*n^4 < 2^b, which is all the paper's w.h.p.
-bound asks of them. Ties waste the color on both sides (kept, since they are
-rare by design); an optional flag breaks ties toward the smaller id instead.
-Draw i is the i-th getrandbits(b) value of the node's keyed stream, all k
-cut from one read of it with no rejection, in fields of b // 8 + 1 bytes;
-they travel packed from the cut through the envelope to the sieve. A run of
-more than _MAX_DRAWS draws in all is refused before the first one is made.
+Randomized: every node privately draws k numbers and takes the colors where
+its draw is strictly smallest among its neighborhood. With b the bit length
+of k*n^4, a draw is a whole field of w = b // 8 + 1 bytes of the node's
+keyed stream with its top bit cleared, uniform on [0, 2^(8w-1)); all k come
+from one read of the stream with no rejection. Since 8w - 1 >= b, two draws
+tie with probability at most 2^-b, below 1/(k*n^4) as 2^(b-1) <= k*n^4,
+which is all the paper's w.h.p. bound asks of them. Ties waste the color on
+both sides (kept, since they are rare by design); an optional flag breaks
+ties toward the smaller id instead. The draws travel packed from the cut
+through the envelope to the sieve. A run of more than _MAX_DRAWS draws in
+all is refused before the first one is made.
 
 Shared-order: the randomized rule on public keys. All nodes know k seeded
 global orders of the id space, order i ranking id x by (keys(x)[i], x) where
-keys(x) are k 32-bit words of x's keyed stream, packed in 5-byte fields; a
-node computes the keys of its view from the ids and takes color i when it
-precedes all its neighbors in order i. A family memoizes the keys it
-cuts, up to _KEY_MEMO_BYTES (16 MB) of them, so a run cuts each id's keys
-once rather than once per view that holds the id. Whether a concrete
-family serves every possible one-hop view up to degree Delta can be
-certified exhaustively; the certificate's precedence rows come from the
-sieve's subtraction on the same packed keys, read through the memo, so one
-rule decides both. On failure the family is resampled from the next
-derived seed rather than grown.
+keys(x) are k 39-bit values cut from x's keyed stream as draws are, in
+whole 5-byte fields; a node computes the keys of its view from the ids and
+takes color i when it precedes all its neighbors in order i. A family
+memoizes the keys it cuts, up to _KEY_MEMO_BYTES (16 MB) of them, so a run
+cuts each id's keys once rather than once per view that holds the id.
+Whether a concrete family serves every possible one-hop view up to degree
+Delta can be certified exhaustively; the certificate's precedence rows come
+from the sieve's subtraction on the same packed keys, read through the
+memo, so one rule decides both. On failure the family is resampled from
+the next derived seed rather than grown.
 
 Both hand the sieve envelopes of one width, so nothing is repacked, and it
 returns a node's colors as an ascending tuple, decoded in palette order.
@@ -119,14 +120,6 @@ class RandomDraws:
 def _field_width(bits: int) -> int:
     """Bytes a field takes for values below 2**bits, with its top bit free."""
     return bits // 8 + 1
-
-
-def _respread(raw: bytes, src: int, dst: int, lanes: int) -> bytearray:
-    """The low `lanes` bytes of each src-byte field of raw, in dst-byte fields."""
-    out = bytearray(len(raw) // src * dst)
-    for lane in range(lanes):
-        out[lane::dst] = raw[lane::src]
-    return out
 
 
 @lru_cache(maxsize=8)
@@ -221,47 +214,26 @@ class PackedWords(Sequence):
         return f"PackedWords.pack({self.tolist()!r}, width={self.width})"
 
 
-@lru_cache(maxsize=8)
-def _draw_masks(words: int, shift: int, count: int) -> tuple[int, int]:
-    """Masks over count groups of `words` 32-bit words, least significant first.
-
-    The first keeps each group's low words; the second keeps the top bits
-    of its last word that getrandbits(32*words - shift) would return.
-    """
-    size = 4 * words
-    low = ((1 << 32 * (words - 1)) - 1).to_bytes(size, "little")
-    top = (0xFFFFFFFF >> shift << shift << 32 * (words - 1)).to_bytes(size, "little")
-    return int.from_bytes(low * count, "little"), int.from_bytes(top * count, "little")
-
-
 def _cut_stream(rng: random.Random, bits: int, count: int) -> PackedWords:
-    """The next count getrandbits(bits) values of rng, from one read of it.
+    """count values in whole fields of w = bits // 8 + 1 bytes of one read of rng.
 
-    getrandbits(b) takes ceil(b/32) words of the stream, least significant
-    first, and keeps only the top bits of the last one; the masks do the same
-    to every group of the read at once, and whole words need none. The values
-    land in fields of bits // 8 + 1 bytes.
+    The read's bytes fill the fields in order. Clearing each field's top
+    bit, the sieve's guard, leaves values uniform on [0, 2^(8w-1)), and
+    8w - 1 >= bits.
     """
-    words = (bits + 31) // 32
-    shift = 32 * words - bits
-    cut = rng.getrandbits(32 * words * count)
-    if shift:
-        keep_low, keep_top = _draw_masks(words, shift, count)
-        cut = (cut & keep_low) | ((cut & keep_top) >> shift)
     width = _field_width(bits)
-    raw = cut.to_bytes(4 * words * count, "little")
-    fields = _respread(raw, 4 * words, width, (bits + 7) // 8)
-    return PackedWords(int.from_bytes(fields, "little"), count, width)
+    cut = rng.getrandbits(8 * width * count)
+    return PackedWords(cut ^ (cut & _field_masks(count, width)[0]), count, width)
 
 
 def generate_draws(node_id: int, k: int, n: int, seed: int) -> RandomDraws:
-    """Draw k values uniform on [0, 2^b) from the node's keyed stream.
+    """Draw k values uniform on [0, 2^(8w-1)) from the node's keyed stream.
 
-    b is the bit length of k*n^4, so two draws tie with probability 2^-b,
-    below 1/(k*n^4). Draw i is the i-th getrandbits(b) value of the stream,
-    and every value is kept: there is no rejection. The draws are packed in
-    fields of b // 8 + 1 bytes. No 1 is added to them: at b = 7 (mod 8) the
-    value 2^b would set the field's guard bit, which the sieve needs free.
+    b is the bit length of k*n^4 and w = b // 8 + 1, so 8w - 1 >= b and two
+    draws tie with probability at most 2^-b, below 1/(k*n^4). Draw i is the
+    i-th w-byte field of one getrandbits(8*w*k) read, its top bit cleared,
+    and every value is kept: there is no rejection. The top bit stays clear:
+    it is the field's guard bit, which the sieve needs free.
     """
     if k < 1:
         raise InvalidParams("palette size must be >= 1")
@@ -405,11 +377,12 @@ class OrderFamily:
         self._beats_row: list[int] | None = None
 
     def keys(self, x: int) -> PackedWords:
-        """keys(x)[i] is id x's key in order i: the i-th 32-bit word of its stream.
+        """keys(x)[i] is id x's key in order i: the i-th 5-byte field of its stream.
 
-        The words are cut as draws of 32 bits are, into 5-byte fields. The
-        first ids asked for keep theirs, up to _KEY_MEMO_BYTES in all, and
-        return the same object again.
+        The keys are cut as draws of 32 bits are: k whole 5-byte fields of
+        one read, top bits cleared, so 39-bit values. The first ids asked for
+        keep theirs, up to _KEY_MEMO_BYTES in all, and return the same
+        object again.
         """
         words = self._memo.get(x)
         if words is not None:

@@ -98,8 +98,8 @@ def test_draws_are_deterministic_and_in_range():
     b = generate_draws(17, 50, 20, seed=9)
     assert a == b
     assert len(a.draws) == 50
-    bits = (50 * 20**4).bit_length()
-    assert all(0 <= d < 2**bits for d in a.draws)
+    w = (50 * 20**4).bit_length() // 8 + 1
+    assert all(0 <= d < 2 ** (8 * w - 1) for d in a.draws)
     assert generate_draws(18, 50, 20, seed=9).draws != a.draws
     assert generate_draws(17, 50, 20, seed=10).draws != a.draws
 
@@ -109,13 +109,16 @@ def test_draws_fit_no_machine_word():
     k = randomized_palette_size(40_000, 8, 0.5)
     assert k * 40_000**4 > 2**64
     d = generate_draws(1, 4, 40_000, seed=0)
-    bits = (4 * 40_000**4).bit_length()
-    assert all(0 <= x < 2**bits for x in d.draws)
+    w = (4 * 40_000**4).bit_length() // 8 + 1
+    assert 8 * w - 1 > 64
+    assert all(0 <= x < 2 ** (8 * w - 1) for x in d.draws)
+    assert max(d.draws) >= 2**64
 
 
 def test_draws_monte_carlo_mean():
     d = generate_draws(5, 10**4, 10, seed=0)
-    half = (2 ** (10**4 * 10**4).bit_length() - 1) / 2
+    w = (10**4 * 10**4).bit_length() // 8 + 1
+    half = 2 ** (8 * w - 2)  # the mean of uniform [0, 2^(8w-1)), to within 1/2
     mean = sum(d.draws) / len(d.draws)
     assert abs(mean - half) / half < 0.05
 
@@ -138,14 +141,23 @@ def test_draws_monte_carlo_mean():
     ],
 )
 def test_draws_equal_one_getrandbits_per_color(k, n, bits):
+    """One getrandbits(8*w*k) read gives all k colors' draws: its w-byte
+    fields with the guard bits cleared."""
     assert (k * n**4).bit_length() == bits
     width = bits // 8 + 1
+    # a field holds 8w - 1 value bits, at least b: two draws tie with
+    # probability at most 2^-b, below 1/(k*n^4)
+    assert 8 * width - 1 >= bits and 2 ** (bits - 1) <= k * n**4
     guards, _ = _field_masks(k, width)
     for node_id, seed in ((1, 0), (17, 9)):
-        rng = keyed_rng(seed, "draws", node_id)
-        expected = tuple(rng.getrandbits(bits) for _ in range(k))
+        cut = keyed_rng(seed, "draws", node_id).getrandbits(8 * width * k) & ~guards
+        raw = cut.to_bytes(width * k, "little")
+        expected = tuple(
+            int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)
+        )
         draws = generate_draws(node_id, k, n, seed).draws
         assert tuple(draws) == expected
+        assert draws.value == cut
         # whole-byte fields, each with its top bit free, even at bits = 7 (mod 8)
         assert isinstance(draws, PackedWords) and len(draws) == k
         assert draws.width == width
@@ -157,7 +169,7 @@ def test_draws_equal_one_getrandbits_per_color(k, n, bits):
 
 def test_compact_draws_keep_8_bytes_a_draw():
     k = 2819  # the wide-ids palette: 1000 nodes, degree 16, eps 0.5
-    generate_draws(1, k, 1000, seed=0)  # fills _draw_masks' cache
+    generate_draws(1, k, 1000, seed=0)  # fills _field_masks' cache
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -462,8 +474,8 @@ def test_degree_zero_view_wins_every_order():
     assert select_by_orders(OneHopView(2, frozenset()), fam) == tuple(range(1, 7))
 
 
-# 2**32 - 1 is the largest key, just below a 5-byte field's guard bit
-EDGE_KEYS = (0, 1, 2**32 - 2, 2**32 - 1)
+# 2**39 - 1 is the largest key, just below a 5-byte field's guard bit
+EDGE_KEYS = (0, 1, 2**39 - 2, 2**39 - 1)
 
 
 @settings(max_examples=200)
@@ -489,9 +501,10 @@ def test_beats_row_is_the_key_order_with_ties(k, id_space, values, data):
 
 
 # SHA-256 of the repr of the 30 rows beats_row(1..30) of OrderFamily(436, 30, 5),
-# the family size of criterion 3, recorded when the rows were read from a rank
-# table built by k stable sorts.
-GOLDEN_BEATS_ROWS = "540a3f29db4494c81e25fc98d1c3f3f2be950aa1616ee71d1710196fabf6fc02"
+# the family size of criterion 3, first recorded when the rows were read from a
+# rank table built by k stable sorts; re-recorded when keys became whole 5-byte
+# fields of the stream, with the rows still checked against that rank table.
+GOLDEN_BEATS_ROWS = "5eed40a738136242b32ad83faf6b642ad6324635c9233805c1c861c439e08e6d"
 
 
 def test_beats_rows_are_byte_stable():
@@ -560,6 +573,22 @@ def test_selection_stores_no_rank_table():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 10**6
+
+
+def test_keys_are_whole_5_byte_fields_of_the_stream():
+    """keys(x) is one getrandbits(40 * k) read of x's stream in 5-byte fields,
+    guard bits cleared: 39-bit keys, cut as draws of 32 bits are."""
+    k = 37
+    fam = OrderFamily(k, 40, seed=3)
+    guards, _ = _field_masks(k, 5)
+    for x in (1, 2, 40):
+        cut = keyed_rng(3, "orders", x).getrandbits(40 * k) & ~guards
+        raw = cut.to_bytes(5 * k, "little")
+        keys = fam.keys(x)
+        assert (keys.width, keys.length, keys.value) == (5, k, cut)
+        assert list(keys) == [int.from_bytes(raw[i : i + 5], "little") for i in range(0, 5 * k, 5)]
+        assert all(key < 2**39 for key in keys)
+    assert max(max(fam.keys(x)) for x in range(1, 41)) >= 2**32
 
 
 def test_memoized_keys_are_the_fresh_cut():
@@ -720,14 +749,16 @@ def test_certified_family_passes_first_attempt_here():
 # each selection was a column minimum and the towers pruned a multi-value
 # descent. Shared-order was re-recorded when order i became the ranking of ids
 # by (keys(x)[i], x) in place of k shuffles, and randomized when draw i became
-# the i-th getrandbits(b) value of the node's stream, b the bit length of
-# k*n^4, in place of one randrange(1, k*n^4 + 1) call. Any change to the draw
-# stream, the orders or a selection rule shows here.
+# the i-th getrandbits(b) value of the node's stream in place of one
+# randrange(1, k*n^4 + 1) call. Both were re-recorded again when draws and
+# keys became the whole w-byte fields of one read of the stream, guard bits
+# cleared. Any change to the draw stream, the orders or a selection rule
+# shows here.
 GOLDEN_CRITERION_2 = {
     "algebraic-basic": "5d318e4e7c2ef3d6aeb266f3883e19392ed96b910f0bb81862a7fd094055f90a",
     "algebraic-weighted": "02737a25ae2c7d34d8aae95e45182978ac6ea35855c85946a9061dc2e865826a",
-    "randomized": "ca28107da515a0cdf6908d697625d92fe0ba1aaf02506dc71decd9a58afcc6df",
-    "shared-order": "aeddec2fa458529fa1d4242f1757717a7b57bf0cc677f4623f66993d96a74444",
+    "randomized": "42588eecbcdcd5795045c79068a24bc76721653aa739d6db3ac9f019d3abd6cb",
+    "shared-order": "421ae686c8435ea2b36f3801db0bcedb37a7e57c82b376e9b9e9baeb9e36a385",
 }
 
 
