@@ -29,7 +29,6 @@ from .graph import (
 )
 from .gf import next_prime
 from .permcolor import (
-    FamilyCertificate,
     OrderFamily,
     RandomDraws,
     certified_family,

@@ -155,7 +155,7 @@ class TowerParams:
         width = _field_width((self.qs[-1] - 1).bit_length())
         return (*_field_masks(math.prod(self.qs), width), width)
 
-    @property
+    @cached_property
     def palette_size(self) -> int:
         return self.qs[-1] * math.prod(self.qs)
 

@@ -102,26 +102,14 @@ def cmd_nbrgraph(args) -> int:
         line += f" chi={verifier.chromatic_number(ng)}"
     print(line)
     if args.certify:
-        seed = _resolve_seed(args.seed)
         if args.certify == "shared-order":
-            family, cert, attempts = permcolor.certified_family(
-                args.N, args.Delta, args.eps, seed, max_attempts=args.attempts,
-                max_views=args.max_views,
-            )
-            if not cert.passed:
-                print(f"certify=FAIL attempts={attempts} failures={cert.failures}")
-                return 1
-            ncert = verifier.certify_on_neighborhood(
-                lambda view: family.select_mask(view.node_id, view.neighbors),
-                args.N,
-                args.Delta,
-                palette_size=family.k,
-                min_colors=lambda d: verifier.min_colors_required(family.k, args.eps, d),
-                max_views=args.max_views,
+            _, cert, _ = permcolor.certified_family(
+                args.N, args.Delta, args.eps, _resolve_seed(args.seed),
+                max_attempts=args.attempts, max_views=args.max_views,
             )
         else:
             params = algebraic.choose_tower(args.N, args.Delta, args.ell, args.slack)
-            ncert = verifier.certify_on_neighborhood(
+            cert = verifier.certify_on_neighborhood(
                 lambda view: algebraic.tower_color_indices(view, params),
                 args.N,
                 args.Delta,
@@ -130,11 +118,11 @@ def cmd_nbrgraph(args) -> int:
                 max_views=args.max_views,
             )
         print(
-            f"certify={'PASS' if ncert.passed else 'FAIL'} "
-            f"views={ncert.views_checked} edges={ncert.edge_count} "
-            f"disjoint={ncert.disjoint} bound_ok={ncert.bound_ok}"
+            f"certify={'PASS' if cert.passed else 'FAIL'} "
+            f"views={cert.views_checked} edges={cert.edge_count} "
+            f"disjoint={cert.disjoint} bound_ok={cert.bound_ok}"
         )
-        return 0 if ncert.passed else 1
+        return 0 if cert.passed else 1
     return 0
 
 

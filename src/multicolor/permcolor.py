@@ -27,10 +27,11 @@ takes color i when it precedes all its neighbors in order i. A family
 memoizes the keys it cuts, up to _KEY_MEMO_BYTES (16 MB) of them, so a run
 cuts each id's keys once rather than once per view that holds the id.
 Whether a concrete family serves every possible one-hop view up to degree
-Delta can be certified exhaustively; the certificate's precedence rows come
-from the sieve's subtraction on the same packed keys, read through the
-memo, so one rule decides both. On failure the family is resampled from
-the next derived seed rather than grown.
+Delta can be certified exhaustively, in the verifier's certificate type:
+quotas by a sweep of precedence rows, disjointness by each pair of ids'
+rows. The rows come from the sieve's subtraction on the same packed keys,
+read through the memo, so one rule decides both. On failure the family is
+resampled from the next derived seed rather than grown.
 
 Both hand the sieve envelopes of one width, so nothing is repacked, and it
 returns a node's colors as an ascending tuple, decoded in palette order.
@@ -45,14 +46,15 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress
+from itertools import combinations, compress
 
 from . import simulator
 from .coloring import Multicoloring
 from .errors import InvalidParams, TooLarge
 from .graph import Graph, OneHopView
 from .rng import keyed_rng
-from .verifier import MAX_VIEWS, _iter_views, min_colors_required
+from .verifier import MAX_VIEWS, VIOLATION_CAP, NeighborhoodCertificate, _iter_views
+from .verifier import min_colors_required, nbr_edge_count
 
 __all__ = [
     "randomized_palette_size",
@@ -64,7 +66,6 @@ __all__ = [
     "shared_palette_size",
     "OrderFamily",
     "select_by_orders",
-    "FamilyCertificate",
     "certify_family",
     "certified_family",
     "run_shared",
@@ -154,9 +155,11 @@ class PackedWords(Sequence):
     def pack(cls, values: Sequence[int], width: int | None = None) -> PackedWords:
         """values in fields of width bytes, by default the least that fits them.
 
-        Every value must be below 2**(8*width - 1), leaving its guard bit
-        free, or InvalidParams is raised. Runs cut draws and keys packed.
+        Every value must lie in [0, 2**(8*width - 1)), leaving its guard
+        bit free, or InvalidParams is raised. Runs cut draws and keys packed.
         """
+        if min(values, default=0) < 0:
+            raise InvalidParams(f"negative value {min(values)} cannot be packed")
         top = max(values, default=0)
         least = _field_width(top.bit_length())
         if width is None:
@@ -452,51 +455,38 @@ def select_by_orders(view: OneHopView, family: OrderFamily) -> tuple[int, ...]:
     return select_colors(own, tuple(nbrs), tie_break_by_id=True)
 
 
-@dataclass(frozen=True)
-class FamilyCertificate:
-    """Outcome of exhaustively checking every view against its quota."""
-
-    passed: bool
-    id_space: int
-    max_degree: int
-    epsilon: Fraction
-    palette_size: int
-    views_checked: int
-    failures: int
-    min_required: dict[int, int]
-    worst_view: OneHopView | None
-    worst_count: int | None
-
-
 def certify_family(
     family: OrderFamily,
     max_degree: int,
     eps,
     max_views: int = MAX_VIEWS,
-) -> FamilyCertificate:
-    """Check that every possible view up to max_degree meets its color quota.
+) -> NeighborhoodCertificate:
+    """Certify every view up to max_degree: the reference certificate, from the rows.
 
-    Walks all (x, Gamma) with 1 <= |Gamma| <= max_degree over the id space
-    (degree-0 views get the whole palette and need no check) and compares each
-    exact win count against ceil((1-eps)*k/(delta+1)). Exact integer
-    arithmetic end to end.
+    It equals certify_on_neighborhood's on select_mask with quota
+    ceil((1-eps)*k/(delta+1)) at degree delta whenever the family is
+    disjoint, as a real one is. One row per id gives each view's exact count
+    (degree-0 views get the whole palette and need no check). A view's
+    colors only shrink as Gamma grows, so ids a < b clash exactly when the
+    adjacent views (a, {b}) and (b, {a}) share a color, that is when
+    row_a[b-1] | row_b[a-1] leaves an order unset. Each clash is named by
+    those views and their highest shared color, the first VIOLATION_CAP in
+    (a, b) order.
     """
     e = _check_eps(eps)
     views = _iter_views(family.id_space, max_degree, max_views)
     k = family.k
-    required = {
-        d: min_colors_required(k, e, d) for d in range(1, max_degree + 1)
-    }
+    required = {d: min_colors_required(k, e, d) for d in range(1, max_degree + 1)}
+    low_by_degree: dict[int, int] = {}
     failures = 0
-    worst: tuple[int, tuple[int, ...], int] | None = None  # (x, gamma, count)
-    worst_metric = None  # count*(d+1), proportional to the achieved ratio
     checked = 0
+    rows: list[list[int]] = [[]]  # rows[x] is beats_row(x), kept from x's degree-1 group
     for x, d, gammas in views:
         row = family.beats_row(x)
+        if d == 1:
+            rows.append(row)
         quota = required[d]
-        # the group's fewest wins and the first view with them: one degree per
-        # group, so that view is also the group's first of least count*(d+1)
-        low, low_gamma = k + 1, None
+        low = low_by_degree.get(d, k + 1)
         for gamma in gammas:
             lost = 0
             for y in gamma:
@@ -506,21 +496,28 @@ def certify_family(
             if count < quota:
                 failures += 1
             if count < low:
-                low, low_gamma = count, gamma
-        if low_gamma is not None and (worst_metric is None or low * (d + 1) < worst_metric):
-            worst_metric = low * (d + 1)
-            worst = (x, low_gamma, low)
-    return FamilyCertificate(
-        passed=failures == 0,
+                low = count
+        if low <= k:  # the degree has a view
+            low_by_degree[d] = low
+    full = (1 << k) - 1
+    violations = []
+    for a, b in combinations(range(1, len(rows)), 2):
+        shared = full & ~(rows[a][b - 1] | rows[b][a - 1])
+        if shared:
+            violations.append((OneHopView(a, {b}), OneHopView(b, {a}), shared.bit_length()))
+            if len(violations) == VIOLATION_CAP:
+                break
+    return NeighborhoodCertificate(
         id_space=family.id_space,
         max_degree=max_degree,
-        epsilon=e,
         palette_size=k,
         views_checked=checked,
-        failures=failures,
-        min_required=required,
-        worst_view=OneHopView(worst[0], frozenset(worst[1])) if worst else None,
-        worst_count=worst[2] if worst else None,
+        edge_count=nbr_edge_count(family.id_space, max_degree),
+        disjoint=not violations,
+        bound_ok=failures == 0,
+        min_count_by_degree=low_by_degree,
+        bound_failures=failures,
+        violations=violations,
     )
 
 
@@ -532,7 +529,7 @@ def certified_family(
     max_attempts: int = 3,
     factor: int = 1,
     max_views: int = MAX_VIEWS,
-) -> tuple[OrderFamily, FamilyCertificate, int]:
+) -> tuple[OrderFamily, NeighborhoodCertificate, int]:
     """Build an order family and certify it, resampling the seed on failure.
 
     Returns (family, certificate, attempts). The certificate of the last
@@ -577,7 +574,8 @@ def _build_shared(
         if not cert.passed:
             raise InvalidParams(
                 f"no certified family within {attempts} attempts; "
-                f"worst view holds {cert.worst_count}/{cert.palette_size}"
+                f"a view holds as few as {min(cert.min_count_by_degree.values())}"
+                f"/{cert.palette_size}"
             )
         meta["attempts"] = attempts
     else:

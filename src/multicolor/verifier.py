@@ -12,9 +12,10 @@ decide an outcome. The limits no caller varies are module constants:
 VIOLATION_CAP conflicts named per report, MAX_EDGES materialized view-graph
 edges, and MAX_CHI_VERTICES vertices and MAX_CHI_WORK work units per
 chromatic search; only the view budget is a parameter. A sweep holds no view,
-only (N+1)^2 ints of color unions, so its default MAX_VIEWS bounds time;
-neighborhood_graph keeps every view, about 312 B each, so its default
-MAX_GRAPH_VIEWS bounds memory (10^7 views: 3 GB).
+only (N+1)^2 ints of color unions (an order family's certificate: N rows of
+N ints), so its default MAX_VIEWS bounds time; neighborhood_graph keeps
+every view, about 312 B each, so its default MAX_GRAPH_VIEWS bounds memory
+(10^7 views: 3 GB).
 """
 
 from __future__ import annotations
@@ -197,7 +198,7 @@ def _iter_views(id_space: int, max_degree: int, max_views: int = MAX_VIEWS):
     total = nbr_vertex_count(id_space, max_degree)
     if total > max_views:
         raise TooLarge(f"{total} views exceed the guard of {max_views}")
-    ids = range(1, id_space + 1)
+    ids = range(1, id_space + 1) if max_degree else ()  # no view: no lists of others
 
     def views():
         for x in ids:
@@ -414,7 +415,8 @@ def certify_on_neighborhood(
             mask |= 1 << (c - 1)
         return mask
 
-    unions = [[0] * (id_space + 1) for _ in range(id_space + 1)]
+    # at degree bound 0 no view and no edge: no union row, no pair to scan
+    unions = [[0] * (id_space + 1) for _ in range(id_space + 1)] if max_degree else []
     min_by_degree: dict[int, int] = {}
     bound_failures = 0
     checked = 0
@@ -439,9 +441,9 @@ def certify_on_neighborhood(
         if low <= palette_size:  # the degree has a view
             min_by_degree[d] = low
 
-    ids = range(1, id_space + 1)
+    ids = range(1, len(unions))
     bad_pairs = [
-        (a, b) for a in ids for b in range(a + 1, id_space + 1) if unions[a][b] & unions[b][a]
+        (a, b) for a in ids for b in range(a + 1, len(unions)) if unions[a][b] & unions[b][a]
     ]
     named = bad_pairs[:VIOLATION_CAP]
     groups: dict[tuple[int, int], list[tuple[OneHopView, int]]] = {

@@ -200,6 +200,14 @@ def test_nbrgraph_certifies_the_tower_construction(capsys):
     assert "certify=PASS" in capsys.readouterr().out
 
 
+def test_nbrgraph_draws_no_seed_for_the_tower(capsys):
+    """The tower reads no seed, so none is drawn or printed."""
+    assert main(["nbrgraph", "--N", "5", "--Delta", "1", "--certify", "algebraic-basic"]) == 0
+    out = capsys.readouterr().out
+    assert "certify=PASS" in out
+    assert "seed=" not in out
+
+
 def test_nbrgraph_respects_the_view_budget(capsys):
     code = main(
         ["nbrgraph", "--N", "30", "--Delta", "3", "--max-views", "1000", "--chi"]

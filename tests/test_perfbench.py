@@ -1,20 +1,26 @@
 """The benchmark's tracer hooks names of the package; they must all exist."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
 from multicolor import gnp_graph, permcolor, simulator
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up while it loads
+    spec.loader.exec_module(module)
+    return module
 
 
 def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    return tracing
+    return load("tracing")
 
 
 def test_every_traced_point_exists():
@@ -41,3 +47,17 @@ def test_order_family_keeps_what_the_benchmark_reads():
     fam = permcolor.OrderFamily(3, 4, seed=0)
     assert (fam.k, fam.id_space) == (3, 4)
     assert fam.select_mask(1, (2,)) >> 3 == 0
+
+
+def test_certify_views_gate_passes_on_both_certificates():
+    """The benchmark's certificate gate: both certify-views certificates pass
+    over all 122,670 views and 72,057,315 view pairs."""
+    workloads = load("workloads")
+    ops = [
+        op
+        for op in workloads.operations(workloads.WORKLOADS["certify-views"], [], seed=1)
+        if isinstance(op, workloads.CertifyOp)
+    ]
+    assert [op.algo for op in ops] == ["shared-order", "algebraic-basic"]
+    for op in ops:
+        assert op.check(op.run(0)) == []

@@ -2,11 +2,12 @@
 
 import hashlib
 import math
+import random
 import sys
 import tracemalloc
 from array import array
 from fractions import Fraction
-from itertools import islice, permutations
+from itertools import combinations, islice, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +20,7 @@ from multicolor import (
     OrderFamily,
     certified_family,
     certify_family,
+    certify_on_neighborhood,
     generate_draws,
     gnp_graph,
     parse_edge_list,
@@ -43,6 +45,7 @@ from multicolor.permcolor import (
 )
 from multicolor.rng import keyed_rng
 from multicolor.simulator import build_program, replay_view, run_one_shot
+from multicolor.verifier import VIOLATION_CAP
 from multicolor.verifier import nbr_vertex_count as neighborhood_view_count
 from test_acceptance import capped_graph
 
@@ -195,6 +198,13 @@ def test_pack_refuses_a_value_wider_than_its_field():
     # 300 wrapped to 44 in one byte
     with pytest.raises(InvalidParams):
         PackedWords.pack([300], 1)
+
+
+def test_pack_refuses_a_negative_value():
+    # to_bytes raised OverflowError on these
+    for values, width in (([-1], None), ([5, -1], None), ([-1], 2)):
+        with pytest.raises(InvalidParams, match="negative"):
+            PackedWords.pack(values, width)
 
 
 def test_pack_refuses_a_value_on_the_guard_bit():
@@ -708,8 +718,8 @@ def test_certify_small_oversized_family_passes():
     cert = certify_family(fam, 1, 0.5)
     assert cert.passed
     assert cert.views_checked == 6
-    assert cert.failures == 0
-    assert cert.worst_count >= cert.min_required[1]
+    assert cert.bound_failures == 0
+    assert cert.min_count_by_degree[1] >= min_colors_required(436, 0.5, 1)
     assert cert.palette_size == 436
 
 
@@ -717,16 +727,88 @@ def test_certify_degree_zero_is_vacuous():
     cert = certify_family(OrderFamily(5, 4, seed=1), 0, 0.5)
     assert cert.passed
     assert cert.views_checked == 0
-    assert cert.worst_view is None
+    assert cert.min_count_by_degree == {}
 
 
 def test_certify_reports_failures_for_a_tiny_family():
     # one single order cannot serve every view: losers win zero colors
     cert = certify_family(OrderFamily(1, 3, seed=0), 2, 0.5)
     assert not cert.passed
-    assert cert.failures > 0
-    assert cert.worst_count == 0
-    assert cert.worst_view is not None
+    assert cert.bound_failures > 0
+    assert min(cert.min_count_by_degree.values()) == 0
+
+
+def reference_certificate(fam, max_degree, eps):
+    """certify_on_neighborhood's certificate of fam on select_mask, fam's quotas."""
+    return certify_on_neighborhood(
+        lambda v: fam.select_mask(v.node_id, v.neighbors),
+        fam.id_space,
+        max_degree,
+        fam.k,
+        min_colors=lambda d: min_colors_required(fam.k, eps, d),
+    )
+
+
+@pytest.mark.parametrize(
+    "k, id_space, seed, max_degree, eps",
+    [
+        (436, 3, 0, 1, 0.5),
+        (5, 4, 1, 0, 0.5),
+        (1, 3, 0, 2, 0.5),  # fails its quotas
+        (12, 6, 3, 3, 0.5),  # fails its quotas
+        (20, 9, 7, 2, 0.3),
+        (7, 12, 2, 3, 1),
+        (436, 30, 5, 2, 0.5),
+        (436, 30, 5, 0, 0.5),
+        (40, 30, 4, 1, Fraction(1, 4)),
+    ],
+)
+def test_certify_family_is_the_reference_certificate(k, id_space, seed, max_degree, eps):
+    """The row sweep and the row-pair test give exactly the certificate of the
+    black-box sweep over select_mask, passing or failing its quotas."""
+    fam = OrderFamily(k, id_space, seed)
+    cert = certify_family(fam, max_degree, eps)
+    assert cert == reference_certificate(fam, max_degree, eps)
+    assert cert.disjoint  # one of two ids precedes the other in every order
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_certify_family_decides_disjointness_as_the_reference(monkeypatch, seed):
+    """Forged precedence rows that no key order gives: a pair of ids may both
+    lose an order and so share its color. The row-pair test finds exactly
+    the clashes the black-box sweep does; at degree bound 1 every view is a
+    pair's own view, so the certificates are equal outright."""
+    rng = random.Random(seed)
+    k, id_space, max_degree = rng.randint(1, 5), rng.randint(2, 7), rng.randint(1, 3)
+    full = (1 << k) - 1
+    table = [[rng.getrandbits(k) for _ in range(id_space)] for _ in range(id_space)]
+    if seed % 3 == 0:  # complementary pairs: no color shared
+        for a, b in combinations(range(id_space), 2):
+            table[b][a] |= full ^ table[a][b]
+    monkeypatch.setattr(OrderFamily, "beats_row", lambda self, x: table[x - 1])
+    fam = OrderFamily(k, id_space, seed)
+    cert = certify_family(fam, max_degree, 0.5)
+    ref = reference_certificate(fam, max_degree, 0.5)
+    fields = ("disjoint", "views_checked", "bound_failures", "min_count_by_degree")
+    assert [getattr(cert, f) for f in fields] == [getattr(ref, f) for f in fields]
+    assert cert.disjoint or seed % 3
+    assert cert.violations[:1] == ref.violations[:1]
+    for u, v, color in cert.violations:
+        assert u.node_id in v.neighbors and v.node_id in u.neighbors
+        for view in (u, v):
+            assert fam.select_mask(view.node_id, view.neighbors) >> (color - 1) & 1
+    if max_degree == 1:
+        assert cert == ref
+
+
+def test_certify_family_names_at_most_the_cap(monkeypatch):
+    """Every pair of 20 ids clashes: 190 clashes, the first 100 named."""
+    monkeypatch.setattr(OrderFamily, "beats_row", lambda self, x: [0] * 20)
+    fam = OrderFamily(3, 20, seed=0)
+    cert = certify_family(fam, 1, 0.5)
+    assert not cert.disjoint and len(cert.violations) == VIOLATION_CAP
+    assert cert.violations[0] == (OneHopView(1, {2}), OneHopView(2, {1}), 3)
+    assert cert == reference_certificate(fam, 1, 0.5)
 
 
 def test_certify_respects_the_view_budget():
