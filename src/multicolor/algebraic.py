@@ -360,9 +360,10 @@ def tower_color_indices(view: OneHopView, params: TowerParams) -> tuple[int, ...
     neighbor whose value equals the node's at some level keeps it equal down
     the rest of the tower, so it blocks exactly the alpha paths where its
     beta equals the node's. Per neighbor one zero test on the packed betas
-    finds them all: a field of ((mine ^ theirs) | guards) - ones keeps its
-    guard bit exactly when the two betas differ. M(x) is ascending, and
-    compressing it by the surviving guard bits keeps that order.
+    finds them all: a field of ((mine | guards) ^ theirs) - ones keeps its
+    guard bit exactly when the two betas differ, since a beta leaves its
+    guard bit clear. M(x) is ascending, and compressing it by the surviving
+    guard bits keeps that order.
     """
     nbrs = view.neighbors
     if len(nbrs) > params.max_degree:
@@ -370,9 +371,10 @@ def tower_color_indices(view: OneHopView, params: TowerParams) -> tuple[int, ...
     free = params._free_colors  # refuses ids outside the id space
     own, mine = free(view.node_id)
     guards, ones, width = params._beta_masks
+    raised = mine | guards
     alive = guards
     for y in nbrs:
-        alive &= ((mine ^ free(y)[1]) | guards) - ones
+        alive &= (raised ^ free(y)[1]) - ones
     tops = alive.to_bytes(width * len(own), "little")[width - 1 :: width]
     return tuple(compress(own, tops))
 

@@ -8,9 +8,11 @@ other iterable once), and replays and schedules hold the same tuples.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import lt
+from types import MappingProxyType
 
 from .errors import InvalidParams, ParseError
 from .graph import _read_int
@@ -39,12 +41,15 @@ class Multicoloring:
 
     Each node's colors are held as a strictly increasing tuple: any iterable
     given is normalized to one, and a tuple that already is one is kept.
-    params records how the coloring was produced (algorithm name, epsilon,
-    seed, degree bound, id space, ...) so runs can be reproduced exactly.
+    assignment is a read-only view of the dict built here, so the colors
+    cannot change once made, and verifier._conflicts can keep its check on
+    the record. params records how the coloring was produced (algorithm
+    name, epsilon, seed, degree bound, id space, ...) so runs can be
+    reproduced exactly.
     """
 
     palette_size: int
-    assignment: dict[int, tuple[int, ...]]
+    assignment: Mapping[int, tuple[int, ...]]
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -52,7 +57,11 @@ class Multicoloring:
             raise InvalidParams("palette size must be >= 1")
         k = self.palette_size
         assignment = {v: _sorted_set(v, cols, k) for v, cols in self.assignment.items()}
-        object.__setattr__(self, "assignment", assignment)
+        object.__setattr__(self, "assignment", MappingProxyType(assignment))
+
+    def __reduce__(self):
+        # a mapping proxy cannot be pickled: rebuild from a plain dict
+        return type(self), (self.palette_size, dict(self.assignment), self.params)
 
     def fraction_of(self, v: int) -> Fraction:
         """Share of the palette held by node v, exact."""
@@ -82,17 +91,24 @@ def _json_int(x) -> int:
     return x
 
 
-def _int_lists(pairs, read_id) -> dict[int, list[int]]:
-    """{read_id(key): xs} of (key, xs) pairs, xs distinct JSON integers; ids are unique."""
-    out: dict[int, list[int]] = {}
+def _int_tuples(pairs, read_id) -> dict[int, tuple[int, ...]]:
+    """{read_id(key): tuple(xs)} of (key, xs) pairs, xs distinct JSON integers; ids are unique.
+
+    Each parsed list is emptied once its tuple is made, so a document's
+    values are not held twice. A strictly increasing list, as the writers
+    lay them out, needs no set to show its values distinct.
+    """
+    out: dict[int, tuple[int, ...]] = {}
     for key, xs in pairs:
         if (v := read_id(key)) in out:
             raise ValueError(f"node {v} appears twice")
         if type(xs) is not list:
             raise TypeError(f"{xs!r:.20} is not a list of integers")
-        out[v] = list(map(_json_int, xs))
-        if len(set(xs)) < len(xs):
+        vals = tuple(map(_json_int, xs))
+        xs.clear()
+        if not all(map(lt, vals, vals[1:])) and len(set(vals)) < len(vals):
             raise ValueError(f"node {v} lists a value twice")
+        out[v] = vals
     return out
 
 
@@ -107,7 +123,7 @@ def coloring_from_json(text: str) -> Multicoloring:
             raise TypeError(f"params must be an object, not {type(params).__name__}")
         return Multicoloring(
             palette_size=_json_int(payload["palette_size"]),
-            assignment=_int_lists(payload["assignment"].items(), _read_int),
+            assignment=_int_tuples(payload["assignment"].items(), _read_int),
             params=params,
         )
     except _MALFORMED as exc:

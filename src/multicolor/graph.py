@@ -9,7 +9,9 @@ functions of their arguments: same arguments, bit-identical graph.
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .errors import InvalidParams, NotFound, ParseError
 from .rng import keyed_rng
@@ -62,29 +64,37 @@ def _unchecked_view(node_id: int, neighbors: frozenset[int]) -> OneHopView:
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph; adjacency keyed by node id."""
+    """Simple undirected graph; adjacency keyed by node id.
+
+    adj is a read-only view of the dict of frozensets built and checked on
+    construction, which nothing else holds: a graph cannot change once
+    built, so a check of a coloring against it stays true.
+    """
 
     id_space: int
-    adj: dict[int, frozenset[int]] = field(default_factory=dict)
+    adj: Mapping[int, frozenset[int]] = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "adj", {v: frozenset(nbrs) for v, nbrs in self.adj.items()}
-        )
+        adj = {v: frozenset(nbrs) for v, nbrs in self.adj.items()}
         if self.id_space < 1:
             raise InvalidParams("id space must be a positive integer")
-        if len(self.adj) > self.id_space:
+        if len(adj) > self.id_space:
             raise InvalidParams("more nodes than ids in the id space")
-        for v, nbrs in self.adj.items():
+        for v, nbrs in adj.items():
             if not 1 <= v <= self.id_space:
                 raise InvalidParams(f"node id {v} outside [1, {self.id_space}]")
             if v in nbrs:
                 raise InvalidParams(f"self-loop at node {v}")
             for u in nbrs:
-                if u not in self.adj:
+                if u not in adj:
                     raise InvalidParams(f"edge {v}-{u} references unknown node {u}")
-                if v not in self.adj[u]:
+                if v not in adj[u]:
                     raise InvalidParams(f"adjacency not symmetric at {v}-{u}")
+        object.__setattr__(self, "adj", MappingProxyType(adj))
+
+    def __reduce__(self):
+        # a mapping proxy cannot be pickled: rebuild from a plain dict
+        return type(self), (self.id_space, dict(self.adj))
 
     @property
     def n(self) -> int:

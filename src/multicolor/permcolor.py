@@ -142,11 +142,22 @@ class PackedWords(Sequence):
     in 4 bytes, so an 8-byte field costs 8.53 B. The values can be read as
     from a tuple; two packed words are equal when their width, length and
     value are.
+
+    A value that is negative, sets a guard bit or reaches past length fields
+    is refused with InvalidParams. So value | guards equals value + guards,
+    which the sieve relies on, and the fields read alike by index and by
+    tolist.
     """
 
     __slots__ = ("value", "length", "width")
 
     def __init__(self, value: int, length: int, width: int):
+        if value < 0:
+            raise InvalidParams(f"packed value {value} is negative")
+        if value >> 8 * width * length:
+            raise InvalidParams(f"packed value reaches past {length} fields of {width} bytes")
+        if value & _field_masks(length, width)[0]:
+            raise InvalidParams(f"packed value sets a guard bit of its {width}-byte fields")
         self.value = value
         self.length = length
         self.width = width
@@ -262,17 +273,19 @@ def select_colors(
     Envelopes of one width: all bits are PackedWords of own's length and
     width, or InvalidParams is raised. On an exact tie nobody takes the
     color, unless tie_break_by_id is set; then the smallest id among the
-    tied minimum wins. One subtraction compares all k colors with one
-    neighbor: a field of (theirs | guards) - mine keeps its guard bit
-    exactly when mine <= theirs, and - (mine + ones) when mine < theirs.
+    tied minimum wins. One addition compares all k colors with one
+    neighbor: a field of theirs + (guards - mine) keeps its guard bit
+    exactly when mine <= theirs, and theirs + (guards - mine - ones) when
+    mine < theirs. Both offsets are made once per node, and no field
+    carries into the next, since theirs leaves its guard bits clear.
     """
     words = own.bits
     if not isinstance(words, PackedWords):
         raise InvalidParams(f"node {own.node_id} sent {type(words).__name__} bits, not packed words")
     k, width = words.length, words.width
     guards, ones = _field_masks(k, width)
-    mine = words.value
-    beaten = mine + ones
+    ties = guards - words.value
+    strict = ties - ones
     alive = guards
     for nb in neighbors:
         theirs = nb.bits
@@ -282,7 +295,7 @@ def select_colors(
             )
         # a tie with a larger id keeps the color
         keeps_ties = tie_break_by_id and own.node_id < nb.node_id
-        alive &= (theirs.value | guards) - (mine if keeps_ties else beaten)
+        alive &= theirs.value + (ties if keeps_ties else strict)
     tops = alive.to_bytes(width * k, "little")[width - 1 :: width]
     return tuple(compress(_palette_ids(k), tops))
 

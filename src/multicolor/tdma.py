@@ -1,9 +1,10 @@
 """Turning verified multicolorings into TDMA frame schedules.
 
-Color i becomes slot i of a frame of palette_size slots, and a node's slots
-are its coloring's sorted tuple, the same object. Conversion refuses
-colorings that are not disjoint on every edge, so neighboring nodes in a
-produced schedule never share a slot.
+Color i becomes slot i of a frame of palette_size slots: a schedule's slots
+are its coloring's read-only assignment, the same mapping. Conversion
+refuses colorings that are not disjoint on every edge, so neighboring nodes
+in a produced schedule never share a slot; a coloring already verified
+against the same graph object is not scanned again.
 """
 
 from __future__ import annotations
@@ -12,11 +13,13 @@ import csv
 import io
 import json
 from bisect import bisect_left
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 
-from .coloring import _MALFORMED, Multicoloring, _int_lists, _json_int, _sorted_set, _unique_keys
+from .coloring import _MALFORMED, Multicoloring, _int_tuples, _json_int, _sorted_set, _unique_keys
 from .errors import InvalidParams, RefusedInvalid
 from .graph import Graph
 from .verifier import _conflicts, verify  # noqa: F401  perfbench's tracer hooks tdma.verify
@@ -37,11 +40,11 @@ class TdmaSchedule:
     """Per-node transmit slots within a frame of frame_length slots.
 
     Each node's slots are a strictly increasing tuple, normalized as a
-    Multicoloring's colors are.
+    Multicoloring's colors are, and slots is read-only, as its assignment is.
     """
 
     frame_length: int
-    slots: dict[int, tuple[int, ...]]
+    slots: Mapping[int, tuple[int, ...]]
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -49,30 +52,37 @@ class TdmaSchedule:
             raise InvalidParams("frame length must be >= 1")
         n = self.frame_length
         slots = {v: _sorted_set(v, s, n, "slot") for v, s in self.slots.items()}
-        object.__setattr__(self, "slots", slots)
+        object.__setattr__(self, "slots", MappingProxyType(slots))
+
+    def __reduce__(self):
+        # a mapping proxy cannot be pickled: rebuild from a plain dict
+        return type(self), (self.frame_length, dict(self.slots), self.meta)
 
 
 def _unchecked_schedule(m: Multicoloring, meta: dict) -> TdmaSchedule:
     """TdmaSchedule(m.palette_size, m.assignment, meta) without __post_init__'s normalizer.
 
     Only for to_schedule: a Multicoloring already holds every node's colors
-    as a strictly increasing tuple within [1, palette_size], and its palette
-    size, at least 1, is the frame length, so normalizing them again would
-    change nothing. Every other caller goes through the checked constructor.
+    as a strictly increasing tuple within [1, palette_size], in a read-only
+    mapping the schedule can share, and its palette size, at least 1, is the
+    frame length, so normalizing them again would change nothing. Every
+    other caller goes through the checked constructor.
     """
     schedule = object.__new__(TdmaSchedule)
     fields = schedule.__dict__
     fields["frame_length"] = m.palette_size
-    fields["slots"] = dict(m.assignment)
+    fields["slots"] = m.assignment
     fields["meta"] = meta
     return schedule
 
 
 def to_schedule(m: Multicoloring, g: Graph) -> TdmaSchedule:
-    """Convert a coloring to a schedule after checking disjointness again.
+    """Convert a coloring to a schedule after checking it is disjoint on g.
 
-    The schedule's slots are the coloring's tuples themselves, taken
-    without a second normalizing pass.
+    Raises RefusedInvalid if two neighbors share a color. The check is
+    verifier._conflicts, so after verify(g, m) the edges are not scanned
+    again. The schedule's slots are the coloring's read-only assignment
+    itself, taken without a second normalizing pass.
     """
     violations, count = _conflicts(g, m)
     if count:
@@ -147,22 +157,26 @@ def schedule_to_json(s: TdmaSchedule) -> str:
     payload is {"frame_length", "meta", "nodes": [{"id", "slots"}, ...]}.
     indent forces json's pure-Python encoder, so only meta goes through it;
     each node's slots are joined from a table of the palette's decimal
-    strings.
+    strings, and one join of the nodes' texts makes the whole text, so no
+    copy of it is made and dropped on the way.
     """
     meta = json.dumps(s.meta, indent=2, sort_keys=True).replace("\n", "\n  ")
     strings = _decimal_strings(min(s.frame_length, _MAX_STRING_TABLE) + 1)
-    nodes = ",\n".join(
-        f'    {{\n      "id": {json.dumps(v)},\n      "slots": {_json_slots(slots, strings)}\n    }}'
-        for v, slots in sorted(s.slots.items())
-    )
-    nodes = f"[\n{nodes}\n  ]" if nodes else "[]"
-    return (
+    head = (
         "{\n"
         f'  "frame_length": {json.dumps(s.frame_length)},\n'
         f'  "meta": {meta},\n'
-        f'  "nodes": {nodes}\n'
-        "}\n"
+        '  "nodes": '
     )
+    rows = [
+        f'    {{\n      "id": {json.dumps(v)},\n      "slots": {_json_slots(slots, strings)}\n    }}'
+        for v, slots in sorted(s.slots.items())
+    ]
+    if not rows:
+        return head + "[]\n}\n"
+    rows[0] = head + "[\n" + rows[0]
+    rows[-1] += "\n  ]\n}\n"
+    return ",\n".join(rows)
 
 
 def schedule_from_json(text: str) -> TdmaSchedule:
@@ -170,7 +184,7 @@ def schedule_from_json(text: str) -> TdmaSchedule:
         payload = json.loads(text, object_pairs_hook=_unique_keys)
         return TdmaSchedule(
             frame_length=_json_int(payload["frame_length"]),
-            slots=_int_lists(((r["id"], r["slots"]) for r in payload["nodes"]), _json_int),
+            slots=_int_tuples(((r["id"], r["slots"]) for r in payload["nodes"]), _json_int),
             meta=payload.get("meta", {}),
         )
     except _MALFORMED as exc:

@@ -21,10 +21,11 @@ every view, about 312 B each, so its default MAX_GRAPH_VIEWS bounds memory
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, filterfalse, islice
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Mapping
 
 from .coloring import Multicoloring
 from .errors import Incomplete, InvalidParams, TooLarge
@@ -89,22 +90,15 @@ def min_colors_required(palette_size: int, eps, delta: int) -> int:
     return math.ceil(target)
 
 
-def _conflicts(g: Graph, m: Multicoloring) -> tuple[list[tuple[int, int, int]], int]:
-    """The first VIOLATION_CAP shared colors (u, v, c) of m on g, and their count.
+def _scan_edges(
+    g: Graph, a: Mapping[int, tuple[int, ...]]
+) -> tuple[list[tuple[int, int, int]], int]:
+    """The first VIOLATION_CAP shared colors (u, v, c) of assignment a on g, and their count.
 
     Ordered as the sorted edges (u < v), colors ascending within an edge.
     One set is alive at a time: node u's colors, tested against each of its
-    higher-id neighbors' sorted tuples. Raises Incomplete unless m colors
-    exactly g's nodes.
+    higher-id neighbors' sorted tuples. a must color exactly g's nodes.
     """
-    a = m.assignment
-    missing = [v for v in g.node_ids() if v not in a]
-    extra = [v for v in a if not g.has_node(v)]
-    if missing or extra:
-        raise Incomplete(
-            f"coloring does not match the node set (missing {missing[:5]}, "
-            f"extra {extra[:5]})"
-        )
     violations: list[tuple[int, int, int]] = []
     count = 0
     for u in g.node_ids():
@@ -118,6 +112,33 @@ def _conflicts(g: Graph, m: Multicoloring) -> tuple[list[tuple[int, int, int]], 
             shared = [c for c in a[v] if c in mine]
             count += len(shared)
             violations.extend((u, v, c) for c in shared[: VIOLATION_CAP - len(violations)])
+    return violations, count
+
+
+def _conflicts(g: Graph, m: Multicoloring) -> tuple[list[tuple[int, int, int]], int]:
+    """_scan_edges of m on g, the edges scanned once for each graph object.
+
+    Raises Incomplete unless m colors exactly g's nodes. The result is kept
+    on m, beside its fields, for the last graph it was checked against, and
+    a later check against that same graph object (is, not ==) returns it
+    without scanning again. That is sound because neither record can change:
+    m.assignment and g.adj are read-only mappings of tuples and frozensets.
+    The graph is held by a weak reference, so the coloring keeps no graph
+    alive, and every call returns its own list of violations.
+    """
+    kept = m.__dict__.get("_checked")
+    if kept is not None and kept[0]() is g:
+        return list(kept[1]), kept[2]
+    a = m.assignment
+    missing = [v for v in g.node_ids() if v not in a]
+    extra = [v for v in a if not g.has_node(v)]
+    if missing or extra:
+        raise Incomplete(
+            f"coloring does not match the node set (missing {missing[:5]}, "
+            f"extra {extra[:5]})"
+        )
+    violations, count = _scan_edges(g, a)
+    object.__setattr__(m, "_checked", (weakref.ref(g), tuple(violations), count))
     return violations, count
 
 

@@ -215,6 +215,17 @@ def test_pack_refuses_a_value_on_the_guard_bit():
     assert PackedWords.pack([200]).width == 2
 
 
+@pytest.mark.parametrize(
+    "value, length, width",
+    [(-5, 2, 1), (0x80, 1, 1), (0x8000, 2, 1), (1 << 16, 2, 1), (1, 0, 1)],
+)
+def test_packed_words_refuse_a_value_outside_their_fields(value, length, width):
+    """A negative value, a set guard bit or a bit past the last field: before,
+    PackedWords(0x80, 1, 1)[0] read 0 while its tolist() read [128]."""
+    with pytest.raises(InvalidParams):
+        PackedWords(value, length, width)
+
+
 def test_packed_words_slice_as_a_list_does():
     words = PackedWords.pack([1, 2, 3])
     assert words[0:2] == [1, 2]
@@ -382,6 +393,7 @@ def test_packed_payload_bytes_equal_the_counted_form(values, extra):
     packed = PackedWords.pack(values)
     packed = PackedWords.pack(values, packed.width + extra)
     assert list(packed) == values == list(PackedWords.pack(values))
+    assert [packed[i] for i in range(len(packed))] == values
     counted = NodeEnvelope(1, tuple(values)).payload_bytes()
     assert NodeEnvelope(1, packed).payload_bytes() == counted
     if max(values, default=0) < 2**64:

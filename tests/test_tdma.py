@@ -1,7 +1,9 @@
 """Schedules from colorings: conversion, duty cycles, serialization."""
 
+import copy
 import hashlib
 import json
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -23,6 +25,7 @@ from multicolor import (
     unit_disk_graph,
     verify,
 )
+from multicolor import verifier
 
 K2 = Graph(2, {1: {2}, 2: {1}})
 
@@ -61,12 +64,70 @@ def test_refusal_names_the_first_conflict_and_the_count():
     assert str(err.value) == "coloring has 5 slot conflicts (first: nodes 1 and 2 share color 2)"
 
 
+def test_a_verified_conflict_is_refused_with_the_same_message():
+    g = Graph(3, {1: {2, 3}, 2: {1, 3}, 3: {1, 2}})
+    m = Multicoloring(4, {1: {2, 4}, 2: {1, 2, 4}, 3: {1, 4}})
+    assert verify(g, m).violation_count == 5
+    for _ in range(2):
+        with pytest.raises(RefusedInvalid) as err:
+            to_schedule(m, g)
+        assert str(err.value) == "coloring has 5 slot conflicts (first: nodes 1 and 2 share color 2)"
+
+
 def test_schedule_slots_are_the_colorings_tuples():
     g = gnp_graph(40, 0.15, 100, seed=2)
     for name in ("randomized", "algebraic-weighted"):
         m, _ = run_one_shot(g, name, seed=4, eps=0.5)
         s = to_schedule(m, g)
         assert all(s.slots[v] is m.assignment[v] for v in g.node_ids())
+
+
+def test_graphs_colorings_and_schedules_are_read_only():
+    adj = {1: {2}, 2: {1}}
+    g = Graph(2, adj)
+    adj[3] = set()  # the graph holds its own copy
+    m = Multicoloring(3, {1: {1, 3}, 2: {2}})
+    s = to_schedule(m, g)
+    for mapping in (g.adj, m.assignment, s.slots):
+        with pytest.raises(TypeError):
+            mapping[1] = ()
+    assert g.n == 2 and g.adj == {1: {2}, 2: {1}}
+    assert s.slots == m.assignment == {1: (1, 3), 2: (2,)}
+    assert TdmaSchedule(3, {1: (2,)}).slots == {1: (2,)}
+    with pytest.raises(TypeError):
+        TdmaSchedule(3, {1: (2,)}).slots[1] = (1,)
+
+
+def test_read_only_records_still_pickle_and_copy():
+    g = Graph(3, {1: {2}, 2: {1}, 3: set()})
+    m = Multicoloring(3, {1: {1}, 2: {2}, 3: {1, 3}}, params={"seed": 1})
+    verify(g, m)  # leaves its check on m, which no copy takes along
+    s = to_schedule(m, g)
+    for record in (g, m, s):
+        for twin in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+            assert twin == record and twin is not record
+    assert to_schedule(pickle.loads(pickle.dumps(m)), g) == s
+
+
+def test_verify_then_to_schedule_scans_the_edges_once(monkeypatch):
+    scanned = []
+    scan = verifier._scan_edges
+
+    def counted(g, a):
+        scanned.append(g)
+        return scan(g, a)
+
+    monkeypatch.setattr(verifier, "_scan_edges", counted)
+    g = gnp_graph(40, 0.15, 100, seed=2)
+    m, _ = run_one_shot(g, "randomized", seed=4, eps=0.5)
+    assert verify(g, m).valid
+    to_schedule(m, g)
+    assert len(scanned) == 1 and scanned[0] is g
+    # an equal graph that is another object is checked again
+    twin = Graph(g.id_space, g.adj)
+    assert twin == g and twin is not g
+    to_schedule(m, twin)
+    assert len(scanned) == 2 and scanned[1] is twin
 
 
 def test_schedule_validation_and_normalization():
@@ -145,6 +206,14 @@ def test_json_round_trip_is_exact():
     ):
         with pytest.raises(InvalidParams):
             schedule_from_json(bad)
+
+
+def test_json_reads_distinct_slots_in_any_order():
+    text = '{"frame_length": 4, "nodes": [{"id": 1, "slots": [4, 1, 3]}, {"id": 2, "slots": [2]}, {"id": 3, "slots": []}]}'
+    s = schedule_from_json(text)
+    assert s.slots == {1: (1, 3, 4), 2: (2,), 3: ()}
+    assert all(type(slots) is tuple for slots in s.slots.values())
+    assert schedule_from_json(schedule_to_json(s)) == s
 
 
 json_scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text()

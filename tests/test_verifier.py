@@ -1,11 +1,13 @@
 """Coloring checks, the all-views graph, and exhaustive certificates."""
 
+import gc
 import hashlib
 import itertools
 import random
 import sys
 import time
 import tracemalloc
+import weakref
 from collections import Counter
 from fractions import Fraction
 
@@ -98,6 +100,29 @@ def test_violations_come_by_sorted_edge_then_color(monkeypatch, cap):
     assert r.violations == shared[:cap]
     assert r.violation_count == len(shared)
     assert not r.valid
+
+
+def test_reports_never_share_a_violations_list():
+    """A second check of the same pair reuses the first one's result, but
+    hands back a list of its own."""
+    m = Multicoloring(2, {1: {1, 2}, 2: {1, 2}})
+    first = verify(K2, m)
+    first.violations.clear()
+    second = verify(K2, m)
+    assert second.violations == [(1, 2, 1), (1, 2, 2)] and second.violation_count == 2
+    assert verify(K2, m).violations is not second.violations
+
+
+def test_a_checked_coloring_keeps_no_graph_alive_and_compares_as_before():
+    g = Graph(3, {1: {2}, 2: {1, 3}, 3: {2}})
+    m = Multicoloring(3, {1: {1}, 2: {2}, 3: {3}})
+    twin = Multicoloring(3, {1: {1}, 2: {2}, 3: {3}})
+    assert verify(g, m).valid
+    assert m == twin and repr(m) == repr(twin)
+    alive = weakref.ref(g)
+    del g
+    gc.collect()
+    assert alive() is None
 
 
 def test_verify_refuses_an_epsilon_outside_the_unit_interval():
