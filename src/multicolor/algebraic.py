@@ -95,29 +95,29 @@ def _check_slack(slack) -> Fraction:
 class TowerParams:
     """Validated parameters of one polynomial tower.
 
-    Level i uses degree-<=ds[i] polynomials over GF(qs[i]); level 0 must fit
-    the id space and each deeper level must fit the previous field. A palette
-    of more than _MAX_PALETTE colors is refused.
+    Level i uses degree-<=ds[i] polynomials over GF(qs[i]), with qs[i] >=
+    slack * max_degree * ds[i]; level 0 must fit the id space and each deeper
+    level the previous field. A palette above _MAX_PALETTE colors is refused.
     """
 
     id_space: int
     max_degree: int
     qs: tuple[int, ...]
     ds: tuple[int, ...]
-    fs: tuple[Fraction, ...]
+    slack: Fraction
 
     def __post_init__(self):
         object.__setattr__(self, "qs", tuple(self.qs))
         object.__setattr__(self, "ds", tuple(self.ds))
-        object.__setattr__(self, "fs", tuple(map(_check_slack, self.fs)))
+        object.__setattr__(self, "slack", f := _check_slack(self.slack))
         if self.id_space < 1:
             raise InvalidParams("id space must be >= 1")
         if self.max_degree < 0:
             raise InvalidParams("max degree must be >= 0")
-        if not self.qs or not len(self.qs) == len(self.ds) == len(self.fs):
-            raise InvalidParams("qs, ds, fs must be nonempty and equally long")
+        if not self.qs or len(self.qs) != len(self.ds):
+            raise InvalidParams("qs, ds must be nonempty and equally long")
         domain = self.id_space
-        for i, (q, d, f) in enumerate(zip(self.qs, self.ds, self.fs)):
+        for i, (q, d) in enumerate(zip(self.qs, self.ds)):
             if not is_prime(q):
                 raise InvalidParams(f"field order {q} is not prime")
             if d < 1:
@@ -170,7 +170,7 @@ class TowerParams:
             "max_degree": self.max_degree,
             "q": list(self.qs),
             "d": list(self.ds),
-            "f": [str(f) for f in self.fs],
+            "f": [str(self.slack)] * len(self.qs),
             "palette_size": self.palette_size,
         }
 
@@ -239,7 +239,7 @@ def choose_tower(id_space: int, max_degree: int, depth: int = 0, slack=2) -> Tow
         qs.append(best[0])
         ds.append(best[1])
         domain = best[0]
-    return TowerParams(id_space, max_degree, tuple(qs), tuple(ds), (f,) * (ell + 1))
+    return TowerParams(id_space, max_degree, tuple(qs), tuple(ds), f)
 
 
 @lru_cache(maxsize=16)

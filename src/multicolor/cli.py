@@ -59,10 +59,7 @@ def cmd_run(args) -> int:
     g = _load_graph(args.graph)
     seed = _resolve_seed(args.seed)
     # each builder reads its own options and ignores the rest
-    opts = {
-        "eps": args.eps, "tie_break_by_id": args.tie_break_id, "factor": args.factor,
-        "certify_attempts": args.certify, "depth": args.ell, "slack": args.slack,
-    }
+    opts = dict(eps=args.eps, certify_attempts=args.certify, depth=args.ell, slack=args.slack)
     coloring, trace = simulator.run_one_shot(g, args.algo, seed, **opts)
     Path(args.output).write_text(coloring_to_json(coloring))
     report = verifier.verify(g, coloring, eps=coloring.params.get("epsilon"))
@@ -192,11 +189,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--ell", type=int, default=0, help="tower depth (algebraic)")
     p.add_argument("--slack", type=float, default=2.0, help="prime slack (algebraic)")
-    p.add_argument("--factor", type=int, default=1, help="order multiplier (shared)")
     p.add_argument("--certify", type=int, default=0, metavar="ATTEMPTS",
                    help="certify the shared order family exhaustively")
-    p.add_argument("--tie-break-id", action="store_true",
-                   help="break randomized ties toward the smaller id")
     p.add_argument("-g", "--graph", required=True)
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--report", help="write the verification report JSON here")

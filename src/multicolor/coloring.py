@@ -91,8 +91,15 @@ def _json_int(x) -> int:
     return x
 
 
+def _json_object(payload: dict, key: str) -> dict:
+    """payload[key] when it is a JSON object, {} when it is missing."""
+    if isinstance(obj := payload.get(key, {}), dict):
+        return obj
+    raise TypeError(f"{key} must be an object, not {type(obj).__name__}")
+
+
 def _int_tuples(pairs, read_id) -> dict[int, tuple[int, ...]]:
-    """{read_id(key): tuple(xs)} of (key, xs) pairs, xs distinct JSON integers; ids are unique.
+    """{read_id(key): tuple(xs)} of (key, xs) pairs, xs distinct JSON integers; unique ids >= 1.
 
     Each parsed list is emptied once its tuple is made, so a document's
     values are not held twice. A strictly increasing list, as the writers
@@ -102,6 +109,8 @@ def _int_tuples(pairs, read_id) -> dict[int, tuple[int, ...]]:
     for key, xs in pairs:
         if (v := read_id(key)) in out:
             raise ValueError(f"node {v} appears twice")
+        if v < 1:
+            raise ValueError(f"node id {v} is below 1")
         if type(xs) is not list:
             raise TypeError(f"{xs!r:.20} is not a list of integers")
         vals = tuple(map(_json_int, xs))
@@ -118,13 +127,10 @@ _MALFORMED = (AttributeError, KeyError, OverflowError, ParseError, RecursionErro
 def coloring_from_json(text: str) -> Multicoloring:
     try:
         payload = json.loads(text, object_pairs_hook=_unique_keys)
-        params = payload.get("params", {})
-        if not isinstance(params, dict):
-            raise TypeError(f"params must be an object, not {type(params).__name__}")
         return Multicoloring(
             palette_size=_json_int(payload["palette_size"]),
             assignment=_int_tuples(payload["assignment"].items(), _read_int),
-            params=params,
+            params=_json_object(payload, "params"),
         )
     except _MALFORMED as exc:
         raise InvalidParams(f"malformed coloring JSON: {exc}") from exc

@@ -1,23 +1,22 @@
 """Permutation-based one-shot multicoloring.
 
 Two constructions share one selection rule and one sieve, select_colors: a
-node takes color i exactly when it beats all its neighbors at position i.
-Both hold their k values as PackedWords, whole-byte fields of one int with
-the top bit of each field free, so the sieve compares all k positions
+node takes color i exactly when it precedes all its neighbors in order i,
+and order i ranks node x by (value_x[i], x), so a tie goes to the smaller
+id. Both hold their k values as PackedWords, whole-byte fields of one int
+with the top bit of each field free, so the sieve compares all k positions
 against one neighbor with one big-int subtraction (Lamport, "Multiple byte
 processing with full-word instructions", CACM 1975).
 
-Randomized: every node privately draws k numbers and takes the colors where
-its draw is strictly smallest among its neighborhood. With b the bit length
-of k*n^4, a draw is a whole field of w = b // 8 + 1 bytes of the node's
+Randomized: every node privately draws k numbers, its values, and takes the
+colors where it comes first in its neighborhood. With b the bit length of
+k*n^4, a draw is a whole field of w = b // 8 + 1 bytes of the node's
 keyed stream with its top bit cleared, uniform on [0, 2^(8w-1)); all k come
 from one read of the stream with no rejection. Since 8w - 1 >= b, two draws
 tie with probability at most 2^-b, below 1/(k*n^4) as 2^(b-1) <= k*n^4,
-which is all the paper's w.h.p. bound asks of them. Ties waste the color on
-both sides (kept, since they are rare by design); an optional flag breaks
-ties toward the smaller id instead. The draws travel packed from the cut
-through the envelope to the sieve. A run of more than _MAX_DRAWS draws in
-all is refused before the first one is made.
+which is all the paper's w.h.p. bound asks of them. The draws travel packed
+from the cut through the envelope to the sieve. A run of more than
+_MAX_DRAWS draws in all is refused before the first one is made.
 
 Shared-order: the randomized rule on public keys. All nodes know k seeded
 global orders of the id space, order i ranking id x by (keys(x)[i], x) where
@@ -96,14 +95,12 @@ def randomized_palette_size(n, max_degree: int, eps) -> int:
     return _palette(6 * (max_degree + 1), n, max_degree, eps)
 
 
-def shared_palette_size(id_space, max_degree: int, eps, factor: int = 1) -> int:
-    """k = factor * ceil(2*(Delta+1)^2*ln(N)/eps^2) shared orders; TooLarge past a float."""
+def shared_palette_size(id_space, max_degree: int, eps) -> int:
+    """k = ceil(2*(Delta+1)^2*ln(N)/eps^2) shared orders; TooLarge past a float."""
     if id_space < 2:
         raise InvalidParams(f"need id space >= 2, got {id_space}")
-    if factor < 1:
-        raise InvalidParams("factor must be a positive integer")
     d1 = max_degree + 1
-    return factor * _palette(2 * d1 * d1, id_space, max_degree, eps)
+    return _palette(2 * d1 * d1, id_space, max_degree, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +143,8 @@ class PackedWords(Sequence):
     A value that is negative, sets a guard bit or reaches past length fields
     is refused with InvalidParams. So value | guards equals value + guards,
     which the sieve relies on, and the fields read alike by index and by
-    tolist.
+    tolist. The attributes are read-only once made, so the check holds for
+    good; copies and pickles are rebuilt through it.
     """
 
     __slots__ = ("value", "length", "width")
@@ -158,9 +156,17 @@ class PackedWords(Sequence):
             raise InvalidParams(f"packed value reaches past {length} fields of {width} bytes")
         if value & _field_masks(length, width)[0]:
             raise InvalidParams(f"packed value sets a guard bit of its {width}-byte fields")
-        self.value = value
-        self.length = length
-        self.width = width
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "length", length)
+        object.__setattr__(self, "width", width)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"PackedWords is read-only: cannot change {name}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), (self.value, self.length, self.width)
 
     @classmethod
     def pack(cls, values: Sequence[int], width: int | None = None) -> PackedWords:
@@ -264,20 +270,19 @@ def _palette_ids(k: int) -> tuple[int, ...]:
 
 
 def select_colors(
-    own: simulator.NodeEnvelope,
-    neighbors: tuple[simulator.NodeEnvelope, ...],
-    tie_break_by_id: bool = False,
+    own: simulator.NodeEnvelope, neighbors: tuple[simulator.NodeEnvelope, ...]
 ) -> tuple[int, ...]:
-    """Colors where own value is strictly below every neighbor's, ascending.
+    """Colors i where own precedes every neighbor in order i, ascending.
 
-    Envelopes of one width: all bits are PackedWords of own's length and
-    width, or InvalidParams is raised. On an exact tie nobody takes the
-    color, unless tie_break_by_id is set; then the smallest id among the
-    tied minimum wins. One addition compares all k colors with one
-    neighbor: a field of theirs + (guards - mine) keeps its guard bit
-    exactly when mine <= theirs, and theirs + (guards - mine - ones) when
-    mine < theirs. Both offsets are made once per node, and no field
-    carries into the next, since theirs leaves its guard bits clear.
+    Order i ranks node x by (value_x[i], x): the randomized rule on draws
+    and the shared-order rule on keys are this one rule, and a tie goes to
+    the smaller id. Envelopes of one width: all bits are PackedWords of
+    own's length and width, or InvalidParams is raised. One addition
+    compares all k colors with one neighbor: a field of theirs + (guards -
+    mine) keeps its guard bit exactly when mine <= theirs, and theirs +
+    (guards - mine - ones) when mine < theirs. Both offsets are made once
+    per node, and no field carries into the next, since theirs leaves its
+    guard bits clear.
     """
     words = own.bits
     if not isinstance(words, PackedWords):
@@ -294,8 +299,7 @@ def select_colors(
                 f"node {nb.node_id}'s bits are not {k} packed words of {width} bytes"
             )
         # a tie with a larger id keeps the color
-        keeps_ties = tie_break_by_id and own.node_id < nb.node_id
-        alive &= theirs.value + (ties if keeps_ties else strict)
+        alive &= theirs.value + (ties if own.node_id < nb.node_id else strict)
     tops = alive.to_bytes(width * k, "little")[width - 1 :: width]
     return tuple(compress(_palette_ids(k), tops))
 
@@ -305,7 +309,7 @@ def select_colors(
 _MAX_DRAWS = 5 * 10**6
 
 
-def _build_randomized(g: Graph, max_degree: int, eps=0.5, tie_break_by_id=False):
+def _build_randomized(g: Graph, max_degree: int, eps=0.5):
     """Node computation for the randomized rule, ready for the harness.
 
     Every node draws k values, so runs of more than _MAX_DRAWS draws in all
@@ -323,7 +327,7 @@ def _build_randomized(g: Graph, max_degree: int, eps=0.5, tie_break_by_id=False)
         return generate_draws(node_id, k, n, seed).draws
 
     def compute(own, received) -> tuple[int, ...]:
-        return select_colors(own, received, tie_break_by_id)
+        return select_colors(own, received)  # looked up per call: tracers rebind it
 
     return simulator.NodeProgram(
         name="randomized",
@@ -335,7 +339,6 @@ def _build_randomized(g: Graph, max_degree: int, eps=0.5, tie_break_by_id=False)
             "n": n,
             "max_degree": max_degree,
             "palette_size": k,
-            "tie_break_by_id": tie_break_by_id,
         },
     )
 
@@ -465,7 +468,7 @@ def select_by_orders(view: OneHopView, family: OrderFamily) -> tuple[int, ...]:
     """Colors whose order ranks the node before all of its neighbors, ascending."""
     ids = (view.node_id, *view.neighbors)
     own, *nbrs = (simulator.NodeEnvelope(x, family.keys(x)) for x in ids)
-    return select_colors(own, tuple(nbrs), tie_break_by_id=True)
+    return select_colors(own, tuple(nbrs))
 
 
 def certify_family(
@@ -540,7 +543,6 @@ def certified_family(
     eps,
     seed: int,
     max_attempts: int = 3,
-    factor: int = 1,
     max_views: int = MAX_VIEWS,
 ) -> tuple[OrderFamily, NeighborhoodCertificate, int]:
     """Build an order family and certify it, resampling the seed on failure.
@@ -550,7 +552,7 @@ def certified_family(
     """
     if max_attempts < 1:
         raise InvalidParams("need at least one attempt")
-    k = shared_palette_size(id_space, max_degree, eps, factor)
+    k = shared_palette_size(id_space, max_degree, eps)
     family = cert = None
     attempts = 0
     for a in range(max_attempts):
@@ -568,22 +570,17 @@ def run_shared(g: Graph, eps, seed: int, **opts) -> Multicoloring:
     return simulator.run_one_shot(g, "shared-order", seed, eps=eps, **opts)[0]
 
 
-def _build_shared(
-    g: Graph, max_degree: int, seed=None, eps=0.5, factor=1, certify_attempts=0
-):
+def _build_shared(g: Graph, max_degree: int, seed=None, eps=0.5, certify_attempts=0):
     """Node computation selecting by shared orders, certified when certify_attempts > 0."""
     if certify_attempts < 0:
         raise InvalidParams(f"certify attempts {certify_attempts} must be >= 0")
     meta: dict = {
         "epsilon": float(_check_eps(eps)),
         "max_degree": max_degree,
-        "factor": factor,
         "certified": certify_attempts > 0,
     }
     if certify_attempts > 0:
-        family, cert, attempts = certified_family(
-            g.id_space, max_degree, eps, seed, certify_attempts, factor
-        )
+        family, cert, attempts = certified_family(g.id_space, max_degree, eps, seed, certify_attempts)
         if not cert.passed:
             raise InvalidParams(
                 f"no certified family within {attempts} attempts; "
@@ -592,7 +589,7 @@ def _build_shared(
             )
         meta["attempts"] = attempts
     else:
-        k = shared_palette_size(g.id_space, max_degree, eps, factor)
+        k = shared_palette_size(g.id_space, max_degree, eps)
         family = OrderFamily(k, g.id_space, keyed_rng(seed, "attempt", 0).getrandbits(64))
 
     def compute(own, received) -> tuple[int, ...]:

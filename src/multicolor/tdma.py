@@ -19,7 +19,8 @@ from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 
-from .coloring import _MALFORMED, Multicoloring, _int_tuples, _json_int, _sorted_set, _unique_keys
+from .coloring import _MALFORMED, Multicoloring, _int_tuples, _json_int, _json_object, _sorted_set
+from .coloring import _unique_keys
 from .errors import InvalidParams, RefusedInvalid
 from .graph import Graph
 from .verifier import _conflicts, verify  # noqa: F401  perfbench's tracer hooks tdma.verify
@@ -185,7 +186,7 @@ def schedule_from_json(text: str) -> TdmaSchedule:
         return TdmaSchedule(
             frame_length=_json_int(payload["frame_length"]),
             slots=_int_tuples(((r["id"], r["slots"]) for r in payload["nodes"]), _json_int),
-            meta=payload.get("meta", {}),
+            meta=_json_object(payload, "meta"),
         )
     except _MALFORMED as exc:
         raise InvalidParams(f"malformed schedule JSON: {exc}") from exc

@@ -90,7 +90,7 @@ def test_choose_tower_matches_reference_search():
 
 def test_choose_tower_respects_slack_profiles():
     p = choose_tower(1000, 4, slack=3)
-    assert p.fs == (Fraction(3),)
+    assert p.slack == Fraction(3)
     assert p.qs[0] >= 3 * 4 * p.ds[0]
 
 
@@ -156,17 +156,17 @@ def test_deep_tower_levels_chain_their_domains():
 
 def test_tower_params_validation():
     with pytest.raises(InvalidParams):
-        TowerParams(10, 2, qs=(9,), ds=(1,), fs=(2,))  # 9 not prime
+        TowerParams(10, 2, qs=(9,), ds=(1,), slack=2)  # 9 not prime
     with pytest.raises(InvalidParams):
-        TowerParams(10, 2, qs=(5,), ds=(0,), fs=(2,))
+        TowerParams(10, 2, qs=(5,), ds=(0,), slack=2)
     with pytest.raises(InvalidParams):
-        TowerParams(10, 2, qs=(5,), ds=(1,), fs=(1,))  # slack must exceed 1
+        TowerParams(10, 2, qs=(5,), ds=(1,), slack=1)  # slack must exceed 1
     with pytest.raises(InvalidParams):
-        TowerParams(100, 2, qs=(5,), ds=(1,), fs=(2,))  # 25 < 100
+        TowerParams(100, 2, qs=(5,), ds=(1,), slack=2)  # 25 < 100
     with pytest.raises(InvalidParams):
-        TowerParams(10, 4, qs=(5,), ds=(1,), fs=(2,))  # 5 < 2*4*1
+        TowerParams(10, 4, qs=(5,), ds=(1,), slack=2)  # 5 < 2*4*1
     with pytest.raises(InvalidParams):
-        TowerParams(10, 2, qs=(5, 3), ds=(1,), fs=(2,))
+        TowerParams(10, 2, qs=(5, 3), ds=(1,), slack=2)
 
 
 @pytest.mark.parametrize("slack", [float("nan"), float("inf"), -float("inf")])
@@ -174,19 +174,19 @@ def test_non_finite_slack_is_refused(slack):
     with pytest.raises(InvalidParams, match="slack"):
         choose_tower(1000, 4, slack=slack)
     with pytest.raises(InvalidParams, match="slack"):
-        TowerParams(10, 2, qs=(5,), ds=(1,), fs=(slack,))
+        TowerParams(10, 2, qs=(5,), ds=(1,), slack=slack)
     with pytest.raises(InvalidParams, match="slack"):
         build_weighted_scheme(1000, 4, 0.5, slack=slack)
 
 
 def test_tower_params_derived_quantities():
-    p = TowerParams(20, 2, qs=(7, 5), ds=(1, 1), fs=(2, Fraction(3, 2)))
+    p = TowerParams(20, 2, qs=(7, 5), ds=(1, 1), slack=Fraction(3, 2))
     assert p.depth == 1
     assert p.palette_size == 5 * 7 * 5
     assert p.guaranteed_colors == (7 - 2) * (5 - 2)
-    assert math.prod(1 - 1 / f for f in p.fs) == Fraction(1, 2) * Fraction(1, 3)
+    assert p.slack == Fraction(3, 2)
     assert p.to_json_dict() == {
-        "id_space": 20, "max_degree": 2, "q": [7, 5], "d": [1, 1], "f": ["2", "3/2"],
+        "id_space": 20, "max_degree": 2, "q": [7, 5], "d": [1, 1], "f": ["3/2", "3/2"],
         "palette_size": 175,
     }
 
@@ -260,7 +260,7 @@ def brute_force_tower(view, params):
 
 
 def test_tower_matches_brute_force_single_level():
-    p = TowerParams(25, 2, qs=(7,), ds=(1,), fs=(2,))
+    p = TowerParams(25, 2, qs=(7,), ds=(1,), slack=2)
     rng = random.Random(3)
     for _ in range(60):
         ids = rng.sample(range(1, 26), rng.randrange(1, 4))
@@ -273,7 +273,7 @@ def test_tower_matches_brute_force_single_level():
 
 
 def test_tower_matches_brute_force_two_levels():
-    p = TowerParams(25, 2, qs=(7, 5), ds=(1, 1), fs=(Fraction(3, 2), Fraction(3, 2)))
+    p = TowerParams(25, 2, qs=(7, 5), ds=(1, 1), slack=Fraction(3, 2))
     rng = random.Random(4)
     for _ in range(40):
         ids = rng.sample(range(1, 26), rng.randrange(1, 4))
@@ -302,7 +302,7 @@ def small_towers_and_views(draw):
     if draw(st.booleans()):
         levels.append(level(levels[0][0]))
     qs, ds = zip(*levels)
-    p = TowerParams(id_space, max_degree, qs, ds, (slack,) * len(qs))
+    p = TowerParams(id_space, max_degree, qs, ds, slack)
     ids = draw(st.lists(
         st.integers(1, id_space), min_size=1, max_size=max_degree + 1, unique=True
     ))

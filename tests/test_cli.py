@@ -6,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from multicolor import verifier
+from multicolor import cli, simulator, verifier
 from multicolor.cli import main
 from multicolor.coloring import coloring_from_json, coloring_to_json
 from multicolor.graph import format_edge_list, gnp_graph, parse_edge_list
@@ -84,10 +84,7 @@ def test_run_writes_a_valid_coloring(graph_file, tmp_path, capsys, algo):
     assert summary["algorithm"] == algo
     assert summary["message_count"] == 2 * g.edge_count()
     # the CLI defaults, passed to every algorithm alike
-    expected, rounds = run_one_shot(
-        g, algo, 9, eps=0.5, tie_break_by_id=False, factor=1,
-        certify_attempts=0, depth=0, slack=2.0,
-    )
+    expected, rounds = run_one_shot(g, algo, 9, eps=0.5, certify_attempts=0, depth=0, slack=2.0)
     assert out.read_text() == coloring_to_json(expected)
     assert summary["payload_bytes_total"] == rounds.payload_bytes_total
 
@@ -143,6 +140,7 @@ def test_malformed_coloring_json_is_an_input_error(graph_file, tmp_path, capsys)
         '{"palette_size": 1e400, "assignment": {}}',
         '{"palette_size": 3, "assignment": {"1": [1], " 1": [2]}}',  # node 1 twice
         '{"palette_size": 3, "assignment": {"1": [2, 2, 2]}}',  # color 2 three times
+        '{"palette_size": 3, "assignment": {"0": [1]}}',  # no node has id 0
     ],
 )
 def test_verify_refuses_a_malformed_coloring_payload(graph_file, tmp_path, capsys, payload):
@@ -383,6 +381,30 @@ def test_nbrgraph_refuses_an_oversized_certificate(capsys, algo, opts, message):
     assert code == 3
     assert peak < 10**6
     assert message in capsys.readouterr().err
+
+
+def test_run_forwards_exactly_the_builders_options(graph_file, tmp_path, monkeypatch):
+    """Every option a registered builder reads has a run flag, and every
+    forwarded option is read by some builder; seed travels apart."""
+    forwarded = []
+
+    def capture(g, algo, seed, **opts):
+        forwarded.append(set(opts))
+        return run_one_shot(g, algo, seed, **opts)
+
+    monkeypatch.setattr(cli.simulator, "run_one_shot", capture)
+    assert main(["run", "--algo", "randomized", "--seed", "1", "-g", str(graph_file),
+                 "-o", str(tmp_path / "m.json")]) == 0
+    read = set().union(*(options for _, options in simulator._BUILDERS.values()))
+    assert forwarded == [read - {"seed"}]
+
+
+@pytest.mark.parametrize("flag", [["--factor", "2"], ["--tie-break-id"]])
+def test_run_has_no_flag_for_a_removed_option(graph_file, tmp_path, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--algo", "shared-order", "--seed", "1", "-g", str(graph_file),
+              "-o", str(tmp_path / "m.json"), *flag])
+    assert exc.value.code == 2
 
 
 def test_unknown_algorithm_is_a_usage_error(graph_file, tmp_path):

@@ -88,6 +88,7 @@ def test_json_rejects_malformed_payloads():
         '{"palette_size": 3, "assignment": {"1": [1], "1": [2]}}',
         '{"palette_size": 3, "assignment": {"1": [2, 2, 2]}}',
         '{"palette_size": 3, "assignment": {"1": [1, 3], "2": [1, 2, 1]}}',
+        '{"palette_size": 3, "assignment": {"0": [1]}}',
     ):
         with pytest.raises(InvalidParams):
             coloring_from_json(bad)

@@ -7,7 +7,7 @@ import sys
 import tracemalloc
 from array import array
 from fractions import Fraction
-from itertools import combinations, islice, permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -84,13 +84,13 @@ def test_shared_palette_frozen_values():
     assert shared_palette_size(math.e, 0, 1) == 2
 
 
-def test_shared_palette_factor_scales_linearly():
-    base = shared_palette_size(30, 3, 0.5)
-    assert shared_palette_size(30, 3, 0.5, factor=3) == 3 * base
-    with pytest.raises(InvalidParams):
-        shared_palette_size(30, 3, 0.5, factor=0)
+def test_shared_palette_domain_checks():
     with pytest.raises(InvalidParams):
         shared_palette_size(1, 3, 0.5)
+    with pytest.raises(InvalidParams):
+        shared_palette_size(30, -1, 0.5)
+    with pytest.raises(InvalidParams):
+        shared_palette_size(30, 3, 0)
 
 
 # -- random draws ----------------------------------------------------------
@@ -166,8 +166,7 @@ def test_draws_equal_one_getrandbits_per_color(k, n, bits):
         assert draws.width == width
         assert draws.value & guards == 0
     own, *nbs = (NodeEnvelope(v, generate_draws(v, k, n, 3).draws) for v in range(1, 6))
-    for tie_break in (False, True):
-        assert select_colors(own, tuple(nbs), tie_break) == column_min_selection(own, nbs, tie_break)
+    assert select_colors(own, tuple(nbs)) == column_min_selection(own, nbs)
 
 
 def test_compact_draws_keep_8_bytes_a_draw():
@@ -226,6 +225,18 @@ def test_packed_words_refuse_a_value_outside_their_fields(value, length, width):
         PackedWords(value, length, width)
 
 
+def test_packed_words_are_read_only():
+    """Before, p.value = 0x80 left p[0] reading 0 while p.tolist() read [128]."""
+    words = PackedWords(0, 1, 1)
+    for name in ("value", "length", "width"):
+        with pytest.raises(AttributeError):
+            setattr(words, name, 0x80)
+        with pytest.raises(AttributeError):
+            delattr(words, name)
+    assert (words.value, words.length, words.width) == (0, 1, 1)
+    assert words.tolist() == [words[0]] == [0]
+
+
 def test_packed_words_slice_as_a_list_does():
     words = PackedWords.pack([1, 2, 3])
     assert words[0:2] == [1, 2]
@@ -234,7 +245,7 @@ def test_packed_words_slice_as_a_list_does():
     assert words[-1] == 3
 
 
-# -- strict-minimum selection ------------------------------------------------
+# -- (value, id) selection ----------------------------------------------------
 
 
 def sent(node_id, values, width=1):
@@ -254,18 +265,11 @@ def test_select_colors_no_neighbors_takes_everything():
     assert select_colors(own, ()) == (1, 2, 3)
 
 
-def test_ties_waste_the_color_on_both_sides():
+def test_tie_break_by_id_awards_the_smaller_id():
     u = sent(1, (5, 2))
     v = sent(2, (5, 9))
-    assert select_colors(u, (v,)) == (2,)
+    assert select_colors(u, (v,)) == (1, 2)
     assert select_colors(v, (u,)) == ()
-
-
-def test_tie_break_by_id_awards_the_smaller_id():
-    u = sent(1, (5,))
-    v = sent(2, (5,))
-    assert select_colors(u, (v,), tie_break_by_id=True) == (1,)
-    assert select_colors(v, (u,), tie_break_by_id=True) == ()
 
 
 def test_tie_break_only_applies_to_the_tied_minimum():
@@ -273,8 +277,8 @@ def test_tie_break_only_applies_to_the_tied_minimum():
     own = sent(5, (4,))
     below = sent(3, (4,))
     above = sent(2, (8,))
-    assert select_colors(own, (below, above), tie_break_by_id=True) == ()
-    assert select_colors(below, (own, above), tie_break_by_id=True) == (1,)
+    assert select_colors(own, (below, above)) == ()
+    assert select_colors(below, (own, above)) == (1,)
 
 
 def test_select_colors_rejects_length_mismatch():
@@ -288,36 +292,23 @@ draws_strategy = st.lists(
 
 
 @settings(max_examples=150)
-@given(draws_strategy, draws_strategy, st.booleans())
-def test_two_node_partition_identity(du, dv, tie_break):
-    """On an edge the two selections are disjoint and |S_u|+|S_v| = k - ties."""
+@given(draws_strategy, draws_strategy)
+def test_two_node_partition_identity(du, dv):
+    """On an edge the two selections split the palette, ties included."""
     u = sent(1, du)
     v = sent(2, dv)
-    su = select_colors(u, (v,), tie_break)
-    sv = select_colors(v, (u,), tie_break)
+    su = select_colors(u, (v,))
+    sv = select_colors(v, (u,))
     assert set(su).isdisjoint(sv)
-    ties = sum(a == b for a, b in zip(du, dv))
-    if tie_break:
-        assert len(su) + len(sv) == len(du)
-    else:
-        assert len(su) + len(sv) == len(du) - ties
+    assert len(su) + len(sv) == len(du)
 
 
-def column_min_selection(own, neighbors, tie_break_by_id):
-    """The strict-minimum rule, one color column at a time, colors ascending."""
-    if not neighbors:
-        return tuple(range(1, len(own.bits) + 1))
+def column_min_selection(own, neighbors):
+    """Colors i where own's (value, id) is below every neighbor's, one column at a time."""
     won = []
-    columns = zip(own.bits, *(nb.bits for nb in neighbors))
-    for i, col in enumerate(columns, start=1):
-        own_d = col[0]
-        m = min(islice(col, 1, None))
-        if own_d < m:
+    for i, mine in enumerate(own.bits, start=1):
+        if all((mine, own.node_id) < (nb.bits[i - 1], nb.node_id) for nb in neighbors):
             won.append(i)
-        elif tie_break_by_id and own_d == m:
-            tied = [nb.node_id for nb in neighbors if nb.bits[i - 1] == m]
-            if all(own.node_id < t for t in tied):
-                won.append(i)
     return tuple(won)
 
 
@@ -337,17 +328,16 @@ def edge_words(k):
     st.lists(st.integers(1, 8), max_size=5),
     st.integers(1, 12),
     st.integers(0, 2),
-    st.booleans(),
     st.data(),
 )
-def test_sieve_equals_the_column_minimum(own_id, nb_ids, k, extra, tie_break, data):
+def test_sieve_equals_the_column_minimum(own_id, nb_ids, k, extra, data):
     """Values from {0, 1, 2, 3}, so ties are common, or next to a field's guard
     bit, packed at the least width that holds the neighborhood's or wider;
     ids may even repeat."""
     rows = [data.draw(edge_words(k)) for _ in range(1 + len(nb_ids))]
     width = max(PackedWords.pack(row).width for row in rows) + extra
     own, *nbs = (sent(v, row, width) for v, row in zip((own_id, *nb_ids), rows))
-    assert select_colors(own, tuple(nbs), tie_break) == column_min_selection(own, nbs, tie_break)
+    assert select_colors(own, tuple(nbs)) == column_min_selection(own, nbs)
 
 
 RESHAPED = {
@@ -377,6 +367,25 @@ def test_sieve_refuses_bits_of_another_shape(reshape):
     reshaped = tuple(NodeEnvelope(e.node_id, reshape(e.bits)) for e in received)
     with pytest.raises(InvalidParams):
         replay_view(g.view(v), reshaped, program, seed=3)
+
+
+@pytest.mark.parametrize("algo", ["randomized", "shared-order"])
+def test_a_built_program_looks_up_the_sieve_when_it_runs(monkeypatch, algo):
+    """A tracer rebinds permcolor.select_colors after programs are built:
+    compute must find the new binding, not one captured at build time."""
+    g = gnp_graph(12, 0.4, 30, seed=2)
+    program = build_program(algo, g, seed=3)
+    expected, _ = run_one_shot(g, program, seed=3)
+    sieve = permcolor.select_colors
+    calls = []
+
+    def spy(own, neighbors):
+        calls.append(own.node_id)
+        return sieve(own, neighbors)
+
+    monkeypatch.setattr(permcolor, "select_colors", spy)
+    assert run_one_shot(g, program, seed=3)[0] == expected
+    assert sorted(calls) == sorted(g.node_ids())
 
 
 @settings(max_examples=200)
@@ -851,8 +860,8 @@ def test_certified_family_passes_first_attempt_here():
 GOLDEN_CRITERION_2 = {
     "algebraic-basic": "5d318e4e7c2ef3d6aeb266f3883e19392ed96b910f0bb81862a7fd094055f90a",
     "algebraic-weighted": "02737a25ae2c7d34d8aae95e45182978ac6ea35855c85946a9061dc2e865826a",
-    "randomized": "42588eecbcdcd5795045c79068a24bc76721653aa739d6db3ac9f019d3abd6cb",
-    "shared-order": "421ae686c8435ea2b36f3801db0bcedb37a7e57c82b376e9b9e9baeb9e36a385",
+    "randomized": "1b8cd7a368299951d63ddce31e4122a59f7f8aca0bc9c000b5776b7176311bf7",
+    "shared-order": "541abdaa262fffd40765a7098153bcdb725bd91ab8f9e9373f9d1fdf5996a504",
 }
 
 

@@ -161,10 +161,7 @@ def test_a_misspelled_option_is_refused():
 def test_each_builder_receives_only_the_options_it_names(monkeypatch):
     """Every option any construction reads reaches only the builders naming it."""
     g = gnp_graph(12, 0.3, 12, seed=2)
-    every = dict(
-        seed=5, eps=1.0, tie_break_by_id=True, factor=2, certify_attempts=0,
-        depth=0, slack=3,
-    )
+    every = dict(seed=5, eps=1.0, certify_attempts=0, depth=0, slack=3)
     received = {}
     monkeypatch.setattr(simulator, "_BUILDERS", dict(simulator._BUILDERS))
     for name, (builder, options) in simulator._BUILDERS.items():
@@ -178,8 +175,8 @@ def test_each_builder_receives_only_the_options_it_names(monkeypatch):
     for name in ALGOS:
         build_program(name, g, **every)
     assert received == {
-        "randomized": {"eps", "tie_break_by_id"},
-        "shared-order": {"seed", "eps", "factor", "certify_attempts"},
+        "randomized": {"eps"},
+        "shared-order": {"seed", "eps", "certify_attempts"},
         "algebraic-basic": {"depth", "slack"},
         "algebraic-weighted": {"eps", "depth", "slack"},
     }

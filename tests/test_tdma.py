@@ -26,6 +26,7 @@ from multicolor import (
     verify,
 )
 from multicolor import verifier
+from multicolor.permcolor import PackedWords
 
 K2 = Graph(2, {1: {2}, 2: {1}})
 
@@ -103,7 +104,7 @@ def test_read_only_records_still_pickle_and_copy():
     m = Multicoloring(3, {1: {1}, 2: {2}, 3: {1, 3}}, params={"seed": 1})
     verify(g, m)  # leaves its check on m, which no copy takes along
     s = to_schedule(m, g)
-    for record in (g, m, s):
+    for record in (g, m, s, PackedWords.pack([1, 2, 300])):
         for twin in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
             assert twin == record and twin is not record
     assert to_schedule(pickle.loads(pickle.dumps(m)), g) == s
@@ -203,6 +204,11 @@ def test_json_round_trip_is_exact():
         '{"frame_length": 3, "nodes": [{"id": 1, "id": 2, "slots": [1]}]}',
         '{"frame_length": 4, "nodes": [{"id": 1, "slots": [2, 2, 2]}]}',
         '{"frame_length": 4, "nodes": [{"id": 1, "slots": [1]}, {"id": 2, "slots": [3, 4, 3]}]}',
+        '{"frame_length": 3, "nodes": [{"id": -4, "slots": [1]}]}',
+        '{"frame_length": 3, "nodes": [{"id": 0, "slots": [1]}]}',
+        '{"frame_length": 3, "meta": 5, "nodes": []}',
+        '{"frame_length": 3, "meta": [1], "nodes": []}',
+        '{"frame_length": 3, "meta": null, "nodes": []}',
     ):
         with pytest.raises(InvalidParams):
             schedule_from_json(bad)
@@ -283,15 +289,15 @@ PINNED_GRAPHS = {
     "certified": lambda: unit_disk_graph(12, 0.3, 30, 6),
 }
 PINNED_SCHEDULES = {
-    ("wide", "randomized"): "6d0567a11793f839bb39f4ff52a1c72819a24bb01e830936831042426491e2bc",
+    ("wide", "randomized"): "f3fe705ebf52ee041e97fb710485dcbc71f38646d14147e9cdb0f382068051ec",
     ("wide", "algebraic-basic"): "1c9fc1a0e9606d36a7f52dd0ca584fbeac304d0cc12b3404e4e92b35740e4803",
     ("wide", "algebraic-weighted"): "23e2fc4e413f41617bb91a84d08839e2e41feeb9e717efabbb9f05880166ab19",
-    ("narrow", "randomized"): "aed7b1f6c0253a0f18f63e2c909e526cfb7a198ad519dd0e01db4e65a07cc398",
-    ("narrow", "shared-order"): "e8f6f9caec222480d009ab4316d12974e7a84c58608bc38c0b9b2ac03d45cb98",
+    ("narrow", "randomized"): "5d941c3d72c174c36f356f0dee7185be176feccc859ff24b1dedbcdd353b64c6",
+    ("narrow", "shared-order"): "ca573cfaf649e405c09cd424d12421fe90fe278d8a3cac28888eb9fb210d98db",
     ("narrow", "algebraic-basic"): "ac6bd7e039d25e59760c8e16ea1e31ed9f76d0acd8fefda8d89a6909a9c721e1",
     ("narrow", "algebraic-weighted"): "afa1e2c0a727ac127ab8132ac27aced469af5d019d1bd51e5388ff174495909c",
     # the deployed family is the one the certificate over all 30 ids passed
-    ("certified", "shared-order"): "f2eba7c077d95aa28d5f947367d4d722ffedccfb7299a3d9612cba8f1c15b245",
+    ("certified", "shared-order"): "71b5fb50adef2c7d4b1067f283daf7af4b3041045b2b7cfd67253e79053162d5",
 }
 
 
