@@ -214,7 +214,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--attempts", type=int, default=3)
     p.add_argument("--ell", type=int, default=0)
     p.add_argument("--slack", type=float, default=2.0)
-    p.add_argument("--max-views", type=int, default=verifier.MAX_VIEWS)
+    p.add_argument(
+        "--max-views",
+        type=int,
+        default=verifier.MAX_VIEWS,
+        help="views a sweep may visit, default 10^7; N=64, Delta=4 needs 40,793,088",
+    )
     p.set_defaults(func=cmd_nbrgraph)
 
     p = sub.add_parser("export", help="convert a verified coloring to a schedule")

@@ -35,6 +35,19 @@ def _sorted_set(v: int, vals, top: int, noun: str = "color") -> tuple[int, ...]:
     return vals
 
 
+def _check_record(nodes: Mapping, extra, name: str) -> None:
+    """Refuse a record its JSON reader would refuse to read back.
+
+    Every node id must be an int of at least 1 (a bool is not an id), and
+    extra, the record's params or meta, a dict.
+    """
+    if not isinstance(extra, dict):
+        raise InvalidParams(f"{name} must be a dict, not {type(extra).__name__}")
+    for v in nodes:
+        if type(v) is not int or v < 1:
+            raise InvalidParams(f"node id {v!r} is not an int >= 1")
+
+
 @dataclass(frozen=True)
 class Multicoloring:
     """Assignment of a color subset of [1..palette_size] to every node.
@@ -45,7 +58,8 @@ class Multicoloring:
     cannot change once made, and verifier._conflicts can keep its check on
     the record. params records how the coloring was produced (algorithm
     name, epsilon, seed, degree bound, id space, ...) so runs can be
-    reproduced exactly.
+    reproduced exactly. Node ids are ints >= 1 and params is a dict, or
+    InvalidParams is raised, so coloring_from_json reads back every record.
     """
 
     palette_size: int
@@ -55,6 +69,7 @@ class Multicoloring:
     def __post_init__(self):
         if self.palette_size < 1:
             raise InvalidParams("palette size must be >= 1")
+        _check_record(self.assignment, self.params, "params")
         k = self.palette_size
         assignment = {v: _sorted_set(v, cols, k) for v, cols in self.assignment.items()}
         object.__setattr__(self, "assignment", MappingProxyType(assignment))

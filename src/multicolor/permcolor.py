@@ -128,6 +128,13 @@ def _field_masks(length: int, width: int) -> tuple[int, int]:
     return int.from_bytes(guard, "little"), int.from_bytes(one, "little")
 
 
+@lru_cache(maxsize=8)
+def _value_mask(length: int, width: int) -> int:
+    """Every bit of length fields of width bytes but the guard bits: guards - ones."""
+    guards, ones = _field_masks(length, width)
+    return guards - ones
+
+
 class PackedWords(Sequence):
     """length non-negative ints in fields of width bytes of one int.
 
@@ -243,7 +250,7 @@ def _cut_stream(rng: random.Random, bits: int, count: int) -> PackedWords:
     """
     width = _field_width(bits)
     cut = rng.getrandbits(8 * width * count)
-    return PackedWords(cut ^ (cut & _field_masks(count, width)[0]), count, width)
+    return PackedWords(cut & _value_mask(count, width), count, width)
 
 
 def generate_draws(node_id: int, k: int, n: int, seed: int) -> RandomDraws:
@@ -394,6 +401,7 @@ class OrderFamily:
         self._keys: list[int] | None = None
         self._beats_row_id: int | None = None
         self._beats_row: list[int] | None = None
+        self._full = (1 << k) - 1
 
     def keys(self, x: int) -> PackedWords:
         """keys(x)[i] is id x's key in order i: the i-th 5-byte field of its stream.
@@ -454,14 +462,14 @@ class OrderFamily:
         Each neighbor id is range-checked before it indexes the row, where 0
         would read row[-1]; inline, since a view holds a few ids.
         """
-        row = self.beats_row(node_id)
+        row = self._beats_row if node_id == self._beats_row_id else self.beats_row(node_id)
         n = self.id_space
         lost = 0
         for y in neighbor_ids:
             if not 0 < y <= n:
                 self._check_id(y)
             lost |= row[y - 1]
-        return ((1 << self.k) - 1) & ~lost
+        return self._full ^ lost  # a row holds k bits: full & ~lost
 
 
 def select_by_orders(view: OneHopView, family: OrderFamily) -> tuple[int, ...]:
@@ -515,7 +523,7 @@ def certify_family(
                 low = count
         if low <= k:  # the degree has a view
             low_by_degree[d] = low
-    full = (1 << k) - 1
+    full = family._full
     violations = []
     for a, b in combinations(range(1, len(rows)), 2):
         shared = full & ~(rows[a][b - 1] | rows[b][a - 1])

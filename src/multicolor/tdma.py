@@ -19,8 +19,8 @@ from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 
-from .coloring import _MALFORMED, Multicoloring, _int_tuples, _json_int, _json_object, _sorted_set
-from .coloring import _unique_keys
+from .coloring import _MALFORMED, Multicoloring, _check_record, _int_tuples, _json_int
+from .coloring import _json_object, _sorted_set, _unique_keys
 from .errors import InvalidParams, RefusedInvalid
 from .graph import Graph
 from .verifier import _conflicts, verify  # noqa: F401  perfbench's tracer hooks tdma.verify
@@ -42,6 +42,7 @@ class TdmaSchedule:
 
     Each node's slots are a strictly increasing tuple, normalized as a
     Multicoloring's colors are, and slots is read-only, as its assignment is.
+    Node ids are ints >= 1 and meta is a dict, as schedule_from_json requires.
     """
 
     frame_length: int
@@ -51,6 +52,7 @@ class TdmaSchedule:
     def __post_init__(self):
         if self.frame_length < 1:
             raise InvalidParams("frame length must be >= 1")
+        _check_record(self.slots, self.meta, "meta")
         n = self.frame_length
         slots = {v: _sorted_set(v, s, n, "slot") for v, s in self.slots.items()}
         object.__setattr__(self, "slots", MappingProxyType(slots))

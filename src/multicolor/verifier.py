@@ -9,13 +9,14 @@ this graph is conflict-free on every host graph at once.
 
 All pass/fail arithmetic is exact (integers and Fractions); floats never
 decide an outcome. The limits no caller varies are module constants:
-VIOLATION_CAP conflicts named per report, MAX_EDGES materialized view-graph
-edges, and MAX_CHI_VERTICES vertices and MAX_CHI_WORK work units per
-chromatic search; only the view budget is a parameter. A sweep holds no view,
-only (N+1)^2 ints of color unions (an order family's certificate: N rows of
-N ints), so its default MAX_VIEWS bounds time; neighborhood_graph keeps
-every view, about 312 B each, so its default MAX_GRAPH_VIEWS bounds memory
-(10^7 views: 3 GB).
+VIOLATION_CAP conflicts named per report, _KNOWN_MASKS color tuples whose
+masks a certificate keeps, MAX_EDGES materialized view-graph edges, and
+MAX_CHI_VERTICES vertices and MAX_CHI_WORK work units per chromatic search;
+only the view budget is a parameter. A sweep holds no view, only (N+1)^2
+ints of color unions (an order family's certificate: N rows of N ints), so
+its default MAX_VIEWS bounds time; neighborhood_graph keeps every view,
+about 312 B each, so its default MAX_GRAPH_VIEWS bounds memory (10^7 views:
+3 GB).
 """
 
 from __future__ import annotations
@@ -82,6 +83,7 @@ class VerificationReport:
 
 
 VIOLATION_CAP = 100  # conflicts a report or certificate names; all are counted
+_KNOWN_MASKS = 4096  # result tuples whose masks one certify_on_neighborhood call keeps
 
 
 def min_colors_required(palette_size: int, eps, delta: int) -> int:
@@ -420,20 +422,31 @@ def certify_on_neighborhood(
     view pairs.
 
     view_colors may return an int bitmask (bit i-1 = color i) or an iterable
-    of 1-based colors. min_colors, if given, maps a degree to the minimum
-    count each view of that degree must keep.
+    of 1-based colors; the masks of the first _KNOWN_MASKS distinct tuples
+    it returns are kept for the call. min_colors, if given, maps a degree to
+    the minimum count each view of that degree must keep.
     """
     views = _iter_views(id_space, max_degree, max_views)
     need = None
     if min_colors is not None:
         need = {d: min_colors(d) for d in range(1, max_degree + 1)}
 
+    # a rule's views repeat few color tuples (the tower's 122,670 views at
+    # N=30, Delta=3 return 1,920), so a seen tuple costs one hash and one lookup
+    known: dict[tuple, int] = {}
+
     def as_mask(result) -> int:
-        if isinstance(result, int):
+        if type(result) is tuple:
+            mask = known.get(result)
+            if mask is not None:
+                return mask
+        elif isinstance(result, int):
             return result
         mask = 0
         for c in result:
             mask |= 1 << (c - 1)
+        if type(result) is tuple and len(known) < _KNOWN_MASKS:
+            known[result] = mask
         return mask
 
     # at degree bound 0 no view and no edge: no union row, no pair to scan

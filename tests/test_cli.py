@@ -179,6 +179,15 @@ def test_nbrgraph_refuses_a_chromatic_search_before_building_a_view(capsys, monk
     assert "396760 views exceed the guard of 10000" in capsys.readouterr().err
 
 
+def test_nbrgraph_max_views_help_states_its_figures(capsys):
+    """The help names the default budget and the views of N=64, Delta=4."""
+    with pytest.raises(SystemExit):
+        main(["nbrgraph", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert verifier.MAX_VIEWS == 10**7 and "default 10^7" in text
+    assert f"N=64, Delta=4 needs {verifier.nbr_vertex_count(64, 4):,}" in text
+
+
 def test_nbrgraph_certifies_a_shared_order_family(capsys):
     code = main(
         ["nbrgraph", "--N", "6", "--Delta", "1", "--certify", "shared-order",

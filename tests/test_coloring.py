@@ -20,6 +20,19 @@ def test_colors_must_fit_palette():
         Multicoloring(0, {})
 
 
+@pytest.mark.parametrize("node", [0, -4, True, "5"], ids=["zero", "negative", "bool", "string"])
+def test_node_ids_are_ints_of_at_least_one(node):
+    """coloring_from_json refuses these ids, so the record refuses them too."""
+    with pytest.raises(InvalidParams, match="node id"):
+        Multicoloring(3, {node: {1}})
+
+
+@pytest.mark.parametrize("params", [5, [1], None, "seed"], ids=["number", "list", "none", "string"])
+def test_params_is_a_dict(params):
+    with pytest.raises(InvalidParams, match="params must be a dict"):
+        Multicoloring(3, {1: {1}}, params=params)
+
+
 def test_colors_become_one_sorted_tuple():
     """Unsorted, repeated and set input alike become the strictly increasing
     tuple; a tuple that already is one is kept, the same object."""

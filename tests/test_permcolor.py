@@ -571,6 +571,19 @@ def test_beats_row_cache_is_transparent():
     assert fam.beats_row(3) == first
 
 
+def test_select_mask_on_a_cached_row_is_transparent():
+    """ids x, y, x in turn: the second x reads the cached row of the first."""
+    fam = OrderFamily(12, 9, seed=4)
+    full = (1 << 12) - 1
+    for x, gamma in ((3, (1, 7)), (5, (3, 9)), (3, (2, 8, 9))):
+        fresh = OrderFamily(12, 9, seed=4)
+        lost = 0
+        for y in gamma:
+            lost |= fresh.beats_row(x)[y - 1]
+        assert fam.select_mask(x, gamma) == OrderFamily(12, 9, seed=4).select_mask(x, gamma)
+        assert fam.select_mask(x, gamma) == full & ~lost
+
+
 def test_ids_outside_the_space_are_rejected():
     fam = OrderFamily(4, 5, seed=0)
     with pytest.raises(InvalidParams):

@@ -144,6 +144,19 @@ def test_schedule_validation_and_normalization():
         TdmaSchedule(4, {1: (), 2: (2, 9, 3)})
 
 
+@pytest.mark.parametrize("node", [0, -4, True, "5"], ids=["zero", "negative", "bool", "string"])
+def test_schedule_node_ids_are_ints_of_at_least_one(node):
+    """schedule_from_json refuses these ids, so the record refuses them too."""
+    with pytest.raises(InvalidParams, match="node id"):
+        TdmaSchedule(3, {node: (1,)})
+
+
+@pytest.mark.parametrize("meta", [5, [1], None, "seed"], ids=["number", "list", "none", "string"])
+def test_schedule_meta_is_a_dict(meta):
+    with pytest.raises(InvalidParams, match="meta must be a dict"):
+        TdmaSchedule(3, {1: (1,)}, meta=meta)
+
+
 def test_everyone_transmits_always_on_an_edgeless_graph():
     g = Graph(3, {1: set(), 2: set(), 3: set()})
     m = Multicoloring(2, {1: {1, 2}, 2: {1, 2}, 3: {1, 2}})

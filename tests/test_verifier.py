@@ -520,6 +520,56 @@ def test_mask_and_iterable_interfaces_agree():
     assert as_set == as_mask
 
 
+def test_fresh_tuples_lists_and_masks_certify_alike():
+    """The mask memo is keyed by a tuple's value: fresh tuples, lists and
+    ints of the same colors give one certificate, passing or failing."""
+    p = choose_tower(8, 2)
+    family = OrderFamily(12, 8, seed=3)
+
+    def order_colors(v):
+        mask = family.select_mask(v.node_id, v.neighbors)
+        return [c for c in range(1, family.k + 1) if mask >> (c - 1) & 1]
+
+    rules = (
+        (lambda v: tower_color_indices(v, p), p.palette_size, p.guaranteed_colors),
+        (order_colors, family.k, 3),
+        (lambda v: [keyed_one_bit_mask(5, 16, v).bit_length()], 16, 1),  # not disjoint
+    )
+    for colors, k, quota in rules:
+        shapes = (
+            lambda v: tuple([*colors(v)]),  # a new tuple on every call
+            lambda v: list(colors(v)),
+            lambda v: sum(1 << (c - 1) for c in colors(v)),
+        )
+        certs = [
+            certify_on_neighborhood(f, 8, 2, k, min_colors=lambda d: quota) for f in shapes
+        ]
+        assert certs[0] == certs[1] == certs[2]
+    assert not certs[0].disjoint and certs[0].violations
+
+
+def test_mask_memo_stops_at_its_cap():
+    """Past _KNOWN_MASKS distinct tuples, masks are still made, and right,
+    but no more are kept. Every view here returns a tuple of its own."""
+    sizes = []
+
+    def own_tuple(view):
+        return (view.node_id, *(20 + y for y in sorted(view.neighbors)))
+
+    def view_colors(view):
+        # certify_on_neighborhood calls this directly: its frame holds the memo
+        sizes.append(len(sys._getframe(1).f_locals["known"]))
+        return own_tuple(view)
+
+    as_tuples = certify_on_neighborhood(view_colors, 14, 3, 40)
+    as_ints = certify_on_neighborhood(
+        lambda v: sum({1 << (c - 1) for c in own_tuple(v)}), 14, 3, 40
+    )
+    assert nbr_vertex_count(14, 3) > verifier._KNOWN_MASKS
+    assert as_tuples == as_ints and not as_tuples.disjoint
+    assert max(sizes) == verifier._KNOWN_MASKS
+
+
 def keyed_one_bit_mask(seed: int, palette: int, view: OneHopView) -> int:
     rng = random.Random(f"{seed}:{view.node_id}:{sorted(view.neighbors)}")
     return 1 << rng.randrange(palette)
