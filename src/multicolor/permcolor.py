@@ -9,14 +9,14 @@ against one neighbor with one big-int subtraction (Lamport, "Multiple byte
 processing with full-word instructions", CACM 1975).
 
 Randomized: every node privately draws k numbers, its values, and takes the
-colors where it comes first in its neighborhood. With b the bit length of
-k*n^4, a draw is a whole field of w = b // 8 + 1 bytes of the node's
-keyed stream with its top bit cleared, uniform on [0, 2^(8w-1)); all k come
-from one read of the stream with no rejection. Since 8w - 1 >= b, two draws
-tie with probability at most 2^-b, below 1/(k*n^4) as 2^(b-1) <= k*n^4,
-which is all the paper's w.h.p. bound asks of them. The draws travel packed
-from the cut through the envelope to the sieve. A run of more than
-_MAX_DRAWS draws in all is refused before the first one is made.
+colors where it comes first in its neighborhood. Draws are cut as order
+keys are: whole 5-byte fields of one read of the node's keyed stream, top
+bits cleared, so uniform on [0, 2^39). A tie hands color i to the smaller
+id, and x keeps it at least when its draw is the unique minimum of its
+closed neighborhood: with probability at least (1 - C(d+1, 2) 2^-39)/(d+1)
+= 1/(d+1) - d 2^-40 at degree d, and the paper's Chernoff step holds with
+that mean. The draws travel packed from the cut through the envelope to the
+sieve. More than _MAX_DRAWS draws in a run are refused before one is made.
 
 Shared-order: the randomized rule on public keys. All nodes know k seeded
 global orders of the id space, order i ranking id x by (keys(x)[i], x) where
@@ -241,33 +241,35 @@ class PackedWords(Sequence):
         return f"PackedWords.pack({self.tolist()!r}, width={self.width})"
 
 
-def _cut_stream(rng: random.Random, bits: int, count: int) -> PackedWords:
-    """count values in whole fields of w = bits // 8 + 1 bytes of one read of rng.
+# bytes of every field cut from a stream, draws and keys: 39 value bits and a guard bit
+_CUT_WIDTH = 5
+# largest k * n draws a randomized run holds: at 5 B a draw, 25 MB in all
+_MAX_DRAWS = 5 * 10**6
+
+
+def _cut_stream(rng: random.Random, count: int) -> PackedWords:
+    """count values in whole _CUT_WIDTH-byte fields of one read of rng.
 
     The read's bytes fill the fields in order. Clearing each field's top
-    bit, the sieve's guard, leaves values uniform on [0, 2^(8w-1)), and
-    8w - 1 >= bits.
+    bit, the sieve's guard, leaves values uniform on [0, 2^39).
     """
-    width = _field_width(bits)
-    cut = rng.getrandbits(8 * width * count)
-    return PackedWords(cut & _value_mask(count, width), count, width)
+    cut = rng.getrandbits(8 * _CUT_WIDTH * count)
+    return PackedWords(cut & _value_mask(count, _CUT_WIDTH), count, _CUT_WIDTH)
 
 
-def generate_draws(node_id: int, k: int, n: int, seed: int) -> RandomDraws:
-    """Draw k values uniform on [0, 2^(8w-1)) from the node's keyed stream.
+def generate_draws(node_id: int, k: int, seed: int) -> RandomDraws:
+    """Draw k values uniform on [0, 2^39) from the node's keyed stream.
 
-    b is the bit length of k*n^4 and w = b // 8 + 1, so 8w - 1 >= b and two
-    draws tie with probability at most 2^-b, below 1/(k*n^4). Draw i is the
-    i-th w-byte field of one getrandbits(8*w*k) read, its top bit cleared,
-    and every value is kept: there is no rejection. The top bit stays clear:
-    it is the field's guard bit, which the sieve needs free.
+    Draw i is the i-th 5-byte field of one getrandbits(40*k) read, its top
+    bit, the sieve's guard, cleared; every value is kept. A tie goes to the
+    smaller id; the module docstring bounds what that costs. More than
+    _MAX_DRAWS draws are refused before the stream is read.
     """
     if k < 1:
         raise InvalidParams("palette size must be >= 1")
-    if n < 1:
-        raise InvalidParams("node count must be >= 1")
-    bits = (k * n**4).bit_length()
-    return RandomDraws(node_id, _cut_stream(keyed_rng(seed, "draws", node_id), bits, k))
+    if k > _MAX_DRAWS:
+        raise TooLarge(f"{k} draws are above the guard of {_MAX_DRAWS}")
+    return RandomDraws(node_id, _cut_stream(keyed_rng(seed, "draws", node_id), k))
 
 
 @lru_cache(maxsize=8)
@@ -311,11 +313,6 @@ def select_colors(
     return tuple(compress(_palette_ids(k), tops))
 
 
-# largest k * n draws a randomized run holds: a draw of up to b bits takes
-# b // 8 + 1 bytes, so at most 40 MB in all below 2^63 and 105 MB at 165 bits
-_MAX_DRAWS = 5 * 10**6
-
-
 def _build_randomized(g: Graph, max_degree: int, eps=0.5):
     """Node computation for the randomized rule, ready for the harness.
 
@@ -331,7 +328,7 @@ def _build_randomized(g: Graph, max_degree: int, eps=0.5):
         )
 
     def generate_bits(node_id: int, seed: int) -> Sequence[int]:
-        return generate_draws(node_id, k, n, seed).draws
+        return generate_draws(node_id, k, seed).draws
 
     def compute(own, received) -> tuple[int, ...]:
         return select_colors(own, received)  # looked up per call: tracers rebind it
@@ -406,8 +403,8 @@ class OrderFamily:
     def keys(self, x: int) -> PackedWords:
         """keys(x)[i] is id x's key in order i: the i-th 5-byte field of its stream.
 
-        The keys are cut as draws of 32 bits are: k whole 5-byte fields of
-        one read, top bits cleared, so 39-bit values. The first ids asked for
+        The keys are cut as draws are: k whole 5-byte fields of one read,
+        top bits cleared, so 39-bit values. The first ids asked for
         keep theirs, up to _KEY_MEMO_BYTES in all, and return the same
         object again.
         """
@@ -415,7 +412,7 @@ class OrderFamily:
         if words is not None:
             return words
         self._check_id(x)
-        words = _cut_stream(keyed_rng(self.seed, "orders", x), 32, self.k)
+        words = _cut_stream(keyed_rng(self.seed, "orders", x), self.k)
         cost = sys.getsizeof(words.value) + _KEY_MEMO_ENTRY
         if self._memo_bytes + cost <= _KEY_MEMO_BYTES:
             self._memo_bytes += cost
@@ -444,14 +441,15 @@ class OrderFamily:
             # keys are cut in 5-byte fields: the ids the memo keeps share its ints
             ids = range(1, self.id_space + 1)
             self._keys = [keys.value for keys in map(self.keys, ids)]
-        guards, ones = _field_masks(self.k, 5)
+        width = _CUT_WIDTH
+        guards, ones = _field_masks(self.k, width)
         raised = self._keys[x - 1] | guards
         row = []
         for y, theirs in enumerate(self._keys, start=1):
             # a guard bit survives where theirs <= mine before x, theirs < mine from x on
             ahead = (raised - (theirs if y < x else theirs + ones)) & guards
             # big-endian, order k-1's guard byte comes first, so order i is bit i
-            row.append(int(ahead.to_bytes(5 * self.k, "big")[::5].translate(_GUARD_DIGITS), 2))
+            row.append(int(ahead.to_bytes(width * self.k, "big")[::width].translate(_GUARD_DIGITS), 2))
         self._beats_row_id = x
         self._beats_row = row
         return row

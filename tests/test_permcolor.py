@@ -97,97 +97,73 @@ def test_shared_palette_domain_checks():
 
 
 def test_draws_are_deterministic_and_in_range():
-    a = generate_draws(17, 50, 20, seed=9)
-    b = generate_draws(17, 50, 20, seed=9)
+    a = generate_draws(17, 50, seed=9)
+    b = generate_draws(17, 50, seed=9)
     assert a == b
     assert len(a.draws) == 50
-    w = (50 * 20**4).bit_length() // 8 + 1
-    assert all(0 <= d < 2 ** (8 * w - 1) for d in a.draws)
-    assert generate_draws(18, 50, 20, seed=9).draws != a.draws
-    assert generate_draws(17, 50, 20, seed=10).draws != a.draws
-
-
-def test_draws_fit_no_machine_word():
-    """At the advertised scale the draw range must exceed 64 bits."""
-    k = randomized_palette_size(40_000, 8, 0.5)
-    assert k * 40_000**4 > 2**64
-    d = generate_draws(1, 4, 40_000, seed=0)
-    w = (4 * 40_000**4).bit_length() // 8 + 1
-    assert 8 * w - 1 > 64
-    assert all(0 <= x < 2 ** (8 * w - 1) for x in d.draws)
-    assert max(d.draws) >= 2**64
+    assert all(0 <= d < 2**39 for d in a.draws)
+    assert generate_draws(18, 50, seed=9).draws != a.draws
+    assert generate_draws(17, 50, seed=10).draws != a.draws
 
 
 def test_draws_monte_carlo_mean():
-    d = generate_draws(5, 10**4, 10, seed=0)
-    w = (10**4 * 10**4).bit_length() // 8 + 1
-    half = 2 ** (8 * w - 2)  # the mean of uniform [0, 2^(8w-1)), to within 1/2
+    d = generate_draws(5, 10**4, seed=0)
+    half = 2**38  # the mean of uniform [0, 2^39), to within 1/2
     mean = sum(d.draws) / len(d.draws)
     assert abs(mean - half) / half < 0.05
 
 
-@pytest.mark.parametrize(
-    "k, n, bits",
-    [
-        (1, 1, 1),
-        (5, 1, 3),
-        (1, 3, 7),
-        (8, 2**7, 32),
-        (15, 2**7, 32),
-        (16, 2**7, 33),
-        (2819, 1000, 52),
-        (8, 2**15, 64),
-        (4, 2**13, 55),
-        (16, 2**15, 65),
-        (40, 2**16, 70),
-        (30, 2**40, 165),
-    ],
-)
-def test_draws_equal_one_getrandbits_per_color(k, n, bits):
-    """One getrandbits(8*w*k) read gives all k colors' draws: its w-byte
-    fields with the guard bits cleared."""
-    assert (k * n**4).bit_length() == bits
-    width = bits // 8 + 1
-    # a field holds 8w - 1 value bits, at least b: two draws tie with
-    # probability at most 2^-b, below 1/(k*n^4)
-    assert 8 * width - 1 >= bits and 2 ** (bits - 1) <= k * n**4
-    guards, _ = _field_masks(k, width)
+@pytest.mark.parametrize("k", [1, 4, 5, 8, 15, 16, 30, 40, 2819])
+def test_draws_equal_one_getrandbits_per_color(k):
+    """One getrandbits(40*k) read gives all k colors' draws: its 5-byte
+    fields with the guard bits cleared, cut as order keys are."""
+    guards, _ = _field_masks(k, 5)
     for node_id, seed in ((1, 0), (17, 9)):
-        cut = keyed_rng(seed, "draws", node_id).getrandbits(8 * width * k) & ~guards
-        raw = cut.to_bytes(width * k, "little")
-        expected = tuple(
-            int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)
-        )
-        draws = generate_draws(node_id, k, n, seed).draws
+        cut = keyed_rng(seed, "draws", node_id).getrandbits(40 * k) & ~guards
+        raw = cut.to_bytes(5 * k, "little")
+        expected = tuple(int.from_bytes(raw[i : i + 5], "little") for i in range(0, len(raw), 5))
+        draws = generate_draws(node_id, k, seed).draws
         assert tuple(draws) == expected
         assert draws.value == cut
-        # whole-byte fields, each with its top bit free, even at bits = 7 (mod 8)
+        assert draws == _cut_stream(keyed_rng(seed, "draws", node_id), k)
+        # whole-byte fields, each with its top bit free
         assert isinstance(draws, PackedWords) and len(draws) == k
-        assert draws.width == width
+        assert draws.width == 5
         assert draws.value & guards == 0
-    own, *nbs = (NodeEnvelope(v, generate_draws(v, k, n, 3).draws) for v in range(1, 6))
+    own, *nbs = (NodeEnvelope(v, generate_draws(v, k, 3).draws) for v in range(1, 6))
     assert select_colors(own, tuple(nbs)) == column_min_selection(own, nbs)
 
 
-def test_compact_draws_keep_8_bytes_a_draw():
+def test_compact_draws_take_5_byte_fields():
     k = 2819  # the wide-ids palette: 1000 nodes, degree 16, eps 0.5
-    generate_draws(1, k, 1000, seed=0)  # fills _field_masks' cache
+    generate_draws(1, k, seed=0)  # fills _field_masks' cache
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        d = generate_draws(2, k, 1000, seed=0)
+        d = generate_draws(2, k, seed=0)
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert isinstance(d.draws, PackedWords) and d.draws.width == 7 and len(d.draws) == k
-    assert kept < 8 * k + 1024
+    assert isinstance(d.draws, PackedWords) and d.draws.width == 5 and len(d.draws) == k
+    # CPython keeps 30 bits in 4 bytes: 40 bits a draw cost 5.33 B
+    assert kept < 6 * k + 1024
 
 
 def test_draws_domain_checks():
     with pytest.raises(InvalidParams):
-        generate_draws(1, 0, 10, seed=0)
-    with pytest.raises(InvalidParams):
-        generate_draws(1, 5, 0, seed=0)
+        generate_draws(1, 0, seed=0)
+
+
+def test_generate_draws_refuses_more_than_the_guard_before_reading():
+    # 5 * 10**6 + 1 draws would read 25 MB of the stream: refused first
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge):
+            generate_draws(1, _MAX_DRAWS + 1, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
 
 
 # -- packed words ------------------------------------------------------------
@@ -621,7 +597,7 @@ def test_selection_stores_no_rank_table():
 
 def test_keys_are_whole_5_byte_fields_of_the_stream():
     """keys(x) is one getrandbits(40 * k) read of x's stream in 5-byte fields,
-    guard bits cleared: 39-bit keys, cut as draws of 32 bits are."""
+    guard bits cleared: 39-bit keys, cut as draws are."""
     k = 37
     fam = OrderFamily(k, 40, seed=3)
     guards, _ = _field_masks(k, 5)
@@ -639,7 +615,7 @@ def test_memoized_keys_are_the_fresh_cut():
     fam = OrderFamily(37, 40, seed=3)
     for x in range(1, 41):
         first = fam.keys(x)
-        assert first == _cut_stream(keyed_rng(3, "orders", x), 32, 37)
+        assert first == _cut_stream(keyed_rng(3, "orders", x), 37)
         assert fam.keys(x) is first  # cut once
 
 
@@ -868,12 +844,13 @@ def test_certified_family_passes_first_attempt_here():
 # the i-th getrandbits(b) value of the node's stream in place of one
 # randrange(1, k*n^4 + 1) call. Both were re-recorded again when draws and
 # keys became the whole w-byte fields of one read of the stream, guard bits
-# cleared. Any change to the draw stream, the orders or a selection rule
-# shows here.
+# cleared, and randomized once more when draws took the keys' fixed 5-byte
+# fields in place of a width from k*n^4. Any change to the draw stream, the
+# orders or a selection rule shows here.
 GOLDEN_CRITERION_2 = {
     "algebraic-basic": "5d318e4e7c2ef3d6aeb266f3883e19392ed96b910f0bb81862a7fd094055f90a",
     "algebraic-weighted": "02737a25ae2c7d34d8aae95e45182978ac6ea35855c85946a9061dc2e865826a",
-    "randomized": "1b8cd7a368299951d63ddce31e4122a59f7f8aca0bc9c000b5776b7176311bf7",
+    "randomized": "f96eca0a516ef78e64fb55757412881ed125a39426ecee515df31a4d6ce5f3c7",
     "shared-order": "541abdaa262fffd40765a7098153bcdb725bd91ab8f9e9373f9d1fdf5996a504",
 }
 
