@@ -113,12 +113,31 @@ def test_draws_monte_carlo_mean():
     assert abs(mean - half) / half < 0.05
 
 
-@pytest.mark.parametrize("k", [1, 4, 5, 8, 15, 16, 30, 40, 2819])
-def test_draws_equal_one_getrandbits_per_color(k):
+@pytest.mark.parametrize(
+    "k, n, bits",
+    [
+        (1, 1, 1),
+        (5, 1, 3),
+        (1, 3, 7),
+        (8, 2**7, 32),
+        (15, 2**7, 32),
+        (16, 2**7, 33),
+        (2819, 1000, 52),
+        (8, 2**15, 64),
+        (4, 2**13, 55),
+        (16, 2**15, 65),
+        (40, 2**16, 70),
+        (30, 2**40, 165),
+    ],
+)
+def test_draws_equal_one_getrandbits_per_color(k, n, bits):
     """One getrandbits(40*k) read gives all k colors' draws: its 5-byte
-    fields with the guard bits cleared, cut as order keys are."""
+    fields with the guard bits cleared, cut as order keys are. The width
+    stays 5 bytes whatever the bit length of k*n^4, and node ids up to n
+    key their streams alike."""
+    assert (k * n**4).bit_length() == bits
     guards, _ = _field_masks(k, 5)
-    for node_id, seed in ((1, 0), (17, 9)):
+    for node_id, seed in ((1, 0), (n, 9)):
         cut = keyed_rng(seed, "draws", node_id).getrandbits(40 * k) & ~guards
         raw = cut.to_bytes(5 * k, "little")
         expected = tuple(int.from_bytes(raw[i : i + 5], "little") for i in range(0, len(raw), 5))
