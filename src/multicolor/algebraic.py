@@ -18,7 +18,7 @@ powers alpha^k of every alpha, scaled by the digits of the value and
 summed, then reduced mod q in every field by one multiply, shift and mask
 (Granlund and Montgomery, "Division by invariant integers using
 multiplication", PLDI 1994). M(x) is kept with x's betas packed one per
-alpha path, in the sieve's guarded fields, so a neighbor y blocks exactly
+alpha path, in guarded 32-bit words, so a neighbor y blocks exactly
 the paths where its beta equals x's: one zero test of mine ^ theirs per
 neighbor, and the surviving guard bits select the kept colors from M(x).
 
@@ -50,7 +50,7 @@ from .coloring import Multicoloring
 from .errors import Infeasible, InvalidParams, TooLarge
 from .gf import is_prime, next_prime
 from .graph import Graph, OneHopView
-from .permcolor import PackedWords, _field_masks, _field_width
+from .permcolor import _field_masks
 
 __all__ = [
     "TowerParams",
@@ -69,9 +69,9 @@ __all__ = [
 
 _Q_CAP = 2**62  # defensive ceiling for the prime search
 # colors memoised per tower, about 40 B each in tuples, and beside each its
-# beta's field of 1 or 2 bytes in a packed int (q_ell <= sqrt(_MAX_PALETTE)):
-# at most ~22 MB a tower. The per-(q, d) power tables of _power_table hold
-# (d+1) * q fields each, q bounded by the palette guard.
+# beta's 32-bit word in a packed int: at most ~23 MB a tower. The per-(q, d)
+# power tables of _power_table hold (d+1) * q fields each, q bounded by the
+# palette guard.
 _MEMO_COLORS = 1 << 19
 # largest palette, the TDMA frame, of a tower or a weighted union: a node's
 # M(x) holds palette / q_ell of its tower's colors, about 40 B each in a tuple
@@ -144,16 +144,12 @@ class TowerParams:
         An id outside [1, id_space] is refused when it misses the memo, so
         one that hits it was checked on its first use.
         """
-        return _memoised_free_colors(self.id_space, self.qs, self.ds, self._beta_masks[2])
+        return _memoised_free_colors(self.id_space, self.qs, self.ds)
 
     @cached_property
-    def _beta_masks(self) -> tuple[int, int, int]:
-        """The guard bits and ones of M(x)'s beta fields, one per alpha path, and their width.
-
-        A beta below q_ell takes permcolor's field width, its top bit free.
-        """
-        width = _field_width((self.qs[-1] - 1).bit_length())
-        return (*_field_masks(math.prod(self.qs), width), width)
+    def _beta_masks(self) -> tuple[int, int]:
+        """The guard bits and ones of M(x)'s 32-bit beta words, one per alpha path."""
+        return _field_masks(math.prod(self.qs), 4)
 
     @cached_property
     def palette_size(self) -> int:
@@ -242,6 +238,12 @@ def choose_tower(id_space: int, max_degree: int, depth: int = 0, slack=2) -> Tow
     return TowerParams(id_space, max_degree, tuple(qs), tuple(ds), f)
 
 
+def _pack_words(values, width: int = 4) -> int:
+    """values, each below 2**32, in the low 32-bit words of width-byte fields, the first lowest."""
+    pad = bytes(width - 4)
+    return int.from_bytes(b"".join(v.to_bytes(4, "little") + pad for v in values), "little")
+
+
 @lru_cache(maxsize=16)
 def _power_table(q: int, d: int) -> tuple[tuple[int, ...], int, int, int, int]:
     """Packed powers of GF(q) and the constants that reduce their sums mod q.
@@ -260,9 +262,7 @@ def _power_table(q: int, d: int) -> tuple[tuple[int, ...], int, int, int, int]:
     shift = top.bit_length() + q.bit_length()
     magic = (1 << shift) // q + 1
     width = 4 * -(-(top * magic).bit_length() // 32)
-    powers = tuple(
-        PackedWords.pack([pow(a, k, q) for a in range(q)], width).value for k in range(d + 1)
-    )
+    powers = tuple(_pack_words([pow(a, k, q) for a in range(q)], width) for k in range(d + 1))
     field = ((1 << 8 * width - shift) - 1).to_bytes(width, "little")
     return powers, magic, shift, int.from_bytes(field * q, "little"), width
 
@@ -292,29 +292,30 @@ def _words(raw: bytes) -> array:
     return words
 
 
-def _low_bytes(raw: bytes, width: int, low: int) -> bytes:
-    """The low `low` bytes of each width-byte field of raw; low is 1, 2 or 4 and divides width.
+def _low_words(raw: bytes, width: int) -> bytes:
+    """The low 32-bit word of each width-byte field of raw; 4 divides width.
 
     The array only groups bytes, it reads no value, so this holds on any byte order.
     """
-    return array({1: "B", 2: "H", 4: "I"}[low], raw)[:: width // low].tobytes()
+    return array("I", raw)[:: width // 4].tobytes()
 
 
 def _memoised_free_colors(
-    id_space: int, qs: tuple[int, ...], ds: tuple[int, ...], beta_width: int
+    id_space: int, qs: tuple[int, ...], ds: tuple[int, ...]
 ) -> Callable[[int], tuple[tuple[int, ...], int]]:
     """M by a single-value descent: x -> (palette indices, packed betas).
 
     Each level evaluates its polynomial at every alpha at once (_evaluate).
     There is one leaf per alpha path, emitted as the 1-based mixed-radix
     index of (alpha_0..alpha_ell, beta_x); beta_x of path j also sits in
-    field j of the packed int, in fields of beta_width bytes. A subtree's indices
-    travel as 32-bit words (a palette index is below _MAX_PALETTE), so a
-    level adds every alpha's offset to them with one addition. Below level
-    0 a subtree depends only on its (level, value), so each is computed once
-    and kept with its beta bytes, at most depth * prod(qs) colors in all,
-    and a deeper level only concatenates its subtrees' bytes. Ids are kept
-    for the _MEMO_COLORS // prod(qs) most recently used, and an id outside
+    32-bit word j of the packed int. Each level reads the low word of every
+    evaluation field once. A subtree's indices travel as 32-bit words (a
+    palette index is below _MAX_PALETTE), so a level adds every alpha's
+    offset to them with one addition. Below level 0 a subtree depends only
+    on its (level, value), so each is computed once and kept with its beta
+    bytes, at most depth * prod(qs) colors in all, and a deeper level only
+    concatenates its subtrees' bytes. Ids are kept for the
+    _MEMO_COLORS // prod(qs) most recently used, and an id outside
     [1, id_space] is refused on its miss.
     """
     depth = len(qs) - 1
@@ -322,24 +323,22 @@ def _memoised_free_colors(
     paths = [math.prod(qs[i:]) for i in range(depth + 2)]
     strides = [qs[-1] * paths[i + 1] for i in range(depth + 1)]
     # the index offset of every path: alpha * stride of each level's alpha,
-    # and the last level's 1 + alpha * q_ell in its evaluation's fields
-    offsets = []
-    for i in range(depth):
-        per_path = [a * strides[i] for a in range(qs[i]) for _ in range(paths[i + 1])]
-        offsets.append(PackedWords.pack(per_path, 4).value)
-    last, last_width = qs[-1], _power_table(qs[-1], ds[-1])[-1]
-    offsets.append(PackedWords.pack(range(1, last * last, last), last_width).value)
+    # and the last level's 1 + alpha * q_ell
+    offsets = [
+        _pack_words([a * strides[i] for a in range(qs[i]) for _ in range(paths[i + 1])])
+        for i in range(depth)
+    ]
+    offsets.append(_pack_words(range(1, qs[-1] ** 2, qs[-1])))
 
     def leaves(level: int, value: int) -> tuple[bytes, bytes]:
         # TowerParams ensures value < q^(d+1)
         q = qs[level]
         acc, width = _evaluate(q, ds[level], value)
+        values = _low_words(acc.to_bytes(q * width, "little"), width)
         if level == depth:
-            size = q * width
-            betas = _low_bytes(acc.to_bytes(size, "little"), width, beta_width)
-            return _low_bytes((acc + offsets[level]).to_bytes(size, "little"), width, 4), betas
-        values = _words(acc.to_bytes(q * width, "little"))[:: width // 4]
-        subs = [subtree(level + 1, v) for v in values]
+            colors = int.from_bytes(values, "little") + offsets[level]
+            return colors.to_bytes(4 * q, "little"), values
+        subs = [subtree(level + 1, v) for v in _words(values)]
         colors = int.from_bytes(b"".join([c for c, _ in subs]), "little") + offsets[level]
         return colors.to_bytes(4 * paths[level], "little"), b"".join([b for _, b in subs])
 
@@ -370,12 +369,12 @@ def tower_color_indices(view: OneHopView, params: TowerParams) -> tuple[int, ...
         raise InvalidParams(f"view degree {len(nbrs)} exceeds the bound {params.max_degree}")
     free = params._free_colors  # refuses ids outside the id space
     own, mine = free(view.node_id)
-    guards, ones, width = params._beta_masks
+    guards, ones = params._beta_masks
     raised = mine | guards
     alive = guards
     for y in nbrs:
         alive &= (raised ^ free(y)[1]) - ones
-    tops = alive.to_bytes(width * len(own), "little")[width - 1 :: width]
+    tops = alive.to_bytes(4 * len(own), "little")[3::4]
     return tuple(compress(own, tops))
 
 

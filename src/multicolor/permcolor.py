@@ -3,7 +3,7 @@
 Two constructions share one selection rule and one sieve, select_colors: a
 node takes color i exactly when it precedes all its neighbors in order i,
 and order i ranks node x by (value_x[i], x), so a tie goes to the smaller
-id. Both hold their k values as PackedWords, whole-byte fields of one int
+id. Both hold their k values as PackedWords, 5-byte fields of one int
 with the top bit of each field free, so the sieve compares all k positions
 against one neighbor with one big-int subtraction (Lamport, "Multiple byte
 processing with full-word instructions", CACM 1975).
@@ -32,8 +32,8 @@ rows. The rows come from the sieve's subtraction on the same packed keys,
 read through the memo, so one rule decides both. On failure the family is
 resampled from the next derived seed rather than grown.
 
-Both hand the sieve envelopes of one width, so nothing is repacked, and it
-returns a node's colors as an ascending tuple, decoded in palette order.
+Both hand the sieve envelopes in that one layout, so nothing is repacked,
+and it returns a node's colors as an ascending tuple, decoded in palette order.
 """
 
 from __future__ import annotations
@@ -115,9 +115,10 @@ class RandomDraws:
     draws: PackedWords
 
 
-def _field_width(bits: int) -> int:
-    """Bytes a field takes for values below 2**bits, with its top bit free."""
-    return bits // 8 + 1
+# bytes of every packed field, draws and keys: 39 value bits and a guard bit
+_CUT_WIDTH = 5
+# largest k * n draws a randomized run holds: at 5 B a draw, 25 MB in all
+_MAX_DRAWS = 5 * 10**6
 
 
 @lru_cache(maxsize=8)
@@ -129,23 +130,21 @@ def _field_masks(length: int, width: int) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=8)
-def _value_mask(length: int, width: int) -> int:
-    """Every bit of length fields of width bytes but the guard bits: guards - ones."""
-    guards, ones = _field_masks(length, width)
+def _value_mask(length: int) -> int:
+    """Every bit of length 5-byte fields but the guard bits: guards - ones."""
+    guards, ones = _field_masks(length, _CUT_WIDTH)
     return guards - ones
 
 
 class PackedWords(Sequence):
-    """length non-negative ints in fields of width bytes of one int.
+    """length ints in [0, 2**39), each in a 5-byte field of one int.
 
-    The values sit least significant first, value i in bytes
-    [width*i, width*(i+1)) of value, and the top bit of every field is left
-    free: it is the guard bit of select_colors' sieve, which compares all
-    fields against another node's with one subtraction. Values of up to
-    bits bits take bits // 8 + 1 bytes each, not 8: CPython keeps 30 bits
-    in 4 bytes, so an 8-byte field costs 8.53 B. The values can be read as
-    from a tuple; two packed words are equal when their width, length and
-    value are.
+    The values sit least significant first, value i in bytes [5*i, 5*(i+1))
+    of value, and the top bit of every field is left free: it is the guard
+    bit of select_colors' sieve, which compares all fields against another
+    node's with one subtraction. CPython keeps 30 bits in 4 bytes, so a
+    field costs 5.33 B. The values can be read as from a tuple; two packed
+    words are equal when their length and value are.
 
     A value that is negative, sets a guard bit or reaches past length fields
     is refused with InvalidParams. So value | guards equals value + guards,
@@ -154,18 +153,17 @@ class PackedWords(Sequence):
     good; copies and pickles are rebuilt through it.
     """
 
-    __slots__ = ("value", "length", "width")
+    __slots__ = ("value", "length")
 
-    def __init__(self, value: int, length: int, width: int):
+    def __init__(self, value: int, length: int):
         if value < 0:
             raise InvalidParams(f"packed value {value} is negative")
-        if value >> 8 * width * length:
-            raise InvalidParams(f"packed value reaches past {length} fields of {width} bytes")
-        if value & _field_masks(length, width)[0]:
-            raise InvalidParams(f"packed value sets a guard bit of its {width}-byte fields")
+        if value >> 8 * _CUT_WIDTH * length:
+            raise InvalidParams(f"packed value reaches past {length} fields")
+        if value & _field_masks(length, _CUT_WIDTH)[0]:
+            raise InvalidParams(f"packed value sets a guard bit of its {_CUT_WIDTH}-byte fields")
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "length", length)
-        object.__setattr__(self, "width", width)
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"PackedWords is read-only: cannot change {name}")
@@ -173,28 +171,25 @@ class PackedWords(Sequence):
     __delattr__ = __setattr__
 
     def __reduce__(self):
-        return type(self), (self.value, self.length, self.width)
+        return type(self), (self.value, self.length)
 
     @classmethod
-    def pack(cls, values: Sequence[int], width: int | None = None) -> PackedWords:
-        """values in fields of width bytes, by default the least that fits them.
+    def pack(cls, values: Sequence[int]) -> PackedWords:
+        """values in 5-byte fields.
 
-        Every value must lie in [0, 2**(8*width - 1)), leaving its guard
-        bit free, or InvalidParams is raised. Runs cut draws and keys packed.
+        Every value must lie in [0, 2**39), leaving its guard bit free, or
+        InvalidParams is raised. Runs cut draws and keys packed.
         """
         if min(values, default=0) < 0:
             raise InvalidParams(f"negative value {min(values)} cannot be packed")
         top = max(values, default=0)
-        least = _field_width(top.bit_length())
-        if width is None:
-            width = least
-        elif least > width:
-            raise InvalidParams(f"value {top} leaves no guard bit in {width}-byte fields")
-        raw = b"".join(v.to_bytes(width, "little") for v in values)
-        return cls(int.from_bytes(raw, "little"), len(values), width)
+        if top >> 8 * _CUT_WIDTH - 1:
+            raise InvalidParams(f"value {top} leaves no guard bit in {_CUT_WIDTH}-byte fields")
+        raw = b"".join(v.to_bytes(_CUT_WIDTH, "little") for v in values)
+        return cls(int.from_bytes(raw, "little"), len(values))
 
     def tolist(self) -> list[int]:
-        w = self.width
+        w = _CUT_WIDTH
         raw = self.value.to_bytes(w * self.length, "little")
         return [int.from_bytes(raw[i : i + w], "little") for i in range(0, len(raw), w)]
 
@@ -206,7 +201,7 @@ class PackedWords(Sequence):
         so the sweep runs from the widest j down to the first that counts
         every value.
         """
-        n, w = self.length, self.width
+        n, w = self.length, _CUT_WIDTH
         guards, ones = _field_masks(n, w)
         raised = self.value | guards
         total = n  # every value takes at least one byte
@@ -224,7 +219,7 @@ class PackedWords(Sequence):
         if isinstance(index, slice):
             return self.tolist()[index]
         i = range(self.length)[index]  # negative from the end; IndexError out of range
-        return (self.value >> 8 * self.width * i) & ((1 << 8 * self.width - 1) - 1)
+        return (self.value >> 8 * _CUT_WIDTH * i) & ((1 << 8 * _CUT_WIDTH - 1) - 1)
 
     def __iter__(self):
         return iter(self.tolist())
@@ -232,19 +227,13 @@ class PackedWords(Sequence):
     def __eq__(self, other):
         if not isinstance(other, PackedWords):
             return NotImplemented
-        return (self.width, self.length, self.value) == (other.width, other.length, other.value)
+        return (self.length, self.value) == (other.length, other.value)
 
     def __hash__(self) -> int:
-        return hash((self.width, self.length, self.value))
+        return hash((self.length, self.value))
 
     def __repr__(self) -> str:
-        return f"PackedWords.pack({self.tolist()!r}, width={self.width})"
-
-
-# bytes of every field cut from a stream, draws and keys: 39 value bits and a guard bit
-_CUT_WIDTH = 5
-# largest k * n draws a randomized run holds: at 5 B a draw, 25 MB in all
-_MAX_DRAWS = 5 * 10**6
+        return f"PackedWords.pack({self.tolist()!r})"
 
 
 def _cut_stream(rng: random.Random, count: int) -> PackedWords:
@@ -254,7 +243,7 @@ def _cut_stream(rng: random.Random, count: int) -> PackedWords:
     bit, the sieve's guard, leaves values uniform on [0, 2^39).
     """
     cut = rng.getrandbits(8 * _CUT_WIDTH * count)
-    return PackedWords(cut & _value_mask(count, _CUT_WIDTH), count, _CUT_WIDTH)
+    return PackedWords(cut & _value_mask(count), count)
 
 
 def generate_draws(node_id: int, k: int, seed: int) -> RandomDraws:
@@ -285,31 +274,28 @@ def select_colors(
 
     Order i ranks node x by (value_x[i], x): the randomized rule on draws
     and the shared-order rule on keys are this one rule, and a tie goes to
-    the smaller id. Envelopes of one width: all bits are PackedWords of
-    own's length and width, or InvalidParams is raised. One addition
-    compares all k colors with one neighbor: a field of theirs + (guards -
-    mine) keeps its guard bit exactly when mine <= theirs, and theirs +
-    (guards - mine - ones) when mine < theirs. Both offsets are made once
-    per node, and no field carries into the next, since theirs leaves its
-    guard bits clear.
+    the smaller id. All bits are PackedWords of own's length, or
+    InvalidParams is raised. One addition compares all k colors with one
+    neighbor: a field of theirs + (guards - mine) keeps its guard bit
+    exactly when mine <= theirs, and theirs + (guards - mine - ones) when
+    mine < theirs. Both offsets are made once per node, and no field carries
+    into the next, since theirs leaves its guard bits clear.
     """
     words = own.bits
     if not isinstance(words, PackedWords):
         raise InvalidParams(f"node {own.node_id} sent {type(words).__name__} bits, not packed words")
-    k, width = words.length, words.width
-    guards, ones = _field_masks(k, width)
+    k = words.length
+    guards, ones = _field_masks(k, _CUT_WIDTH)
     ties = guards - words.value
     strict = ties - ones
     alive = guards
     for nb in neighbors:
         theirs = nb.bits
-        if not isinstance(theirs, PackedWords) or (theirs.length, theirs.width) != (k, width):
-            raise InvalidParams(
-                f"node {nb.node_id}'s bits are not {k} packed words of {width} bytes"
-            )
+        if not isinstance(theirs, PackedWords) or theirs.length != k:
+            raise InvalidParams(f"node {nb.node_id}'s bits are not {k} packed words")
         # a tie with a larger id keeps the color
         alive &= theirs.value + (ties if own.node_id < nb.node_id else strict)
-    tops = alive.to_bytes(width * k, "little")[width - 1 :: width]
+    tops = alive.to_bytes(_CUT_WIDTH * k, "little")[_CUT_WIDTH - 1 :: _CUT_WIDTH]
     return tuple(compress(_palette_ids(k), tops))
 
 
@@ -331,6 +317,8 @@ def _build_randomized(g: Graph, max_degree: int, eps=0.5):
         return generate_draws(node_id, k, seed).draws
 
     def compute(own, received) -> tuple[int, ...]:
+        if len(received) > max_degree:
+            raise InvalidParams(f"view degree {len(received)} exceeds the bound {max_degree}")
         return select_colors(own, received)  # looked up per call: tracers rebind it
 
     return simulator.NodeProgram(
@@ -599,6 +587,8 @@ def _build_shared(g: Graph, max_degree: int, seed=None, eps=0.5, certify_attempt
         family = OrderFamily(k, g.id_space, keyed_rng(seed, "attempt", 0).getrandbits(64))
 
     def compute(own, received) -> tuple[int, ...]:
+        if len(received) > max_degree:
+            raise InvalidParams(f"view degree {len(received)} exceeds the bound {max_degree}")
         view = OneHopView(own.node_id, frozenset(e.node_id for e in received))
         return select_by_orders(view, family)
 

@@ -86,9 +86,15 @@ VIOLATION_CAP = 100  # conflicts a report or certificate names; all are counted
 _KNOWN_MASKS = 4096  # result tuples whose masks one certify_on_neighborhood call keeps
 
 
+def _unit_eps(eps) -> Fraction:
+    if not 0 <= eps <= 1:  # before Fraction(), which raises on nan and inf
+        raise InvalidParams(f"epsilon {eps} outside [0, 1]")
+    return Fraction(eps)
+
+
 def min_colors_required(palette_size: int, eps, delta: int) -> int:
-    """Smallest count c with c/k >= (1-eps)/(delta+1), computed exactly."""
-    target = (1 - Fraction(eps)) * palette_size / (delta + 1)
+    """Smallest count c with c/k >= (1-eps)/(delta+1), computed exactly; eps in [0, 1]."""
+    target = (1 - _unit_eps(eps)) * palette_size / (delta + 1)
     return math.ceil(target)
 
 
@@ -146,9 +152,7 @@ def _conflicts(g: Graph, m: Multicoloring) -> tuple[list[tuple[int, int, int]], 
 
 def verify(g: Graph, m: Multicoloring, eps=None) -> VerificationReport:
     """Check edge disjointness and palette fractions of m on g."""
-    if eps is not None and not 0 <= eps <= 1:  # also refuses nan
-        raise InvalidParams(f"epsilon {eps} outside [0, 1]")
-    e = Fraction(eps) if eps is not None else None
+    e = None if eps is None else _unit_eps(eps)
     violations, violation_count = _conflicts(g, m)
     fractions = {v: m.fraction_of(v) for v in g.node_ids()}
     worst_ratio = None

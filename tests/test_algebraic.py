@@ -431,7 +431,7 @@ def test_packed_evaluation_equals_horner_above_a_byte(q):
 RULE_TOWERS = {
     "N30-D3": (30, 3, 0),
     "N1e6-D16": (10**6, 16, 0),
-    "N1e6-D64": (10**6, 64, 0),  # q = 257: two-byte beta fields
+    "N1e6-D64": (10**6, 64, 0),  # q = 257: betas above a byte
     "N1e6-D8-depth1": (10**6, 8, 1),
     "N1e7-D2-depth2": (10**7, 2, 2),
 }
@@ -442,8 +442,6 @@ def test_packed_rule_equals_the_set_difference_oracle(name):
     id_space, max_degree, depth = RULE_TOWERS[name]
     p = choose_tower(id_space, max_degree, depth)
     assert p.depth == depth
-    width = p._beta_masks[2]
-    assert width == (2 if p.qs[-1] > 128 else 1)
     rng = random.Random(name)
     for _ in range(12 if max_degree > 16 else 40):
         ids = rng.sample(range(1, id_space + 1), rng.randrange(1, max_degree + 2))
@@ -452,7 +450,7 @@ def test_packed_rule_equals_the_set_difference_oracle(name):
         colors, betas = p._free_colors(view.node_id)
         assert colors == horner_free_colors(p, view.node_id)
         q = p.qs[-1]
-        assert packed_fields(betas, len(colors), width) == [(c - 1) % q for c in colors]
+        assert packed_fields(betas, len(colors), 4) == [(c - 1) % q for c in colors]
 
 
 @pytest.mark.parametrize("shape", [(100, 2, 0), (10**6, 64, 0), (10**6, 8, 1)], ids=str)

@@ -145,9 +145,9 @@ def test_draws_equal_one_getrandbits_per_color(k, n, bits):
         assert tuple(draws) == expected
         assert draws.value == cut
         assert draws == _cut_stream(keyed_rng(seed, "draws", node_id), k)
-        # whole-byte fields, each with its top bit free
+        # whole 5-byte fields, each with its top bit free
         assert isinstance(draws, PackedWords) and len(draws) == k
-        assert draws.width == 5
+        assert draws.value >> 40 * k == 0
         assert draws.value & guards == 0
     own, *nbs = (NodeEnvelope(v, generate_draws(v, k, 3).draws) for v in range(1, 6))
     assert select_colors(own, tuple(nbs)) == column_min_selection(own, nbs)
@@ -163,7 +163,7 @@ def test_compact_draws_take_5_byte_fields():
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert isinstance(d.draws, PackedWords) and d.draws.width == 5 and len(d.draws) == k
+    assert isinstance(d.draws, PackedWords) and len(d.draws) == k
     # CPython keeps 30 bits in 4 bytes: 40 bits a draw cost 5.33 B
     assert kept < 6 * k + 1024
 
@@ -189,24 +189,31 @@ def test_generate_draws_refuses_more_than_the_guard_before_reading():
 
 
 def test_pack_refuses_a_value_wider_than_its_field():
-    # 300 wrapped to 44 in one byte
+    # 2^40 + 44 would wrap to 44 in five bytes
     with pytest.raises(InvalidParams):
-        PackedWords.pack([300], 1)
+        PackedWords.pack([2**40 + 44])
 
 
 def test_pack_refuses_a_negative_value():
     # to_bytes raised OverflowError on these
-    for values, width in (([-1], None), ([5, -1], None), ([-1], 2)):
+    for values in ([-1], [5, -1]):
         with pytest.raises(InvalidParams, match="negative"):
-            PackedWords.pack(values, width)
+            PackedWords.pack(values)
 
 
 def test_pack_refuses_a_value_on_the_guard_bit():
-    # 200 set the top bit of its byte, which the sieve needs free
+    # 2^39 sets the top bit of its 5-byte field, which the sieve needs free
     with pytest.raises(InvalidParams):
-        PackedWords.pack([200], 1)
-    assert list(PackedWords.pack([127], 1)) == [127]
-    assert PackedWords.pack([200]).width == 2
+        PackedWords.pack([2**39])
+    assert list(PackedWords.pack([2**39 - 1])) == [2**39 - 1]
+
+
+def in_5_byte_fields(value, width):
+    """value's width-byte fields, each moved to the top of a 5-byte field: the
+    same bit of the same field, negative values kept negative."""
+    raw = abs(value).to_bytes(width * -(-abs(value).bit_length() // (8 * width)), "little")
+    fields = (bytes(5 - width) + raw[i : i + width] for i in range(0, len(raw), width))
+    return (-1 if value < 0 else 1) * int.from_bytes(b"".join(fields), "little")
 
 
 @pytest.mark.parametrize(
@@ -214,21 +221,23 @@ def test_pack_refuses_a_value_on_the_guard_bit():
     [(-5, 2, 1), (0x80, 1, 1), (0x8000, 2, 1), (1 << 16, 2, 1), (1, 0, 1)],
 )
 def test_packed_words_refuse_a_value_outside_their_fields(value, length, width):
-    """A negative value, a set guard bit or a bit past the last field: before,
-    PackedWords(0x80, 1, 1)[0] read 0 while its tolist() read [128]."""
+    """A negative value, a set guard bit or a bit past the last field. The
+    cases are stated in the 1-byte fields where they were found, each field
+    then moved to the top of a 5-byte one: before, PackedWords(0x80, 1, 1)[0]
+    read 0 while its tolist() read [128]."""
     with pytest.raises(InvalidParams):
-        PackedWords(value, length, width)
+        PackedWords(in_5_byte_fields(value, width), length)
 
 
 def test_packed_words_are_read_only():
     """Before, p.value = 0x80 left p[0] reading 0 while p.tolist() read [128]."""
-    words = PackedWords(0, 1, 1)
-    for name in ("value", "length", "width"):
+    words = PackedWords(0, 1)
+    for name in ("value", "length"):
         with pytest.raises(AttributeError):
-            setattr(words, name, 0x80)
+            setattr(words, name, 2**39)
         with pytest.raises(AttributeError):
             delattr(words, name)
-    assert (words.value, words.length, words.width) == (0, 1, 1)
+    assert (words.value, words.length) == (0, 1)
     assert words.tolist() == [words[0]] == [0]
 
 
@@ -243,9 +252,9 @@ def test_packed_words_slice_as_a_list_does():
 # -- (value, id) selection ----------------------------------------------------
 
 
-def sent(node_id, values, width=1):
-    """node_id's envelope, its values packed in fields of width bytes, as a run sends it."""
-    return NodeEnvelope(node_id, PackedWords.pack(values, width))
+def sent(node_id, values):
+    """node_id's envelope, its values packed, as a run sends it."""
+    return NodeEnvelope(node_id, PackedWords.pack(values))
 
 
 def test_select_colors_worked_example():
@@ -307,9 +316,9 @@ def column_min_selection(own, neighbors):
     return tuple(won)
 
 
-# values at the guard edges: the top bit of an 8-byte field, the largest
-# 8-byte word, and a value that needs 9-byte fields
-EDGE_VALUES = (0, 1, 2, 3, 2**63 - 2, 2**63 - 1, 2**63, 2**64 - 1, 2**70)
+# values at the field's edges: the largest 32-bit word, the first above it,
+# and the largest below the guard bit
+EDGE_VALUES = (0, 1, 2, 3, 2**32 - 1, 2**32, 2**39 - 2, 2**39 - 1)
 
 
 def edge_words(k):
@@ -322,31 +331,27 @@ def edge_words(k):
     st.integers(1, 8),
     st.lists(st.integers(1, 8), max_size=5),
     st.integers(1, 12),
-    st.integers(0, 2),
     st.data(),
 )
-def test_sieve_equals_the_column_minimum(own_id, nb_ids, k, extra, data):
+def test_sieve_equals_the_column_minimum(own_id, nb_ids, k, data):
     """Values from {0, 1, 2, 3}, so ties are common, or next to a field's guard
-    bit, packed at the least width that holds the neighborhood's or wider;
-    ids may even repeat."""
+    bit; ids may even repeat."""
     rows = [data.draw(edge_words(k)) for _ in range(1 + len(nb_ids))]
-    width = max(PackedWords.pack(row).width for row in rows) + extra
-    own, *nbs = (sent(v, row, width) for v, row in zip((own_id, *nb_ids), rows))
+    own, *nbs = (sent(v, row) for v, row in zip((own_id, *nb_ids), rows))
     assert select_colors(own, tuple(nbs)) == column_min_selection(own, nbs)
 
 
 RESHAPED = {
     "tuple": tuple,
     "array": lambda words: array("Q", words),
-    "wider": lambda words: PackedWords.pack(words, words.width + 1),
-    "shorter": lambda words: PackedWords.pack(words[:-1], words.width),
+    "shorter": lambda words: PackedWords.pack(words[:-1]),
 }
 
 
 @pytest.mark.parametrize("reshape", RESHAPED.values(), ids=RESHAPED)
 def test_sieve_refuses_bits_of_another_shape(reshape):
-    """The sieve reads envelopes of one width: tuple or array bits, or packed
-    words of another width or length, are refused, directly and through
+    """The sieve reads packed words of one length: tuple or array bits, or
+    packed words of another length, are refused, directly and through
     replay_view."""
     own = sent(1, (2, 9, 4))
     other = NodeEnvelope(2, reshape(own.bits))
@@ -386,22 +391,19 @@ def test_a_built_program_looks_up_the_sieve_when_it_runs(monkeypatch, algo):
 @settings(max_examples=200)
 @given(
     st.lists(
-        st.sampled_from(EDGE_VALUES) | st.integers(0, 2**200).map(lambda v: v >> v % 200),
+        st.sampled_from(EDGE_VALUES) | st.integers(0, 2**39 - 1).map(lambda v: v >> v % 39),
         max_size=20,
     ),
-    st.integers(0, 3),
 )
-def test_packed_payload_bytes_equal_the_counted_form(values, extra):
+def test_packed_payload_bytes_equal_the_counted_form(values):
     """Packed words size themselves without decoding, exactly as counting
     the byte length of every value does."""
     packed = PackedWords.pack(values)
-    packed = PackedWords.pack(values, packed.width + extra)
-    assert list(packed) == values == list(PackedWords.pack(values))
+    assert list(packed) == values
     assert [packed[i] for i in range(len(packed))] == values
     counted = NodeEnvelope(1, tuple(values)).payload_bytes()
     assert NodeEnvelope(1, packed).payload_bytes() == counted
-    if max(values, default=0) < 2**64:
-        assert NodeEnvelope(1, array("Q", values)).payload_bytes() == counted
+    assert NodeEnvelope(1, array("Q", values)).payload_bytes() == counted
 
 
 @settings(max_examples=100)
@@ -517,7 +519,7 @@ def test_beats_row_is_the_key_order_with_ties(k, id_space, values, data):
         )
     )
     fam = OrderFamily(k, id_space, seed=0)
-    fam.keys = lambda x: PackedWords.pack(table[x - 1], 5)
+    fam.keys = lambda x: PackedWords.pack(table[x - 1])
     ranks = ranks_of(fam)
     for x in range(1, id_space + 1):
         assert fam.beats_row(x) == [
@@ -591,7 +593,7 @@ def test_ids_outside_the_space_are_rejected():
 
 def test_forced_ties_go_to_the_smallest_id(monkeypatch):
     """With equal keys in every order, the (key, id) order is the id order."""
-    monkeypatch.setattr(OrderFamily, "keys", lambda self, x: PackedWords.pack([7] * self.k, 5))
+    monkeypatch.setattr(OrderFamily, "keys", lambda self, x: PackedWords.pack([7] * self.k))
     fam = OrderFamily(5, 6, seed=0)
     view = {2, 3, 5, 6}
     for x in view:
@@ -624,7 +626,7 @@ def test_keys_are_whole_5_byte_fields_of_the_stream():
         cut = keyed_rng(3, "orders", x).getrandbits(40 * k) & ~guards
         raw = cut.to_bytes(5 * k, "little")
         keys = fam.keys(x)
-        assert (keys.width, keys.length, keys.value) == (5, k, cut)
+        assert (keys.length, keys.value) == (k, cut)
         assert list(keys) == [int.from_bytes(raw[i : i + 5], "little") for i in range(0, 5 * k, 5)]
         assert all(key < 2**39 for key in keys)
     assert max(max(fam.keys(x)) for x in range(1, 41)) >= 2**32
@@ -738,6 +740,7 @@ def test_min_colors_required_is_exact():
     assert min_colors_required(436, 0.5, 2) == 73
     assert min_colors_required(436, 0.5, 3) == 55
     assert min_colors_required(436, Fraction(1, 2), 3) == 55
+    assert (min_colors_required(10, 0, 1), min_colors_required(10, 1, 1)) == (5, 0)
     # ceiling, not rounding
     assert min_colors_required(10, 0.5, 2) == 2
 

@@ -202,6 +202,22 @@ def test_build_program_honours_the_declared_degree_bound(name):
         build_program(name, g, seed=3, max_degree=delta - 1)
 
 
+@pytest.mark.parametrize("name", registered_algorithms())
+def test_a_view_above_the_degree_bound_is_refused(name):
+    """No guarantee covers a view of more neighbors than the program was built
+    for: before, randomized and shared-order colored a degree-10 view of this
+    degree-8 program, with 59 of 648 and 201 of 2391 colors."""
+    g = gnp_graph(20, 0.2, 40, seed=6)
+    prog = build_program(name, g, seed=3)
+    delta = g.max_degree()
+    ids = range(2, delta + 4)
+    envelopes = tuple(
+        NodeEnvelope(y, prog.generate_bits(y, 3) if prog.generate_bits else ()) for y in ids
+    )
+    with pytest.raises(InvalidParams, match=f"degree {delta + 2} exceeds the bound {delta}"):
+        replay_view(OneHopView(1, frozenset(ids)), envelopes, prog, seed=3)
+
+
 # -- replay_view ----------------------------------------------------------
 
 

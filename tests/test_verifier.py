@@ -133,6 +133,16 @@ def test_verify_refuses_an_epsilon_outside_the_unit_interval():
     assert verify(K2, m, eps=1).meets_target is True
 
 
+@pytest.mark.parametrize(
+    "eps", [float("nan"), float("inf"), float("-inf"), 2, -1, Fraction(-1, 10**9)], ids=str
+)
+def test_min_colors_required_refuses_an_epsilon_outside_the_unit_interval(eps):
+    """Before, at k=10 and d=1, nan raised ValueError and inf OverflowError,
+    eps=2 gave -5 and eps=-1 gave 10."""
+    with pytest.raises(InvalidParams, match="outside"):
+        min_colors_required(10, eps, 1)
+
+
 def test_meets_target_is_none_without_an_epsilon():
     m = Multicoloring(3, {1: {1}, 2: {2}})
     assert verify(K2, m).meets_target is None
