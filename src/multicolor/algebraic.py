@@ -49,8 +49,9 @@ from . import simulator
 from .coloring import Multicoloring
 from .errors import Infeasible, InvalidParams, TooLarge
 from .gf import is_prime, next_prime
-from .graph import Graph, OneHopView
+from .graph import Graph, OneHopView, _check_degree, _check_id
 from .permcolor import _field_masks
+from .verifier import _unit_eps
 
 __all__ = [
     "TowerParams",
@@ -112,8 +113,7 @@ class TowerParams:
         object.__setattr__(self, "slack", f := _check_slack(self.slack))
         if self.id_space < 1:
             raise InvalidParams("id space must be >= 1")
-        if self.max_degree < 0:
-            raise InvalidParams("max degree must be >= 0")
+        _check_degree(self.max_degree)
         if not self.qs or len(self.qs) != len(self.ds):
             raise InvalidParams("qs, ds must be nonempty and equally long")
         domain = self.id_space
@@ -343,8 +343,7 @@ def _memoised_free_colors(
         return colors.to_bytes(4 * paths[level], "little"), b"".join([b for _, b in subs])
 
     def free(x: int) -> tuple[tuple[int, ...], int]:
-        if not 1 <= x <= id_space:
-            raise InvalidParams(f"id {x} outside [1, {id_space}]")
+        _check_id(x, id_space)
         colors, betas = leaves(0, x - 1)
         return tuple(_words(colors).tolist()), int.from_bytes(betas, "little")
 
@@ -365,8 +364,8 @@ def tower_color_indices(view: OneHopView, params: TowerParams) -> tuple[int, ...
     guard bits keeps that order.
     """
     nbrs = view.neighbors
-    if len(nbrs) > params.max_degree:
-        raise InvalidParams(f"view degree {len(nbrs)} exceeds the bound {params.max_degree}")
+    if len(nbrs) > params.max_degree:  # inline: a certificate sweep makes 10^5 calls
+        _check_degree(len(nbrs), params.max_degree)
     free = params._free_colors  # refuses ids outside the id space
     own, mine = free(view.node_id)
     guards, ones = params._beta_masks
@@ -448,9 +447,7 @@ class WeightedScheme:
     def __post_init__(self, depth, slack):
         if self.max_degree < 1:
             raise InvalidParams("max degree must be >= 1")
-        e = float(self.epsilon)
-        if not 0 <= e <= 1:
-            raise InvalidParams(f"epsilon {self.epsilon} outside [0, 1]")
+        e = float(_unit_eps(self.epsilon))
         levels = max(1, _ceil_log2(self.max_degree))
         instances = tuple(
             choose_tower(self.id_space, 2**i, depth, slack) for i in range(1, levels + 1)
@@ -478,10 +475,7 @@ class WeightedScheme:
 
     def lowest_instance(self, degree: int) -> int:
         """Smallest instance index a node of the given degree may use."""
-        if degree > self.max_degree:
-            raise InvalidParams(
-                f"degree {degree} exceeds the bound {self.max_degree}"
-            )
+        _check_degree(degree, self.max_degree)
         return max(1, _ceil_log2(max(degree, 1)))
 
     def guaranteed_fraction(self, degree: int) -> Fraction:

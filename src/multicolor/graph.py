@@ -8,6 +8,7 @@ functions of their arguments: same arguments, bit-identical graph.
 
 from __future__ import annotations
 
+import math
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -25,6 +26,20 @@ __all__ = [
     "parse_edge_list",
     "format_edge_list",
 ]
+
+
+def _check_id(x: int, id_space: int) -> None:
+    """Refuse an id outside [1, id_space] with InvalidParams: the one id guard."""
+    if not 1 <= x <= id_space:
+        raise InvalidParams(f"id {x} outside [1, {id_space}]")
+
+
+def _check_degree(degree: int, bound=math.inf) -> None:
+    """Refuse a degree outside [0, bound] with InvalidParams: the one degree guard."""
+    if degree < 0:
+        raise InvalidParams(f"degree {degree} is negative")
+    if degree > bound:
+        raise InvalidParams(f"view degree {degree} exceeds the bound {bound}")
 
 
 @dataclass(frozen=True)
@@ -81,8 +96,7 @@ class Graph:
         if len(adj) > self.id_space:
             raise InvalidParams("more nodes than ids in the id space")
         for v, nbrs in adj.items():
-            if not 1 <= v <= self.id_space:
-                raise InvalidParams(f"node id {v} outside [1, {self.id_space}]")
+            _check_id(v, self.id_space)
             if v in nbrs:
                 raise InvalidParams(f"self-loop at node {v}")
             for u in nbrs:

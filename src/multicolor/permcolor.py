@@ -3,10 +3,11 @@
 Two constructions share one selection rule and one sieve, select_colors: a
 node takes color i exactly when it precedes all its neighbors in order i,
 and order i ranks node x by (value_x[i], x), so a tie goes to the smaller
-id. Both hold their k values as PackedWords, 5-byte fields of one int
-with the top bit of each field free, so the sieve compares all k positions
-against one neighbor with one big-int subtraction (Lamport, "Multiple byte
-processing with full-word instructions", CACM 1975).
+id. Both hold their k values as PackedWords, a frozen dataclass of 5-byte
+fields of one int with the top bit of each field free, so the sieve
+compares all k positions against one neighbor with one big-int subtraction
+(Lamport, "Multiple byte processing with full-word instructions", CACM
+1975).
 
 Randomized: every node privately draws k numbers, its values, and takes the
 colors where it comes first in its neighborhood. Draws are cut as order
@@ -50,9 +51,9 @@ from itertools import combinations, compress
 from . import simulator
 from .coloring import Multicoloring
 from .errors import InvalidParams, TooLarge
-from .graph import Graph, OneHopView
+from .graph import Graph, OneHopView, _check_degree, _check_id
 from .rng import keyed_rng
-from .verifier import MAX_VIEWS, VIOLATION_CAP, NeighborhoodCertificate, _iter_views
+from .verifier import MAX_VIEWS, VIOLATION_CAP, NeighborhoodCertificate, _iter_views, _unit_eps
 from .verifier import min_colors_required, nbr_edge_count
 
 __all__ = [
@@ -71,17 +72,13 @@ __all__ = [
 ]
 
 
-def _check_eps(eps) -> Fraction:
-    if not 0 < eps <= 1:  # before Fraction(), which raises on nan and inf
-        raise InvalidParams(f"epsilon {eps} outside (0, 1]")
-    return Fraction(eps)
-
-
 def _palette(scale: int, size, max_degree: int, eps) -> int:
     """ceil(scale * ln(size) / eps^2): both palettes, their Delta and eps checks."""
-    if max_degree < 0:
-        raise InvalidParams("max degree must be >= 0")
-    e = float(_check_eps(eps))
+    _check_degree(max_degree)
+    exact = _unit_eps(eps)
+    if not exact:  # the palette divides by eps^2
+        raise InvalidParams(f"epsilon {eps} outside (0, 1]")
+    e = float(exact)
     try:
         return math.ceil(scale * math.log(size) / (e * e))
     except (ZeroDivisionError, OverflowError):  # eps^2 is 0.0, or the quotient inf
@@ -136,6 +133,7 @@ def _value_mask(length: int) -> int:
     return guards - ones
 
 
+@dataclass(frozen=True, slots=True)
 class PackedWords(Sequence):
     """length ints in [0, 2**39), each in a 5-byte field of one int.
 
@@ -149,26 +147,20 @@ class PackedWords(Sequence):
     A value that is negative, sets a guard bit or reaches past length fields
     is refused with InvalidParams. So value | guards equals value + guards,
     which the sieve relies on, and the fields read alike by index and by
-    tolist. The attributes are read-only once made, so the check holds for
-    good; copies and pickles are rebuilt through it.
+    tolist. A frozen dataclass, so the check holds for good; copies and
+    pickles are rebuilt through it.
     """
 
-    __slots__ = ("value", "length")
+    value: int
+    length: int
 
-    def __init__(self, value: int, length: int):
-        if value < 0:
-            raise InvalidParams(f"packed value {value} is negative")
-        if value >> 8 * _CUT_WIDTH * length:
-            raise InvalidParams(f"packed value reaches past {length} fields")
-        if value & _field_masks(length, _CUT_WIDTH)[0]:
+    def __post_init__(self):
+        if self.value < 0:
+            raise InvalidParams(f"packed value {self.value} is negative")
+        if self.value >> 8 * _CUT_WIDTH * self.length:
+            raise InvalidParams(f"packed value reaches past {self.length} fields")
+        if self.value & _field_masks(self.length, _CUT_WIDTH)[0]:
             raise InvalidParams(f"packed value sets a guard bit of its {_CUT_WIDTH}-byte fields")
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "length", length)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"PackedWords is read-only: cannot change {name}")
-
-    __delattr__ = __setattr__
 
     def __reduce__(self):
         return type(self), (self.value, self.length)
@@ -223,17 +215,6 @@ class PackedWords(Sequence):
 
     def __iter__(self):
         return iter(self.tolist())
-
-    def __eq__(self, other):
-        if not isinstance(other, PackedWords):
-            return NotImplemented
-        return (self.length, self.value) == (other.length, other.value)
-
-    def __hash__(self) -> int:
-        return hash((self.length, self.value))
-
-    def __repr__(self) -> str:
-        return f"PackedWords.pack({self.tolist()!r})"
 
 
 def _cut_stream(rng: random.Random, count: int) -> PackedWords:
@@ -317,8 +298,7 @@ def _build_randomized(g: Graph, max_degree: int, eps=0.5):
         return generate_draws(node_id, k, seed).draws
 
     def compute(own, received) -> tuple[int, ...]:
-        if len(received) > max_degree:
-            raise InvalidParams(f"view degree {len(received)} exceeds the bound {max_degree}")
+        _check_degree(len(received), max_degree)
         return select_colors(own, received)  # looked up per call: tracers rebind it
 
     return simulator.NodeProgram(
@@ -399,17 +379,13 @@ class OrderFamily:
         words = self._memo.get(x)
         if words is not None:
             return words
-        self._check_id(x)
+        _check_id(x, self.id_space)
         words = _cut_stream(keyed_rng(self.seed, "orders", x), self.k)
         cost = sys.getsizeof(words.value) + _KEY_MEMO_ENTRY
         if self._memo_bytes + cost <= _KEY_MEMO_BYTES:
             self._memo_bytes += cost
             self._memo[x] = words
         return words
-
-    def _check_id(self, x: int) -> None:
-        if not 1 <= x <= self.id_space:
-            raise InvalidParams(f"id {x} outside [1, {self.id_space}]")
 
     def beats_row(self, x: int) -> list[int]:
         """beats_row(x)[y-1] is the bitmask of orders where y precedes x.
@@ -422,7 +398,7 @@ class OrderFamily:
         if self._beats_row_id == x:
             assert self._beats_row is not None
             return self._beats_row
-        self._check_id(x)
+        _check_id(x, self.id_space)
         # no comprehension in this method reads its locals: on CPython 3.11 those
         # become closure cells, set up on every call, cached ones too
         if self._keys is None:
@@ -453,7 +429,7 @@ class OrderFamily:
         lost = 0
         for y in neighbor_ids:
             if not 0 < y <= n:
-                self._check_id(y)
+                _check_id(y, n)
             lost |= row[y - 1]
         return self._full ^ lost  # a row holds k bits: full & ~lost
 
@@ -483,7 +459,7 @@ def certify_family(
     those views and their highest shared color, the first VIOLATION_CAP in
     (a, b) order.
     """
-    e = _check_eps(eps)
+    e = _unit_eps(eps)
     views = _iter_views(family.id_space, max_degree, max_views)
     k = family.k
     required = {d: min_colors_required(k, e, d) for d in range(1, max_degree + 1)}
@@ -569,7 +545,7 @@ def _build_shared(g: Graph, max_degree: int, seed=None, eps=0.5, certify_attempt
     if certify_attempts < 0:
         raise InvalidParams(f"certify attempts {certify_attempts} must be >= 0")
     meta: dict = {
-        "epsilon": float(_check_eps(eps)),
+        "epsilon": float(_unit_eps(eps)),
         "max_degree": max_degree,
         "certified": certify_attempts > 0,
     }
@@ -587,8 +563,7 @@ def _build_shared(g: Graph, max_degree: int, seed=None, eps=0.5, certify_attempt
         family = OrderFamily(k, g.id_space, keyed_rng(seed, "attempt", 0).getrandbits(64))
 
     def compute(own, received) -> tuple[int, ...]:
-        if len(received) > max_degree:
-            raise InvalidParams(f"view degree {len(received)} exceeds the bound {max_degree}")
+        _check_degree(len(received), max_degree)
         view = OneHopView(own.node_id, frozenset(e.node_id for e in received))
         return select_by_orders(view, family)
 

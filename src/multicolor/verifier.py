@@ -30,7 +30,7 @@ from typing import Callable, Iterator, Mapping
 
 from .coloring import Multicoloring
 from .errors import Incomplete, InvalidParams, TooLarge
-from .graph import Graph, OneHopView, _unchecked_view
+from .graph import Graph, OneHopView, _check_degree, _unchecked_view
 
 __all__ = [
     "VerificationReport",
@@ -94,6 +94,7 @@ def _unit_eps(eps) -> Fraction:
 
 def min_colors_required(palette_size: int, eps, delta: int) -> int:
     """Smallest count c with c/k >= (1-eps)/(delta+1), computed exactly; eps in [0, 1]."""
+    _check_degree(delta)
     target = (1 - _unit_eps(eps)) * palette_size / (delta + 1)
     return math.ceil(target)
 
@@ -186,10 +187,16 @@ def verify(g: Graph, m: Multicoloring, eps=None) -> VerificationReport:
 # the neighborhood graph of all possible views
 
 
+def _check_view_space(id_space: int, max_degree: int) -> None:
+    """The closed forms' arguments: an id space >= 1 and a degree bound >= 0."""
+    if id_space < 1:
+        raise InvalidParams(f"need id_space >= 1, got {id_space}")
+    _check_degree(max_degree)
+
+
 def nbr_vertex_count(id_space: int, max_degree: int) -> int:
     """Closed-form vertex count: sum over delta of N * C(N-1, delta)."""
-    if id_space < 1 or max_degree < 0:
-        raise InvalidParams("need id_space >= 1 and max_degree >= 0")
+    _check_view_space(id_space, max_degree)
     return sum(
         id_space * math.comb(id_space - 1, d) for d in range(1, max_degree + 1)
     )
@@ -201,6 +208,7 @@ def nbr_edge_count(id_space: int, max_degree: int) -> int:
     An edge is an ordered choice of two distinct ids a, b plus independent
     rests of the two neighborhoods: C(N,2) * (sum_{s<=Delta-1} C(N-2,s))^2.
     """
+    _check_view_space(id_space, max_degree)
     if id_space < 2:
         return 0
     rests = sum(math.comb(id_space - 2, s) for s in range(0, max_degree))

@@ -167,6 +167,10 @@ def test_tower_params_validation():
         TowerParams(10, 4, qs=(5,), ds=(1,), slack=2)  # 5 < 2*4*1
     with pytest.raises(InvalidParams):
         TowerParams(10, 2, qs=(5, 3), ds=(1,), slack=2)
+    with pytest.raises(InvalidParams, match="id space"):
+        TowerParams(0, 2, qs=(5,), ds=(1,), slack=2)
+    with pytest.raises(InvalidParams, match="degree -1 is negative"):
+        TowerParams(10, -1, qs=(5,), ds=(1,), slack=2)
 
 
 @pytest.mark.parametrize("slack", [float("nan"), float("inf"), -float("inf")])

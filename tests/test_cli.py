@@ -62,6 +62,18 @@ def test_gen_rejects_incomplete_model_args(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "model, missing",
+    [(["udg", "--n", "10"], "--radius"), (["stars", "--count", "2"], "--Delta")],
+    ids=["udg", "stars"],
+)
+def test_gen_names_a_missing_model_arg(tmp_path, capsys, model, missing):
+    out = tmp_path / "x.edges"
+    assert main(["gen", "--model", *model, "--seed", "1", "-o", str(out)]) == 2
+    assert missing in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("algo", ALGOS)
 def test_run_writes_a_valid_coloring(graph_file, tmp_path, capsys, algo):
     out = tmp_path / "coloring.json"
@@ -295,6 +307,11 @@ def test_stats_prints_per_degree_rows(graph_file, tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.splitlines()[0] == "degree,nodes,min_fraction,mean_fraction"
     assert "valid=True" in out
+    csv = tmp_path / "stats.csv"
+    assert main(["stats", "-g", str(graph_file), "-c", str(coloring), "-o", str(csv)]) == 0
+    rows = out.splitlines()[:-1]  # the last line is the summary
+    assert csv.read_text().splitlines() == rows
+    assert capsys.readouterr().out.splitlines() == [f"wrote {csv}", out.splitlines()[-1]]
 
 
 @pytest.mark.parametrize("algo", ["randomized", "shared-order", "algebraic-weighted"])

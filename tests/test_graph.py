@@ -93,6 +93,8 @@ def test_graph_rejects_unknown_endpoint():
 def test_graph_rejects_id_outside_space():
     with pytest.raises(InvalidParams):
         Graph(3, {4: set()})
+    with pytest.raises(InvalidParams, match="id space"):
+        Graph(0)
 
 
 def test_graph_rejects_more_nodes_than_ids():
@@ -152,6 +154,11 @@ def test_generators_reject_an_empty_id_space():
         unit_disk_graph(0, 0.5, 0, seed=0)
     with pytest.raises(InvalidParams):
         disjoint_stars(0, 1, 0, seed=0)
+
+
+def test_stars_refuse_a_negative_count():
+    with pytest.raises(InvalidParams, match="count and leaves"):
+        disjoint_stars(-1, 2, 10, seed=0)
 
 
 def test_udg_extremes():

@@ -1,5 +1,6 @@
 """Randomized draws and shared-order families, with exhaustive certificates."""
 
+import dataclasses
 import hashlib
 import math
 import random
@@ -247,6 +248,14 @@ def test_packed_words_slice_as_a_list_does():
     assert words[::-1] == [3, 2, 1]
     assert words[5:] == []
     assert words[-1] == 3
+
+
+def test_packed_words_equal_only_packed_words():
+    words = PackedWords.pack([1, 2, 3])
+    assert words != (1, 2, 3) and words != [1, 2, 3]
+    assert words == PackedWords.pack([1, 2, 3]) != PackedWords.pack([1, 2])
+    assert hash(words) == hash(PackedWords.pack([1, 2, 3]))
+    assert PackedWords.__slots__ == ("value", "length")
 
 
 # -- (value, id) selection ----------------------------------------------------
@@ -581,6 +590,12 @@ def test_select_mask_on_a_cached_row_is_transparent():
         assert fam.select_mask(x, gamma) == full & ~lost
 
 
+@pytest.mark.parametrize("k, id_space", [(0, 5), (4, 0)])
+def test_order_family_refuses_an_empty_shape(k, id_space):
+    with pytest.raises(InvalidParams, match="must be >= 1"):
+        OrderFamily(k, id_space, seed=0)
+
+
 def test_ids_outside_the_space_are_rejected():
     fam = OrderFamily(4, 5, seed=0)
     with pytest.raises(InvalidParams):
@@ -793,6 +808,7 @@ def reference_certificate(fam, max_degree, eps):
         (436, 30, 5, 2, 0.5),
         (436, 30, 5, 0, 0.5),
         (40, 30, 4, 1, Fraction(1, 4)),
+        (7, 12, 2, 3, 0),  # quota ceil(k/(d+1))
     ],
 )
 def test_certify_family_is_the_reference_certificate(k, id_space, seed, max_degree, eps):
@@ -857,6 +873,22 @@ def test_certified_family_passes_first_attempt_here():
     fam2, cert2, _ = certified_family(8, 2, 0.75, seed=1, max_attempts=3)
     assert ranks_of(fam2) == ranks_of(fam)
     assert cert2 == cert
+
+
+def test_certified_family_needs_an_attempt():
+    with pytest.raises(InvalidParams, match="at least one attempt"):
+        certified_family(8, 2, 0.75, seed=1, max_attempts=0)
+
+
+def test_a_shared_program_is_refused_when_no_attempt_certifies(monkeypatch):
+    def failing(family, max_degree, eps, max_views):
+        cert = certify_family(family, max_degree, eps, max_views)
+        return dataclasses.replace(cert, bound_ok=False, min_count_by_degree={1: 3, 2: 1})
+
+    monkeypatch.setattr(permcolor, "certify_family", failing)
+    g = gnp_graph(8, 0.3, 9, seed=3)
+    with pytest.raises(InvalidParams, match="no certified family within 2 attempts; .* as few as 1/"):
+        build_program("shared-order", g, seed=1, eps=0.75, certify_attempts=2)
 
 
 # SHA-256 of coloring_to_json on criterion 2's graph at seed 0, taken when

@@ -31,7 +31,7 @@ from multicolor import (
     verify,
 )
 from multicolor import verifier
-from multicolor.algebraic import tower_color_indices
+from multicolor.algebraic import build_weighted_scheme, tower_color_indices
 from multicolor.verifier import min_colors_required, nbr_edge_count, nbr_vertex_count
 
 K2 = Graph(2, {1: {2}, 2: {1}})
@@ -200,6 +200,31 @@ def test_view_counts_match_the_closed_form():
     assert nbr_edge_count(12, 3) == 206976
     assert nbr_edge_count(30, 3) == 72057315
     assert nbr_edge_count(1, 3) == 0
+
+
+@pytest.mark.parametrize("count", [nbr_vertex_count, nbr_edge_count])
+@pytest.mark.parametrize("id_space, max_degree", [(10, -1), (0, 3), (-5, 2)])
+def test_view_counts_refuse_the_same_arguments(count, id_space, max_degree):
+    """Before, nbr_edge_count returned 0 for all three, which
+    nbr_vertex_count refused."""
+    with pytest.raises(InvalidParams):
+        count(id_space, max_degree)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: min_colors_required(10, 0.5, -1),
+        lambda: min_colors_required(10, 0.5, -3),
+        lambda: build_weighted_scheme(1000, 8, 0.5).guaranteed_fraction(-1),
+        lambda: build_weighted_scheme(1000, 8, 0.5).lowest_instance(-5),
+    ],
+    ids=["required-1", "required-3", "fraction-1", "lowest-5"],
+)
+def test_a_negative_degree_is_refused(call):
+    """Before, these raised ZeroDivisionError and returned -2, 379/9621 and 1."""
+    with pytest.raises(InvalidParams, match="degree -. is negative"):
+        call()
 
 
 @pytest.mark.parametrize(
