@@ -47,9 +47,9 @@ from typing import Callable
 
 from . import simulator
 from .coloring import Multicoloring
-from .errors import Infeasible, InvalidParams, TooLarge
+from .errors import Infeasible, InvalidParams
 from .gf import is_prime, next_prime
-from .graph import Graph, OneHopView, _check_degree, _check_id
+from .graph import Graph, OneHopView, _check_budget, _check_degree, _check_id, _check_positive
 from .permcolor import _field_masks
 from .verifier import _unit_eps
 
@@ -79,13 +79,6 @@ _MEMO_COLORS = 1 << 19
 _MAX_PALETTE = 10**7
 
 
-def _check_palette(what: str, size: int) -> None:
-    if size > _MAX_PALETTE:
-        raise TooLarge(
-            f"{what} palette of {size} colors above the guard of {_MAX_PALETTE}"
-        )
-
-
 def _check_slack(slack) -> Fraction:
     if not 1 < slack < math.inf:  # before Fraction(), which raises on nan and inf
         raise InvalidParams(f"slack {slack} must be finite and > 1")
@@ -111,8 +104,7 @@ class TowerParams:
         object.__setattr__(self, "qs", tuple(self.qs))
         object.__setattr__(self, "ds", tuple(self.ds))
         object.__setattr__(self, "slack", f := _check_slack(self.slack))
-        if self.id_space < 1:
-            raise InvalidParams("id space must be >= 1")
+        _check_positive(self.id_space, "id space")
         _check_degree(self.max_degree)
         if not self.qs or len(self.qs) != len(self.ds):
             raise InvalidParams("qs, ds must be nonempty and equally long")
@@ -131,7 +123,7 @@ class TowerParams:
                     f"level {i}: q={q} below slack bound {f} * {self.max_degree} * {d}"
                 )
             domain = q
-        _check_palette("tower", self.palette_size)
+        _check_budget(self.palette_size, _MAX_PALETTE, "tower palette colors")
 
     @property
     def depth(self) -> int:
@@ -212,6 +204,7 @@ def choose_tower(id_space: int, max_degree: int, depth: int = 0, slack=2) -> Tow
     stops once the slack bound alone exceeds the best prime found. Every
     level uses the same slack, a finite number > 1.
     """
+    _check_positive(id_space, "id space")  # before the integer roots of the scan
     ell = clamp_depth(id_space, max_degree, depth)
     f = _check_slack(slack)
     qs: list[int] = []
@@ -461,7 +454,7 @@ class WeightedScheme:
         object.__setattr__(self, "epsilon", e)
         object.__setattr__(self, "instances", instances)
         object.__setattr__(self, "weights", tuple(weights))
-        _check_palette("weighted", self.palette_size)
+        _check_budget(self.palette_size, _MAX_PALETTE, "weighted palette colors")
 
     @property
     def levels(self) -> int:

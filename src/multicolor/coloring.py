@@ -15,7 +15,7 @@ from operator import lt
 from types import MappingProxyType
 
 from .errors import InvalidParams, ParseError
-from .graph import _read_int
+from .graph import _check_positive, _read_int
 
 __all__ = ["Multicoloring", "coloring_to_json", "coloring_from_json"]
 
@@ -67,8 +67,7 @@ class Multicoloring:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.palette_size < 1:
-            raise InvalidParams("palette size must be >= 1")
+        _check_positive(self.palette_size, "palette size")
         _check_record(self.assignment, self.params, "params")
         k = self.palette_size
         assignment = {v: _sorted_set(v, cols, k) for v, cols in self.assignment.items()}

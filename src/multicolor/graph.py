@@ -14,7 +14,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
-from .errors import InvalidParams, NotFound, ParseError
+from .errors import InvalidParams, NotFound, ParseError, TooLarge
 from .rng import keyed_rng
 
 __all__ = [
@@ -40,6 +40,22 @@ def _check_degree(degree: int, bound=math.inf) -> None:
         raise InvalidParams(f"degree {degree} is negative")
     if degree > bound:
         raise InvalidParams(f"view degree {degree} exceeds the bound {bound}")
+
+
+def _check_positive(value, what: str) -> None:
+    """Refuse anything but an int >= 1 with InvalidParams: the one size guard.
+
+    Id spaces, palette sizes and attempt counts pass through here; a bool
+    is not a size, as it is not a node id.
+    """
+    if type(value) is not int or value < 1:
+        raise InvalidParams(f"{what} {value!r} is not an int >= 1")
+
+
+def _check_budget(count: int, guard: int, what: str) -> None:
+    """Refuse a count above its guard with TooLarge: the one budget guard."""
+    if count > guard:
+        raise TooLarge(f"{count} {what} exceed the guard of {guard}")
 
 
 @dataclass(frozen=True)
@@ -90,11 +106,8 @@ class Graph:
     adj: Mapping[int, frozenset[int]] = field(default_factory=dict)
 
     def __post_init__(self):
+        _check_positive(self.id_space, "id space")
         adj = {v: frozenset(nbrs) for v, nbrs in self.adj.items()}
-        if self.id_space < 1:
-            raise InvalidParams("id space must be a positive integer")
-        if len(adj) > self.id_space:
-            raise InvalidParams("more nodes than ids in the id space")
         for v, nbrs in adj.items():
             _check_id(v, self.id_space)
             if v in nbrs:
@@ -151,8 +164,7 @@ def _draw_ids(rng, n: int, id_space: int) -> list[int]:
     matches a full shuffle prefix draw for draw. The generators check n and
     the id space only here.
     """
-    if id_space < 1:
-        raise InvalidParams(f"id space must be >= 1, got {id_space}")
+    _check_positive(id_space, "id space")
     if n < 0 or n > id_space:
         raise InvalidParams(f"need 0 <= n <= id_space, got n={n}, N={id_space}")
     picked = []

@@ -51,7 +51,7 @@ from itertools import combinations, compress
 from . import simulator
 from .coloring import Multicoloring
 from .errors import InvalidParams, TooLarge
-from .graph import Graph, OneHopView, _check_degree, _check_id
+from .graph import Graph, OneHopView, _check_budget, _check_degree, _check_id, _check_positive
 from .rng import keyed_rng
 from .verifier import MAX_VIEWS, VIOLATION_CAP, NeighborhoodCertificate, _iter_views, _unit_eps
 from .verifier import min_colors_required, nbr_edge_count
@@ -73,29 +73,32 @@ __all__ = [
 
 
 def _palette(scale: int, size, max_degree: int, eps) -> int:
-    """ceil(scale * ln(size) / eps^2): both palettes, their Delta and eps checks."""
+    """ceil(scale * ln(max(size, 2)) / eps^2): both palettes, their Delta and eps checks.
+
+    A size below 2 is read as 2, so a graph of one node, or of none, and an
+    id space of one id still get a palette.
+    """
     _check_degree(max_degree)
     exact = _unit_eps(eps)
     if not exact:  # the palette divides by eps^2
         raise InvalidParams(f"epsilon {eps} outside (0, 1]")
     e = float(exact)
     try:
-        return math.ceil(scale * math.log(size) / (e * e))
+        return math.ceil(scale * math.log(max(size, 2)) / (e * e))
     except (ZeroDivisionError, OverflowError):  # eps^2 is 0.0, or the quotient inf
         raise TooLarge(f"epsilon {eps} gives a palette beyond the float range") from None
 
 
 def randomized_palette_size(n, max_degree: int, eps) -> int:
-    """Palette size k = ceil(6*(Delta+1)*ln(n)/eps^2); TooLarge past a float."""
-    if n < 2:
-        raise InvalidParams(f"need n >= 2, got {n}")
+    """Palette size k = ceil(6*(Delta+1)*ln(max(n, 2))/eps^2); TooLarge past a float."""
+    if n < 0:
+        raise InvalidParams(f"node count {n} is negative")
     return _palette(6 * (max_degree + 1), n, max_degree, eps)
 
 
 def shared_palette_size(id_space, max_degree: int, eps) -> int:
-    """k = ceil(2*(Delta+1)^2*ln(N)/eps^2) shared orders; TooLarge past a float."""
-    if id_space < 2:
-        raise InvalidParams(f"need id space >= 2, got {id_space}")
+    """k = ceil(2*(Delta+1)^2*ln(max(N, 2))/eps^2) shared orders; TooLarge past a float."""
+    _check_positive(id_space, "id space")
     d1 = max_degree + 1
     return _palette(2 * d1 * d1, id_space, max_degree, eps)
 
@@ -235,10 +238,8 @@ def generate_draws(node_id: int, k: int, seed: int) -> RandomDraws:
     smaller id; the module docstring bounds what that costs. More than
     _MAX_DRAWS draws are refused before the stream is read.
     """
-    if k < 1:
-        raise InvalidParams("palette size must be >= 1")
-    if k > _MAX_DRAWS:
-        raise TooLarge(f"{k} draws are above the guard of {_MAX_DRAWS}")
+    _check_positive(k, "palette size")
+    _check_budget(k, _MAX_DRAWS, "draws")
     return RandomDraws(node_id, _cut_stream(keyed_rng(seed, "draws", node_id), k))
 
 
@@ -288,11 +289,7 @@ def _build_randomized(g: Graph, max_degree: int, eps=0.5):
     """
     n = g.n
     k = randomized_palette_size(n, max_degree, eps)
-    if k * n > _MAX_DRAWS:
-        raise TooLarge(
-            f"{n} nodes drawing {k} values each need {k * n} draws, "
-            f"above the guard of {_MAX_DRAWS}"
-        )
+    _check_budget(k * n, _MAX_DRAWS, f"draws of {n} nodes drawing {k} each")
 
     def generate_bits(node_id: int, seed: int) -> Sequence[int]:
         return generate_draws(node_id, k, seed).draws
@@ -347,15 +344,9 @@ class OrderFamily:
     """
 
     def __init__(self, k: int, id_space: int, seed: int):
-        if k < 1:
-            raise InvalidParams("order count must be >= 1")
-        if id_space < 1:
-            raise InvalidParams("id space must be >= 1")
-        if k * id_space > _MAX_ORDER_KEYS:
-            raise TooLarge(
-                f"{k} orders over {id_space} ids need {k * id_space} keys, "
-                f"above the guard of {_MAX_ORDER_KEYS}"
-            )
+        _check_positive(k, "order count")
+        _check_positive(id_space, "id space")
+        _check_budget(k * id_space, _MAX_ORDER_KEYS, f"keys of {k} orders over {id_space} ids")
         self.k = k
         self.id_space = id_space
         self.seed = seed
@@ -520,8 +511,7 @@ def certified_family(
     Returns (family, certificate, attempts). The certificate of the last
     attempt is returned even if it failed; callers decide how to proceed.
     """
-    if max_attempts < 1:
-        raise InvalidParams("need at least one attempt")
+    _check_positive(max_attempts, "max attempts")
     k = shared_palette_size(id_space, max_degree, eps)
     family = cert = None
     attempts = 0

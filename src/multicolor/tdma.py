@@ -22,7 +22,7 @@ from types import MappingProxyType
 from .coloring import _MALFORMED, Multicoloring, _check_record, _int_tuples, _json_int
 from .coloring import _json_object, _sorted_set, _unique_keys
 from .errors import InvalidParams, RefusedInvalid
-from .graph import Graph
+from .graph import Graph, _check_positive
 from .verifier import _conflicts, verify  # noqa: F401  perfbench's tracer hooks tdma.verify
 
 __all__ = [
@@ -50,8 +50,7 @@ class TdmaSchedule:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.frame_length < 1:
-            raise InvalidParams("frame length must be >= 1")
+        _check_positive(self.frame_length, "frame length")
         _check_record(self.slots, self.meta, "meta")
         n = self.frame_length
         slots = {v: _sorted_set(v, s, n, "slot") for v, s in self.slots.items()}

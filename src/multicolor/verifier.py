@@ -29,8 +29,8 @@ from itertools import combinations, filterfalse, islice
 from typing import Callable, Iterator, Mapping
 
 from .coloring import Multicoloring
-from .errors import Incomplete, InvalidParams, TooLarge
-from .graph import Graph, OneHopView, _check_degree, _unchecked_view
+from .errors import Incomplete, InvalidParams
+from .graph import Graph, OneHopView, _check_budget, _check_degree, _check_positive, _unchecked_view
 
 __all__ = [
     "VerificationReport",
@@ -189,8 +189,7 @@ def verify(g: Graph, m: Multicoloring, eps=None) -> VerificationReport:
 
 def _check_view_space(id_space: int, max_degree: int) -> None:
     """The closed forms' arguments: an id space >= 1 and a degree bound >= 0."""
-    if id_space < 1:
-        raise InvalidParams(f"need id_space >= 1, got {id_space}")
+    _check_positive(id_space, "id space")
     _check_degree(max_degree)
 
 
@@ -209,9 +208,8 @@ def nbr_edge_count(id_space: int, max_degree: int) -> int:
     rests of the two neighborhoods: C(N,2) * (sum_{s<=Delta-1} C(N-2,s))^2.
     """
     _check_view_space(id_space, max_degree)
-    if id_space < 2:
-        return 0
-    rests = sum(math.comb(id_space - 2, s) for s in range(0, max_degree))
+    # at N = 1, C(N, 2) is 0: the rests are read over an empty set of ids
+    rests = sum(math.comb(max(id_space, 2) - 2, s) for s in range(0, max_degree))
     return math.comb(id_space, 2) * rests * rests
 
 
@@ -230,9 +228,7 @@ def _iter_views(id_space: int, max_degree: int, max_views: int = MAX_VIEWS):
     is enforced: the count is checked when this is called, before any view
     is made, and only then is the generator returned.
     """
-    total = nbr_vertex_count(id_space, max_degree)
-    if total > max_views:
-        raise TooLarge(f"{total} views exceed the guard of {max_views}")
+    _check_budget(nbr_vertex_count(id_space, max_degree), max_views, "views")
     ids = range(1, id_space + 1) if max_degree else ()  # no view: no lists of others
 
     def views():
@@ -266,8 +262,7 @@ class NeighborhoodGraph:
         if self._edges is not None:
             return self._edges
         total = self.edge_count
-        if total > MAX_EDGES:
-            raise TooLarge(f"{total} edges exceed the guard of {MAX_EDGES}")
+        _check_budget(total, MAX_EDGES, "edges")
         groups: dict[tuple[int, int], list[int]] = {}
         for idx, view in enumerate(self.vertices):
             for y in view.neighbors:
@@ -314,8 +309,7 @@ def chromatic_number(ng: NeighborhoodGraph | Graph) -> int:
     work; past MAX_CHI_WORK the search raises TooLarge instead of running on.
     """
     nv = ng.vertex_count if isinstance(ng, NeighborhoodGraph) else ng.n
-    if nv > MAX_CHI_VERTICES:
-        raise TooLarge(f"{nv} vertices exceed the guard of {MAX_CHI_VERTICES}")
+    _check_budget(nv, MAX_CHI_VERTICES, "vertices")
     if nv == 0:
         return 0
     if isinstance(ng, NeighborhoodGraph):
@@ -354,10 +348,8 @@ def chromatic_number(ng: NeighborhoodGraph | Graph) -> int:
             best = used
         elif used < best:
             work += step_work
-            if work > MAX_CHI_WORK:
-                raise TooLarge(
-                    f"chromatic number search exceeded its work budget of {MAX_CHI_WORK}"
-                )
+            if work > MAX_CHI_WORK:  # compared here: the helper runs only to raise
+                _check_budget(work, MAX_CHI_WORK, "units of chromatic search work")
             # most saturated uncolored vertex, ties by degree
             pick, pick_sat, forbidden = -1, (-1, -1), set()
             for v in range(nv):
@@ -438,6 +430,7 @@ def certify_on_neighborhood(
     it returns are kept for the call. min_colors, if given, maps a degree to
     the minimum count each view of that degree must keep.
     """
+    _check_positive(palette_size, "palette size")
     views = _iter_views(id_space, max_degree, max_views)
     need = None
     if min_colors is not None:

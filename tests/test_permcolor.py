@@ -61,8 +61,8 @@ def test_randomized_palette_frozen_values():
 
 
 def test_randomized_palette_domain_checks():
-    with pytest.raises(InvalidParams):
-        randomized_palette_size(1, 4, 0.5)
+    with pytest.raises(InvalidParams, match="node count -1 is negative"):
+        randomized_palette_size(-1, 4, 0.5)
     with pytest.raises(InvalidParams):
         randomized_palette_size(100, -1, 0.5)
     with pytest.raises(InvalidParams):
@@ -82,12 +82,20 @@ def test_palette_sizes_refuse_a_non_finite_epsilon(eps):
 def test_shared_palette_frozen_values():
     assert shared_palette_size(30, 3, 0.5) == 436
     assert shared_palette_size(1000, 4, 0.5) == 1382
-    assert shared_palette_size(math.e, 0, 1) == 2
+    assert shared_palette_size(3, 0, 1) == 3  # ceil(2 ln 3)
+
+
+def test_palettes_read_a_size_below_two_as_two():
+    """A graph of one node or none, and a one-id space, get the size-2 palette."""
+    for n in (0, 1):
+        assert randomized_palette_size(n, 4, 0.5) == randomized_palette_size(2, 4, 0.5) == 84
+    assert shared_palette_size(1, 3, 0.5) == shared_palette_size(2, 3, 0.5) == 89
 
 
 def test_shared_palette_domain_checks():
-    with pytest.raises(InvalidParams):
-        shared_palette_size(1, 3, 0.5)
+    for id_space in (0, math.e, True):
+        with pytest.raises(InvalidParams, match="id space"):
+            shared_palette_size(id_space, 3, 0.5)
     with pytest.raises(InvalidParams):
         shared_palette_size(30, -1, 0.5)
     with pytest.raises(InvalidParams):
@@ -592,7 +600,7 @@ def test_select_mask_on_a_cached_row_is_transparent():
 
 @pytest.mark.parametrize("k, id_space", [(0, 5), (4, 0)])
 def test_order_family_refuses_an_empty_shape(k, id_space):
-    with pytest.raises(InvalidParams, match="must be >= 1"):
+    with pytest.raises(InvalidParams, match="^(order count|id space) 0 is not an int >= 1$"):
         OrderFamily(k, id_space, seed=0)
 
 
@@ -876,7 +884,7 @@ def test_certified_family_passes_first_attempt_here():
 
 
 def test_certified_family_needs_an_attempt():
-    with pytest.raises(InvalidParams, match="at least one attempt"):
+    with pytest.raises(InvalidParams, match="^max attempts 0 is not an int >= 1$"):
         certified_family(8, 2, 0.75, seed=1, max_attempts=0)
 
 
