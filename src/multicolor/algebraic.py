@@ -21,6 +21,10 @@ multiplication", PLDI 1994). M(x) is kept with x's betas packed one per
 alpha path, in guarded 32-bit words, so a neighbor y blocks exactly
 the paths where its beta equals x's: one zero test of mine ^ theirs per
 neighbor, and the surviving guard bits select the kept colors from M(x).
+Each params keeps a row for the own id it saw last, as an order family
+keeps beats_row: from that id's second view, the row holds each neighbor's
+packed block and up to _ROW_RESULTS decoded results, so a certificate
+sweep, which takes the views of one id in a row, computes each once.
 
 Weighted union: one basic instance per degree scale 2^i is replicated with a
 weight that balances palette mass across scales; a node of degree delta only
@@ -77,6 +81,8 @@ _MEMO_COLORS = 1 << 19
 # largest palette, the TDMA frame, of a tower or a weighted union: a node's
 # M(x) holds palette / q_ell of its tower's colors, about 40 B each in a tuple
 _MAX_PALETTE = 10**7
+# kept-color tuples one exclusion row keeps, as verifier._KNOWN_MASKS does for masks
+_ROW_RESULTS = 4096
 
 
 def _check_slack(slack) -> Fraction:
@@ -137,6 +143,18 @@ class TowerParams:
         one that hits it was checked on its first use.
         """
         return _memoised_free_colors(self.id_space, self.qs, self.ds)
+
+    @cached_property
+    def _row(self) -> tuple:
+        """tower_color_indices' exclusion row: (x, M(x), raised betas, blocks, results).
+
+        x is the own id it saw last, None before the first, so that no id,
+        not even a refused 0, matches an empty row. blocks and results stay
+        None until x's second view. tower_color_indices replaces the whole
+        tuple, so a row never mixes the state of two ids; like the M memo
+        it is no part of the value.
+        """
+        return None, (), 0, None, None
 
     @cached_property
     def _beta_masks(self) -> tuple[int, int]:
@@ -355,19 +373,50 @@ def tower_color_indices(view: OneHopView, params: TowerParams) -> tuple[int, ...
     guard bit exactly when the two betas differ, since a beta leaves its
     guard bit clear. M(x) is ascending, and compressing it by the surviving
     guard bits keeps that order.
+
+    A certificate sweep asks for the views of one own id x in a row, as
+    OrderFamily.beats_row's callers do, so params keep a row for the most
+    recent x. The first view of an x records only x, M(x) and its raised
+    betas, so a schedule, which asks for each id once, fills no dict. From
+    the second view on, the row keeps each neighbor y's packed word
+    (raised ^ beta_y) - ones, the complement of block(x, y), for as many
+    ids as the M memo keeps, and the kept colors of each distinct set of
+    surviving guard bits, for the first _ROW_RESULTS. An id outside the id
+    space is refused on its M memo miss, before the row changes.
     """
     nbrs = view.neighbors
     if len(nbrs) > params.max_degree:  # inline: a certificate sweep makes 10^5 calls
         _check_degree(len(nbrs), params.max_degree)
+    x = view.node_id
     free = params._free_colors  # refuses ids outside the id space
-    own, mine = free(view.node_id)
     guards, ones = params._beta_masks
-    raised = mine | guards
+    row_x, own, raised, blocks, results = params._row
+    if row_x != x:
+        own, mine = free(x)
+        raised = mine | guards
+        # where cached_property keeps _row: the frozen dataclass refuses setattr
+        params.__dict__["_row"] = x, own, raised, None, None
+        alive = guards
+        for y in nbrs:
+            alive &= (raised ^ free(y)[1]) - ones
+        return tuple(compress(own, alive.to_bytes(4 * len(own), "little")[3::4]))
+    if blocks is None:  # the second view of x: the row fills from here on
+        blocks, results = {}, {}
+        params.__dict__["_row"] = x, own, raised, blocks, results
     alive = guards
     for y in nbrs:
-        alive &= (raised ^ free(y)[1]) - ones
-    tops = alive.to_bytes(4 * len(own), "little")[3::4]
-    return tuple(compress(own, tops))
+        block = blocks.get(y)
+        if block is None:
+            block = (raised ^ free(y)[1]) - ones
+            if len(blocks) < _MEMO_COLORS // len(own):  # as many ids as the M memo
+                blocks[y] = block
+        alive &= block
+    kept = results.get(alive)
+    if kept is None:
+        kept = tuple(compress(own, alive.to_bytes(4 * len(own), "little")[3::4]))
+        if len(results) < _ROW_RESULTS:
+            results[alive] = kept
+    return kept
 
 
 def tower_colors(view: OneHopView, params: TowerParams) -> frozenset[tuple[int, ...]]:
@@ -438,8 +487,7 @@ class WeightedScheme:
     slack: InitVar[object] = 2
 
     def __post_init__(self, depth, slack):
-        if self.max_degree < 1:
-            raise InvalidParams("max degree must be >= 1")
+        _check_positive(self.max_degree, "max degree")
         e = float(_unit_eps(self.epsilon))
         levels = max(1, _ceil_log2(self.max_degree))
         instances = tuple(

@@ -28,14 +28,26 @@ __all__ = [
 ]
 
 
-def _check_id(x: int, id_space: int) -> None:
-    """Refuse an id outside [1, id_space] with InvalidParams: the one id guard."""
+def _check_id(x: int, id_space=math.inf) -> None:
+    """Refuse anything but an int in [1, id_space] with InvalidParams: the one id guard.
+
+    A bool or a float is not an id: Graph would write it to an edge list
+    that reads back without it. Without an id space, only 1 bounds an id.
+    """
+    if type(x) is not int:
+        raise InvalidParams(f"id {x!r} is not an int")
     if not 1 <= x <= id_space:
         raise InvalidParams(f"id {x} outside [1, {id_space}]")
 
 
 def _check_degree(degree: int, bound=math.inf) -> None:
-    """Refuse a degree outside [0, bound] with InvalidParams: the one degree guard."""
+    """Refuse anything but an int in [0, bound] with InvalidParams: the one degree guard.
+
+    Degree bounds pass through here as view degrees do; a bool or a float
+    is not a degree.
+    """
+    if type(degree) is not int:
+        raise InvalidParams(f"degree {degree!r} is not an int")
     if degree < 0:
         raise InvalidParams(f"degree {degree} is negative")
     if degree > bound:
@@ -67,12 +79,12 @@ class OneHopView:
 
     def __post_init__(self):
         object.__setattr__(self, "neighbors", frozenset(self.neighbors))
-        if self.node_id < 1:
-            raise InvalidParams(f"node id {self.node_id} must be >= 1")
+        _check_id(self.node_id)
+        for y in self.neighbors:
+            if type(y) is not int or y < 1:  # inline: a view is built per node; the helper raises
+                _check_id(y)
         if self.node_id in self.neighbors:
             raise InvalidParams(f"view of {self.node_id} contains itself")
-        if self.neighbors and min(self.neighbors) < 1:
-            raise InvalidParams("neighbor ids must be >= 1")
 
     @property
     def degree(self) -> int:
@@ -165,8 +177,8 @@ def _draw_ids(rng, n: int, id_space: int) -> list[int]:
     the id space only here.
     """
     _check_positive(id_space, "id space")
-    if n < 0 or n > id_space:
-        raise InvalidParams(f"need 0 <= n <= id_space, got n={n}, N={id_space}")
+    if type(n) is not int or n < 0 or n > id_space:
+        raise InvalidParams(f"need an int 0 <= n <= id_space, got n={n!r}, N={id_space}")
     picked = []
     moved: dict[int, int] = {}
     for i in range(n):
@@ -219,8 +231,8 @@ def unit_disk_graph(n: int, radius: float, id_space: int, seed: int) -> Graph:
 
 def disjoint_stars(count: int, leaves: int, id_space: int, seed: int) -> Graph:
     """count vertex-disjoint stars, each one center with `leaves` leaves."""
-    if count < 0 or leaves < 0:
-        raise InvalidParams("count and leaves must be >= 0")
+    if type(count) is not int or type(leaves) is not int or count < 0 or leaves < 0:
+        raise InvalidParams(f"count and leaves must be ints >= 0, got {count!r}, {leaves!r}")
     n = count * (leaves + 1)
     rng = keyed_rng("stars", count, leaves, id_space, seed)
     ids = _draw_ids(rng, n, id_space)

@@ -1,6 +1,7 @@
 """Polynomial-tower colorings: parameter search, selection, weighted union."""
 
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -33,6 +34,7 @@ from multicolor.graph import _unchecked_view
 from multicolor.algebraic import (
     _MAX_PALETTE,
     _MEMO_COLORS,
+    _ROW_RESULTS,
     tower_color_from_index,
     tower_color_indices,
     weighted_color_indices,
@@ -171,6 +173,16 @@ def test_tower_params_validation():
         TowerParams(0, 2, qs=(5,), ds=(1,), slack=2)
     with pytest.raises(InvalidParams, match="degree -1 is negative"):
         TowerParams(10, -1, qs=(5,), ds=(1,), slack=2)
+
+
+@pytest.mark.parametrize("bad", [2.5, 2.0, True], ids=["float", "integral-float", "bool"])
+def test_a_degree_bound_that_is_not_an_int_is_refused(bad):
+    with pytest.raises(InvalidParams, match=f"^degree {bad!r} is not an int$"):
+        choose_tower(10, bad)
+    with pytest.raises(InvalidParams, match=f"^degree {bad!r} is not an int$"):
+        TowerParams(10, bad, qs=(11,), ds=(1,), slack=2)
+    with pytest.raises(InvalidParams, match=f"^max degree {bad!r} is not an int >= 1$"):
+        WeightedScheme(10, bad, 0.5)
 
 
 @pytest.mark.parametrize("slack", [float("nan"), float("inf"), -float("inf")])
@@ -367,7 +379,11 @@ def test_memo_stays_within_its_budget_under_eviction():
         expected = tuple(sorted(tower_color_index(p, c) for c in brute_force_tower(view, p)))
         assert tower_color_indices(view, p) == expected
         assert memo.cache_info().currsize <= limit
-    fresh = choose_tower(10**6, 8, depth=1)  # the memo is no part of the value
+    for view in views[-2:]:  # the second view of one id fills the row
+        tower_color_indices(OneHopView(view.node_id, frozenset()), p)
+        tower_color_indices(view, p)
+    assert p._row[3] is not None
+    fresh = choose_tower(10**6, 8, depth=1)  # neither the memo nor the row is part of the value
     assert (p, hash(p), repr(p)) == (fresh, hash(fresh), repr(fresh))
 
 
@@ -461,13 +477,83 @@ def test_packed_rule_equals_the_set_difference_oracle(name):
 def test_out_of_range_ids_are_refused_as_own_id_and_as_neighbor(shape):
     p = choose_tower(*shape)
     n = p.id_space
-    tower_color_indices(OneHopView(1, frozenset({2})), p)  # the memo is warm
     # unchecked views: OneHopView itself refuses an id below 1
+    for bad in (0, n + 1):  # a fresh tower: no row yet
+        with pytest.raises(InvalidParams, match=f"id {bad} outside"):
+            tower_color_indices(_unchecked_view(bad, frozenset()), choose_tower(*shape))
+    tower_color_indices(OneHopView(1, frozenset({2})), p)  # the memo is warm
     for bad in (0, n + 1):
         with pytest.raises(InvalidParams, match=f"id {bad} outside"):
             tower_color_indices(_unchecked_view(bad, frozenset({1})), p)
         with pytest.raises(InvalidParams, match=f"id {bad} outside"):
             tower_color_indices(_unchecked_view(1, frozenset({2, bad})), p)
+
+
+# -- the exclusion row of the last own id -------------------------------------
+
+
+def all_views(id_space, max_degree):
+    """Every view of the space, own id by own id as a certificate sweep takes them."""
+    for x in range(1, id_space + 1):
+        others = [y for y in range(1, id_space + 1) if y != x]
+        for d in range(max_degree + 1):
+            for gamma in itertools.combinations(others, d):
+                yield OneHopView(x, frozenset(gamma))
+
+
+def test_the_row_gives_the_oracle_in_any_view_order():
+    p = choose_tower(12, 3)
+    views = list(all_views(12, 3))
+    expected = {view: set_difference_rule(view, p) for view in views}
+    shuffled = random.Random(12).sample(views, len(views))
+    for order in (views, shuffled):
+        fresh = choose_tower(12, 3)
+        assert [tower_color_indices(v, fresh) for v in order] == [expected[v] for v in order]
+    # two towers swept side by side: each keeps a row of its own
+    other = choose_tower(12, 3, slack=3)
+    assert other.qs != p.qs
+    for view in views:
+        assert tower_color_indices(view, p) == expected[view]
+        assert tower_color_indices(view, other) == set_difference_rule(view, other)
+    assert p._row[0] == other._row[0] == 12 and p._row[3] is not None
+
+
+def test_a_refused_view_leaves_the_row_of_its_own_id():
+    p = choose_tower(12, 3)
+    n = p.id_space
+    for bad in (0, n + 1):
+        for gamma in ({2}, {2, 3}):  # the second view of 1 fills the row
+            tower_color_indices(OneHopView(1, frozenset(gamma)), p)
+        with pytest.raises(InvalidParams, match=f"id {bad} outside"):
+            tower_color_indices(_unchecked_view(bad, frozenset({2})), p)
+        view = OneHopView(1, frozenset({2, 4}))
+        assert tower_color_indices(view, p) == set_difference_rule(view, p)
+        with pytest.raises(InvalidParams, match=f"id {bad} outside"):
+            tower_color_indices(_unchecked_view(1, frozenset({2, 5, bad})), p)
+        view = OneHopView(1, frozenset({2, 5, 6}))
+        assert tower_color_indices(view, p) == set_difference_rule(view, p)
+        assert p._row[0] == 1 and set(p._row[3]) == {2, 3, 4, 5, 6}
+
+
+def test_the_row_keeps_its_results_and_blocks_within_their_bounds(monkeypatch):
+    # q = 97: the kept colors of one id take far more than _ROW_RESULTS values
+    monkeypatch.setattr(algebraic, "_MEMO_COLORS", 97 * 200)  # 200 ids, and blocks
+    p = choose_tower(10**6, 16)
+    assert p.qs == (97,)
+    rng = random.Random(16)
+    x = 777_777
+    pool = rng.sample(range(1, 10**6 + 1), 400)
+    own = horner_free_colors(p, x)
+    free = {y: set(horner_free_colors(p, y)) for y in pool}
+    results = set()
+    for _ in range(_ROW_RESULTS + 600):
+        gamma = rng.sample(pool, 8)
+        kept = tower_color_indices(OneHopView(x, frozenset(gamma)), p)
+        assert kept == tuple(c for c in own if not any(c in free[y] for y in gamma))
+        results.add(kept)
+    assert len(results) > _ROW_RESULTS
+    row_x, _, _, blocks, kept_by_alive = p._row
+    assert row_x == x and len(kept_by_alive) == _ROW_RESULTS and len(blocks) == 200
 
 
 def test_count_never_falls_below_the_guarantee():

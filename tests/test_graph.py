@@ -72,6 +72,14 @@ def test_view_rejects_self_membership():
         OneHopView(2, frozenset({0}))
 
 
+@pytest.mark.parametrize("bad", [2.5, 2.0, True], ids=["float", "integral-float", "bool"])
+def test_view_refuses_an_id_that_is_not_an_int(bad):
+    with pytest.raises(InvalidParams, match=f"^id {bad!r} is not an int$"):
+        OneHopView(bad, frozenset({3}))
+    with pytest.raises(InvalidParams, match=f"^id {bad!r} is not an int$"):
+        OneHopView(3, frozenset({4, bad}))
+
+
 # -- graph validation ----------------------------------------------------
 
 
@@ -95,6 +103,15 @@ def test_graph_rejects_id_outside_space():
         Graph(3, {4: set()})
     with pytest.raises(InvalidParams, match="id space"):
         Graph(0)
+
+
+@pytest.mark.parametrize("bad", [True, 2.0], ids=["bool", "integral-float"])
+def test_graph_refuses_a_node_id_that_is_not_an_int(bad):
+    # such a key would be written as "# nodes=True" or "2.0", which reads back as a comment
+    with pytest.raises(InvalidParams, match=f"^id {bad!r} is not an int$"):
+        Graph(3, {bad: set(), 3: set()})
+    with pytest.raises(InvalidParams, match=f"^id {bad!r} is not an int$"):
+        Graph(3, {bad: {3}, 3: {bad}})
 
 
 def test_graph_rejects_more_nodes_than_ids():
@@ -154,6 +171,22 @@ def test_generators_reject_an_empty_id_space():
         unit_disk_graph(0, 0.5, 0, seed=0)
     with pytest.raises(InvalidParams):
         disjoint_stars(0, 1, 0, seed=0)
+
+
+GENERATORS = {
+    "gnp": (lambda n: gnp_graph(n, 0.5, 10, seed=1), "^need an int 0 <= n <= id_space"),
+    "udg": (lambda n: unit_disk_graph(n, 0.5, 10, seed=1), "^need an int 0 <= n <= id_space"),
+    "stars": (lambda count: disjoint_stars(count, 2, 10, seed=1), "^count and leaves must be ints"),
+    "leaves": (lambda leaves: disjoint_stars(2, leaves, 10, seed=1), "^count and leaves must be ints"),
+}
+
+
+@pytest.mark.parametrize("bad", [2.5, 2.0, True], ids=["float", "integral-float", "bool"])
+@pytest.mark.parametrize("model", sorted(GENERATORS))
+def test_generators_refuse_a_node_count_that_is_not_an_int(model, bad):
+    generate, message = GENERATORS[model]
+    with pytest.raises(InvalidParams, match=message):
+        generate(bad)
 
 
 def test_stars_refuse_a_negative_count():
