@@ -41,7 +41,7 @@ against it.
 from __future__ import annotations
 
 import math
-import sys
+import struct
 from array import array
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
@@ -53,7 +53,7 @@ from . import simulator
 from .coloring import Multicoloring
 from .errors import Infeasible, InvalidParams
 from .gf import is_prime, next_prime
-from .graph import Graph, OneHopView, _check_budget, _check_degree, _check_id, _check_positive
+from .graph import Graph, OneHopView, _check_budget, _check_count, _check_id, _check_positive
 from .permcolor import _field_masks
 from .verifier import _unit_eps
 
@@ -111,15 +111,15 @@ class TowerParams:
         object.__setattr__(self, "ds", tuple(self.ds))
         object.__setattr__(self, "slack", f := _check_slack(self.slack))
         _check_positive(self.id_space, "id space")
-        _check_degree(self.max_degree)
+        _check_count(self.max_degree, "degree")
         if not self.qs or len(self.qs) != len(self.ds):
             raise InvalidParams("qs, ds must be nonempty and equally long")
         domain = self.id_space
         for i, (q, d) in enumerate(zip(self.qs, self.ds)):
+            _check_positive(q, "field order")
             if not is_prime(q):
                 raise InvalidParams(f"field order {q} is not prime")
-            if d < 1:
-                raise InvalidParams(f"level {i}: degree bound {d} must be >= 1")
+            _check_positive(d, "degree bound")
             if q ** (d + 1) < domain:
                 raise InvalidParams(
                     f"level {i}: {q}^{d + 1} cannot encode a domain of {domain}"
@@ -188,8 +188,7 @@ def clamp_depth(id_space: int, max_degree: int, depth: int) -> int:
     degree bound; outside that regime the construction still works but extra
     levels cannot pay off, so the depth falls back to 0.
     """
-    if depth < 0:
-        raise InvalidParams("depth must be >= 0")
+    _check_count(depth, "depth")
     bound = max(math.e, max_degree)
     best = 0
     val = id_space  # an int until the first log: ids may exceed any float
@@ -295,14 +294,6 @@ def _evaluate(q: int, d: int, value: int) -> tuple[int, int]:
     return acc - q * ((acc * magic >> shift) & mask), width
 
 
-def _words(raw: bytes) -> array:
-    """raw read as little-endian 32-bit words."""
-    words = array("I", raw)
-    if sys.byteorder == "big":
-        words.byteswap()
-    return words
-
-
 def _low_words(raw: bytes, width: int) -> bytes:
     """The low 32-bit word of each width-byte field of raw; 4 divides width.
 
@@ -349,14 +340,14 @@ def _memoised_free_colors(
         if level == depth:
             colors = int.from_bytes(values, "little") + offsets[level]
             return colors.to_bytes(4 * q, "little"), values
-        subs = [subtree(level + 1, v) for v in _words(values)]
+        subs = [subtree(level + 1, v) for v in struct.unpack(f"<{q}I", values)]
         colors = int.from_bytes(b"".join([c for c, _ in subs]), "little") + offsets[level]
         return colors.to_bytes(4 * paths[level], "little"), b"".join([b for _, b in subs])
 
     def free(x: int) -> tuple[tuple[int, ...], int]:
         _check_id(x, id_space)
         colors, betas = leaves(0, x - 1)
-        return tuple(_words(colors).tolist()), int.from_bytes(betas, "little")
+        return struct.unpack(f"<{paths[0]}I", colors), int.from_bytes(betas, "little")
 
     subtree = lru_cache(maxsize=None)(leaves)
     return lru_cache(_MEMO_COLORS // math.prod(qs))(free)
@@ -386,7 +377,7 @@ def tower_color_indices(view: OneHopView, params: TowerParams) -> tuple[int, ...
     """
     nbrs = view.neighbors
     if len(nbrs) > params.max_degree:  # inline: a certificate sweep makes 10^5 calls
-        _check_degree(len(nbrs), params.max_degree)
+        _check_count(len(nbrs), "degree", params.max_degree)
     x = view.node_id
     free = params._free_colors  # refuses ids outside the id space
     guards, ones = params._beta_masks
@@ -516,7 +507,7 @@ class WeightedScheme:
 
     def lowest_instance(self, degree: int) -> int:
         """Smallest instance index a node of the given degree may use."""
-        _check_degree(degree, self.max_degree)
+        _check_count(degree, "degree", self.max_degree)
         return max(1, _ceil_log2(max(degree, 1)))
 
     def guaranteed_fraction(self, degree: int) -> Fraction:
@@ -582,16 +573,15 @@ def weighted_color_indices(view: OneHopView, scheme: WeightedScheme) -> tuple[in
     for i, (inst, w) in enumerate(zip(scheme.instances, scheme.weights), start=1):
         size = inst.palette_size
         if i >= lo:
-            kept = array("I", tower_color_indices(view, inst))
-            if sys.byteorder == "big":
-                kept.byteswap()
-            base = int.from_bytes(kept, "little")
+            kept = tower_color_indices(view, inst)
+            base = int.from_bytes(struct.pack(f"<{len(kept)}I", *kept), "little")
             # a 1 in each word; the kept count varies by node, so it is not cached
             ones = int.from_bytes(b"\x01\x00\x00\x00" * len(kept), "little")
             for shift in range(offset, offset + w * size, size):
                 copies.append((base + shift * ones).to_bytes(4 * len(kept), "little"))
         offset += w * size
-    return tuple(_words(b"".join(copies)).tolist())
+    raw = b"".join(copies)
+    return struct.unpack(f"<{len(raw) // 4}I", raw)
 
 
 def _build_weighted(g: Graph, max_degree: int, eps=0.5, depth=0, slack=2):

@@ -15,7 +15,7 @@ from operator import lt
 from types import MappingProxyType
 
 from .errors import InvalidParams, ParseError
-from .graph import _check_positive, _read_int
+from .graph import _check_id, _check_positive, _read_int
 
 __all__ = ["Multicoloring", "coloring_to_json", "coloring_from_json"]
 
@@ -38,14 +38,13 @@ def _sorted_set(v: int, vals, top: int, noun: str = "color") -> tuple[int, ...]:
 def _check_record(nodes: Mapping, extra, name: str) -> None:
     """Refuse a record its JSON reader would refuse to read back.
 
-    Every node id must be an int of at least 1 (a bool is not an id), and
-    extra, the record's params or meta, a dict.
+    Every node id must pass graph._check_id (an int of at least 1; a bool
+    is not an id), and extra, the record's params or meta, be a dict.
     """
     if not isinstance(extra, dict):
         raise InvalidParams(f"{name} must be a dict, not {type(extra).__name__}")
     for v in nodes:
-        if type(v) is not int or v < 1:
-            raise InvalidParams(f"node id {v!r} is not an int >= 1")
+        _check_id(v)
 
 
 @dataclass(frozen=True)
@@ -113,18 +112,17 @@ def _json_object(payload: dict, key: str) -> dict:
 
 
 def _int_tuples(pairs, read_id) -> dict[int, tuple[int, ...]]:
-    """{read_id(key): tuple(xs)} of (key, xs) pairs, xs distinct JSON integers; unique ids >= 1.
+    """{read_id(key): tuple(xs)} of (key, xs) pairs, xs distinct JSON integers; unique ids.
 
-    Each parsed list is emptied once its tuple is made, so a document's
-    values are not held twice. A strictly increasing list, as the writers
-    lay them out, needs no set to show its values distinct.
+    The record built from it refuses an id below 1. Each parsed list is
+    emptied once its tuple is made, so a document's values are not held
+    twice. A strictly increasing list, as the writers lay them out, needs no
+    set to show its values distinct.
     """
     out: dict[int, tuple[int, ...]] = {}
     for key, xs in pairs:
         if (v := read_id(key)) in out:
             raise ValueError(f"node {v} appears twice")
-        if v < 1:
-            raise ValueError(f"node id {v} is below 1")
         if type(xs) is not list:
             raise TypeError(f"{xs!r:.20} is not a list of integers")
         vals = tuple(map(_json_int, xs))

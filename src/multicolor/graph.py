@@ -31,8 +31,10 @@ __all__ = [
 def _check_id(x: int, id_space=math.inf) -> None:
     """Refuse anything but an int in [1, id_space] with InvalidParams: the one id guard.
 
-    A bool or a float is not an id: Graph would write it to an edge list
-    that reads back without it. Without an id space, only 1 bounds an id.
+    Graphs, views, records, order families, the tower's memo and
+    generate_draws send their ids through here. A bool or a float is not an
+    id: Graph would write it to an edge list that reads back without it.
+    Without an id space, only 1 bounds an id.
     """
     if type(x) is not int:
         raise InvalidParams(f"id {x!r} is not an int")
@@ -40,25 +42,23 @@ def _check_id(x: int, id_space=math.inf) -> None:
         raise InvalidParams(f"id {x} outside [1, {id_space}]")
 
 
-def _check_degree(degree: int, bound=math.inf) -> None:
-    """Refuse anything but an int in [0, bound] with InvalidParams: the one degree guard.
+def _check_count(value, what: str, bound=math.inf) -> None:
+    """Refuse anything but an int in [0, bound] with InvalidParams: the one count guard.
 
-    Degree bounds pass through here as view degrees do; a bool or a float
-    is not a degree.
+    Degrees, degree bounds, node counts, tower depths and attempt counts
+    pass through here; a bool or a float is not a count. Without a bound,
+    only 0 bounds a count.
     """
-    if type(degree) is not int:
-        raise InvalidParams(f"degree {degree!r} is not an int")
-    if degree < 0:
-        raise InvalidParams(f"degree {degree} is negative")
-    if degree > bound:
-        raise InvalidParams(f"view degree {degree} exceeds the bound {bound}")
+    if type(value) is not int or not 0 <= value <= bound:
+        raise InvalidParams(f"{what} {value!r} is not an int in [0, {bound}]")
 
 
 def _check_positive(value, what: str) -> None:
     """Refuse anything but an int >= 1 with InvalidParams: the one size guard.
 
-    Id spaces, palette sizes and attempt counts pass through here; a bool
-    is not a size, as it is not a node id.
+    Id spaces, palette and frame sizes, field orders, the tower's per-level
+    degree bounds and attempt budgets pass through here; a bool is not a
+    size, as it is not a node id.
     """
     if type(value) is not int or value < 1:
         raise InvalidParams(f"{what} {value!r} is not an int >= 1")
@@ -177,8 +177,7 @@ def _draw_ids(rng, n: int, id_space: int) -> list[int]:
     the id space only here.
     """
     _check_positive(id_space, "id space")
-    if type(n) is not int or n < 0 or n > id_space:
-        raise InvalidParams(f"need an int 0 <= n <= id_space, got n={n!r}, N={id_space}")
+    _check_count(n, "node count", id_space)
     picked = []
     moved: dict[int, int] = {}
     for i in range(n):
@@ -231,8 +230,8 @@ def unit_disk_graph(n: int, radius: float, id_space: int, seed: int) -> Graph:
 
 def disjoint_stars(count: int, leaves: int, id_space: int, seed: int) -> Graph:
     """count vertex-disjoint stars, each one center with `leaves` leaves."""
-    if type(count) is not int or type(leaves) is not int or count < 0 or leaves < 0:
-        raise InvalidParams(f"count and leaves must be ints >= 0, got {count!r}, {leaves!r}")
+    _check_count(count, "star count")
+    _check_count(leaves, "leaf count")
     n = count * (leaves + 1)
     rng = keyed_rng("stars", count, leaves, id_space, seed)
     ids = _draw_ids(rng, n, id_space)

@@ -51,7 +51,7 @@ from itertools import combinations, compress
 from . import simulator
 from .coloring import Multicoloring
 from .errors import InvalidParams, TooLarge
-from .graph import Graph, OneHopView, _check_budget, _check_degree, _check_id, _check_positive
+from .graph import Graph, OneHopView, _check_budget, _check_count, _check_id, _check_positive
 from .rng import keyed_rng
 from .verifier import MAX_VIEWS, VIOLATION_CAP, NeighborhoodCertificate, _iter_views, _unit_eps
 from .verifier import min_colors_required, nbr_edge_count
@@ -78,7 +78,7 @@ def _palette(scale: int, size, max_degree: int, eps) -> int:
     A size below 2 is read as 2, so a graph of one node, or of none, and an
     id space of one id still get a palette.
     """
-    _check_degree(max_degree)
+    _check_count(max_degree, "degree")
     exact = _unit_eps(eps)
     if not exact:  # the palette divides by eps^2
         raise InvalidParams(f"epsilon {eps} outside (0, 1]")
@@ -91,8 +91,7 @@ def _palette(scale: int, size, max_degree: int, eps) -> int:
 
 def randomized_palette_size(n, max_degree: int, eps) -> int:
     """Palette size k = ceil(6*(Delta+1)*ln(max(n, 2))/eps^2); TooLarge past a float."""
-    if n < 0:
-        raise InvalidParams(f"node count {n} is negative")
+    _check_count(n, "node count")
     return _palette(6 * (max_degree + 1), n, max_degree, eps)
 
 
@@ -235,9 +234,11 @@ def generate_draws(node_id: int, k: int, seed: int) -> RandomDraws:
 
     Draw i is the i-th 5-byte field of one getrandbits(40*k) read, its top
     bit, the sieve's guard, cleared; every value is kept. A tie goes to the
-    smaller id; the module docstring bounds what that costs. More than
-    _MAX_DRAWS draws are refused before the stream is read.
+    smaller id; the module docstring bounds what that costs. A node id
+    that is not an int >= 1, and more than _MAX_DRAWS draws, are refused
+    before the stream is read.
     """
+    _check_id(node_id)
     _check_positive(k, "palette size")
     _check_budget(k, _MAX_DRAWS, "draws")
     return RandomDraws(node_id, _cut_stream(keyed_rng(seed, "draws", node_id), k))
@@ -295,7 +296,7 @@ def _build_randomized(g: Graph, max_degree: int, eps=0.5):
         return generate_draws(node_id, k, seed).draws
 
     def compute(own, received) -> tuple[int, ...]:
-        _check_degree(len(received), max_degree)
+        _check_count(len(received), "degree", max_degree)
         return select_colors(own, received)  # looked up per call: tracers rebind it
 
     return simulator.NodeProgram(
@@ -365,12 +366,13 @@ class OrderFamily:
         The keys are cut as draws are: k whole 5-byte fields of one read,
         top bits cleared, so 39-bit values. The first ids asked for
         keep theirs, up to _KEY_MEMO_BYTES in all, and return the same
-        object again.
+        object again. Every call checks x, so a bool or a float equal to a
+        kept id is refused too.
         """
+        _check_id(x, self.id_space)
         words = self._memo.get(x)
         if words is not None:
             return words
-        _check_id(x, self.id_space)
         words = _cut_stream(keyed_rng(self.seed, "orders", x), self.k)
         cost = sys.getsizeof(words.value) + _KEY_MEMO_ENTRY
         if self._memo_bytes + cost <= _KEY_MEMO_BYTES:
@@ -385,11 +387,12 @@ class OrderFamily:
         y < x: select_by_orders' rule, by its sieve's subtraction on the packed
         keys of every id, kept from the first call. The row is cached for the
         most recent x, which makes view sweeps grouped by node id cheap.
+        Every call checks x, as keys does.
         """
+        _check_id(x, self.id_space)
         if self._beats_row_id == x:
             assert self._beats_row is not None
             return self._beats_row
-        _check_id(x, self.id_space)
         # no comprehension in this method reads its locals: on CPython 3.11 those
         # become closure cells, set up on every call, cached ones too
         if self._keys is None:
@@ -412,14 +415,19 @@ class OrderFamily:
     def select_mask(self, node_id: int, neighbor_ids) -> int:
         """Bitmask of won colors (bit i-1 set means color i is taken).
 
-        Each neighbor id is range-checked before it indexes the row, where 0
-        would read row[-1]; inline, since a view holds a few ids.
+        Only an int node id reuses the cached row; any other goes through
+        beats_row, which refuses it. Each neighbor id is checked before it
+        indexes the row, where 0 would read row[-1] and 2.0 raise TypeError;
+        inline, as in OneHopView, since a view holds a few ids.
         """
-        row = self._beats_row if node_id == self._beats_row_id else self.beats_row(node_id)
+        if type(node_id) is int and node_id == self._beats_row_id:
+            row = self._beats_row
+        else:
+            row = self.beats_row(node_id)
         n = self.id_space
         lost = 0
         for y in neighbor_ids:
-            if not 0 < y <= n:
+            if type(y) is not int or not 0 < y <= n:  # the helper raises
                 _check_id(y, n)
             lost |= row[y - 1]
         return self._full ^ lost  # a row holds k bits: full & ~lost
@@ -532,8 +540,7 @@ def run_shared(g: Graph, eps, seed: int, **opts) -> Multicoloring:
 
 def _build_shared(g: Graph, max_degree: int, seed=None, eps=0.5, certify_attempts=0):
     """Node computation selecting by shared orders, certified when certify_attempts > 0."""
-    if certify_attempts < 0:
-        raise InvalidParams(f"certify attempts {certify_attempts} must be >= 0")
+    _check_count(certify_attempts, "certify attempts")
     meta: dict = {
         "epsilon": float(_unit_eps(eps)),
         "max_degree": max_degree,
@@ -553,7 +560,7 @@ def _build_shared(g: Graph, max_degree: int, seed=None, eps=0.5, certify_attempt
         family = OrderFamily(k, g.id_space, keyed_rng(seed, "attempt", 0).getrandbits(64))
 
     def compute(own, received) -> tuple[int, ...]:
-        _check_degree(len(received), max_degree)
+        _check_count(len(received), "degree", max_degree)
         view = OneHopView(own.node_id, frozenset(e.node_id for e in received))
         return select_by_orders(view, family)
 

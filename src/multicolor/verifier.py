@@ -30,7 +30,7 @@ from typing import Callable, Iterator, Mapping
 
 from .coloring import Multicoloring
 from .errors import Incomplete, InvalidParams
-from .graph import Graph, OneHopView, _check_budget, _check_degree, _check_positive, _unchecked_view
+from .graph import Graph, OneHopView, _check_budget, _check_count, _check_positive, _unchecked_view
 
 __all__ = [
     "VerificationReport",
@@ -94,7 +94,7 @@ def _unit_eps(eps) -> Fraction:
 
 def min_colors_required(palette_size: int, eps, delta: int) -> int:
     """Smallest count c with c/k >= (1-eps)/(delta+1), computed exactly; eps in [0, 1]."""
-    _check_degree(delta)
+    _check_count(delta, "degree")
     target = (1 - _unit_eps(eps)) * palette_size / (delta + 1)
     return math.ceil(target)
 
@@ -190,7 +190,7 @@ def verify(g: Graph, m: Multicoloring, eps=None) -> VerificationReport:
 def _check_view_space(id_space: int, max_degree: int) -> None:
     """The closed forms' arguments: an id space >= 1 and a degree bound >= 0."""
     _check_positive(id_space, "id space")
-    _check_degree(max_degree)
+    _check_count(max_degree, "degree")
 
 
 def nbr_vertex_count(id_space: int, max_degree: int) -> int:

@@ -145,21 +145,28 @@ def test_malformed_coloring_json_is_an_input_error(graph_file, tmp_path, capsys)
     assert "malformed coloring JSON" in capsys.readouterr().err
 
 
+MALFORMED = "malformed coloring JSON"
+
+
 @pytest.mark.parametrize(
-    "payload",
+    "payload, message",
     [
-        '{"palette_size": 3, "assignment": [1]}',
-        '{"palette_size": 1e400, "assignment": {}}',
-        '{"palette_size": 3, "assignment": {"1": [1], " 1": [2]}}',  # node 1 twice
-        '{"palette_size": 3, "assignment": {"1": [2, 2, 2]}}',  # color 2 three times
-        '{"palette_size": 3, "assignment": {"0": [1]}}',  # no node has id 0
+        pytest.param(p, m, id=p)
+        for p, m in [
+            ('{"palette_size": 3, "assignment": [1]}', MALFORMED),
+            ('{"palette_size": 1e400, "assignment": {}}', MALFORMED),
+            ('{"palette_size": 3, "assignment": {"1": [1], " 1": [2]}}', MALFORMED),  # node 1 twice
+            ('{"palette_size": 3, "assignment": {"1": [2, 2, 2]}}', MALFORMED),  # color 2 three times
+            # no node has id 0: the record refuses it, as it does any id below 1
+            ('{"palette_size": 3, "assignment": {"0": [1]}}', "error: id 0 outside [1, inf]"),
+        ]
     ],
 )
-def test_verify_refuses_a_malformed_coloring_payload(graph_file, tmp_path, capsys, payload):
+def test_verify_refuses_a_malformed_coloring_payload(graph_file, tmp_path, capsys, payload, message):
     bad = tmp_path / "bad.json"
     bad.write_text(payload)
     assert main(["verify", "-g", str(graph_file), "-c", str(bad)]) == 2
-    assert "malformed coloring JSON" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_run_refuses_a_negative_certify_count(graph_file, tmp_path, capsys):

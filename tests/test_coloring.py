@@ -23,7 +23,8 @@ def test_colors_must_fit_palette():
 @pytest.mark.parametrize("node", [0, -4, True, "5"], ids=["zero", "negative", "bool", "string"])
 def test_node_ids_are_ints_of_at_least_one(node):
     """coloring_from_json refuses these ids, so the record refuses them too."""
-    with pytest.raises(InvalidParams, match="node id"):
+    message = rf"^id {node} outside \[1, inf\]$" if type(node) is int else f"^id {node!r} is not an int$"
+    with pytest.raises(InvalidParams, match=message):
         Multicoloring(3, {node: {1}})
 
 

@@ -174,10 +174,10 @@ def test_generators_reject_an_empty_id_space():
 
 
 GENERATORS = {
-    "gnp": (lambda n: gnp_graph(n, 0.5, 10, seed=1), "^need an int 0 <= n <= id_space"),
-    "udg": (lambda n: unit_disk_graph(n, 0.5, 10, seed=1), "^need an int 0 <= n <= id_space"),
-    "stars": (lambda count: disjoint_stars(count, 2, 10, seed=1), "^count and leaves must be ints"),
-    "leaves": (lambda leaves: disjoint_stars(2, leaves, 10, seed=1), "^count and leaves must be ints"),
+    "gnp": (lambda n: gnp_graph(n, 0.5, 10, seed=1), r"^node count {!r} is not an int in \[0, 10\]$"),
+    "udg": (lambda n: unit_disk_graph(n, 0.5, 10, seed=1), r"^node count {!r} is not an int in \[0, 10\]$"),
+    "stars": (lambda count: disjoint_stars(count, 2, 10, seed=1), r"^star count {!r} is not an int in \[0, inf\]$"),
+    "leaves": (lambda leaves: disjoint_stars(2, leaves, 10, seed=1), r"^leaf count {!r} is not an int in \[0, inf\]$"),
 }
 
 
@@ -185,12 +185,12 @@ GENERATORS = {
 @pytest.mark.parametrize("model", sorted(GENERATORS))
 def test_generators_refuse_a_node_count_that_is_not_an_int(model, bad):
     generate, message = GENERATORS[model]
-    with pytest.raises(InvalidParams, match=message):
+    with pytest.raises(InvalidParams, match=message.format(bad)):
         generate(bad)
 
 
 def test_stars_refuse_a_negative_count():
-    with pytest.raises(InvalidParams, match="count and leaves"):
+    with pytest.raises(InvalidParams, match=r"^star count -1 is not an int in \[0, inf\]$"):
         disjoint_stars(-1, 2, 10, seed=0)
 
 

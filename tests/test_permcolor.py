@@ -57,11 +57,11 @@ from test_acceptance import capped_graph
 def test_randomized_palette_frozen_values():
     assert randomized_palette_size(100, 4, 0.5) == 553
     assert randomized_palette_size(200, 8, 0.5) == 1145
-    assert randomized_palette_size(math.e**2, 0, 1) == 12
+    assert randomized_palette_size(7, 0, 1) == 12  # ceil(6 * ln 7)
 
 
 def test_randomized_palette_domain_checks():
-    with pytest.raises(InvalidParams, match="node count -1 is negative"):
+    with pytest.raises(InvalidParams, match=r"^node count -1 is not an int in \[0, inf\]$"):
         randomized_palette_size(-1, 4, 0.5)
     with pytest.raises(InvalidParams):
         randomized_palette_size(100, -1, 0.5)

@@ -214,7 +214,7 @@ def test_a_view_above_the_degree_bound_is_refused(name):
     envelopes = tuple(
         NodeEnvelope(y, prog.generate_bits(y, 3) if prog.generate_bits else ()) for y in ids
     )
-    with pytest.raises(InvalidParams, match=f"degree {delta + 2} exceeds the bound {delta}"):
+    with pytest.raises(InvalidParams, match=rf"^degree {delta + 2} is not an int in \[0, {delta}\]$"):
         replay_view(OneHopView(1, frozenset(ids)), envelopes, prog, seed=3)
 
 

@@ -147,7 +147,8 @@ def test_schedule_validation_and_normalization():
 @pytest.mark.parametrize("node", [0, -4, True, "5"], ids=["zero", "negative", "bool", "string"])
 def test_schedule_node_ids_are_ints_of_at_least_one(node):
     """schedule_from_json refuses these ids, so the record refuses them too."""
-    with pytest.raises(InvalidParams, match="node id"):
+    message = rf"^id {node} outside \[1, inf\]$" if type(node) is int else f"^id {node!r} is not an int$"
+    with pytest.raises(InvalidParams, match=message):
         TdmaSchedule(3, {node: (1,)})
 
 
