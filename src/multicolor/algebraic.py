@@ -419,7 +419,8 @@ def tower_colors(view: OneHopView, params: TowerParams) -> frozenset[tuple[int, 
 
 def tower_color_from_index(params: TowerParams, index: int) -> tuple[int, ...]:
     """The tuple (alpha_0..alpha_ell, beta) at a 1-based index, mixed radix."""
-    if not 1 <= index <= params.palette_size:
+    _check_positive(index, "color index")
+    if index > params.palette_size:
         raise InvalidParams(f"index {index} outside [1, {params.palette_size}]")
     radices = params.qs + (params.qs[-1],)
     idx = index - 1

@@ -11,7 +11,6 @@ import argparse
 import json
 import secrets
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import algebraic, permcolor, simulator, tdma, verifier
@@ -143,14 +142,11 @@ def cmd_stats(args) -> int:
     g = _load_graph(args.graph)
     m = coloring_from_json(Path(args.coloring).read_text())
     report = verifier.verify(g, m)
-    by_degree: dict[int, list[Fraction]] = {}
-    for v in g.node_ids():
-        by_degree.setdefault(g.degree(v), []).append(report.fractions[v])
+    k = m.palette_size
     lines = ["degree,nodes,min_fraction,mean_fraction"]
-    for d in sorted(by_degree):
-        fr = by_degree[d]
-        mean = sum(fr, Fraction(0)) / len(fr)
-        lines.append(f"{d},{len(fr)},{float(min(fr)):.6f},{float(mean):.6f}")
+    # int / int is rounded once, as float(Fraction) is
+    for d, (nodes, low, total) in verifier._kept_by_degree(g, m.assignment).items():
+        lines.append(f"{d},{nodes},{low / k:.6f},{total / (nodes * k):.6f}")
     text = "\n".join(lines) + "\n"
     if args.output:
         Path(args.output).write_text(text)

@@ -21,14 +21,18 @@ __all__ = ["Multicoloring", "coloring_to_json", "coloring_from_json"]
 
 
 def _sorted_set(v: int, vals, top: int, noun: str = "color") -> tuple[int, ...]:
-    """Node v's set as a strictly increasing tuple of values in [1, top].
+    """Node v's set as a strictly increasing tuple of ints in [1, top].
 
     A strictly increasing tuple is kept as it is, the same object; any other
-    iterable becomes tuple(sorted(set(vals))). Sorted, only the two ends
-    need the range check.
+    iterable becomes tuple(sorted(set(vals))). Sorted, only the two ends need
+    the range check; a bool (True is 1) can only come first, and a float
+    anywhere makes the sum a float, so one sum tests every value's type.
     """
     if type(vals) is not tuple or not all(map(lt, vals, vals[1:])):
         vals = tuple(sorted(set(vals)))
+    if vals and not (type(vals[0]) is int and type(sum(vals)) is int):
+        bad = next(x for x in vals if type(x) is not int)
+        raise InvalidParams(f"node {v}: {noun} {bad!r} is not an int")
     if vals and not (1 <= vals[0] and vals[-1] <= top):
         bad = vals[0] if vals[0] < 1 else vals[-1]
         raise InvalidParams(f"node {v}: {noun} {bad} outside [1, {top}]")

@@ -23,7 +23,8 @@ from .coloring import _MALFORMED, Multicoloring, _check_record, _int_tuples, _js
 from .coloring import _json_object, _sorted_set, _unique_keys
 from .errors import InvalidParams, RefusedInvalid
 from .graph import Graph, _check_positive
-from .verifier import _conflicts, verify  # noqa: F401  perfbench's tracer hooks tdma.verify
+from .verifier import _conflicts, _kept_by_degree
+from .verifier import verify  # noqa: F401  perfbench's tracer hooks tdma.verify
 
 __all__ = [
     "TdmaSchedule",
@@ -105,30 +106,28 @@ def to_schedule(m: Multicoloring, g: Graph) -> TdmaSchedule:
 
 @dataclass(frozen=True)
 class UtilizationReport:
-    """Duty cycles of a schedule against the one-slot-per-frame baseline."""
+    """Mean and least duty cycle of a schedule's nodes, exact, against one slot per frame.
+
+    A single node's duty cycle is len(s.slots[v]) / s.frame_length.
+    """
 
     frame_length: int
-    duty: dict[int, Fraction]
     mean_duty: Fraction
     min_duty: Fraction
     baseline: Fraction
 
 
 def utilization(s: TdmaSchedule, g: Graph) -> UtilizationReport:
-    """Duty-cycle metrics of a schedule for the nodes of g."""
-    missing = [v for v in g.node_ids() if v not in s.slots]
-    if missing:
+    """Duty-cycle metrics of a schedule for the nodes of g, from verifier's per-degree tally."""
+    if missing := sorted(g.adj.keys() - s.slots.keys()):
         raise InvalidParams(f"schedule misses nodes {missing[:5]}")
-    duty = {
-        v: Fraction(len(s.slots[v]), s.frame_length) for v in g.node_ids()
-    }
-    count = max(1, len(duty))
+    kept = _kept_by_degree(g, s.slots).values()
+    n = s.frame_length
     return UtilizationReport(
-        frame_length=s.frame_length,
-        duty=duty,
-        mean_duty=Fraction(sum(duty.values(), Fraction(0)), count),
-        min_duty=min(duty.values(), default=Fraction(0)),
-        baseline=Fraction(1, s.frame_length),
+        frame_length=n,
+        mean_duty=Fraction(sum(total for _, _, total in kept), n * max(1, g.n)),
+        min_duty=Fraction(min((low for _, low, _ in kept), default=0), n),
+        baseline=Fraction(1, n),
     )
 
 

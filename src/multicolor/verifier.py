@@ -50,11 +50,11 @@ __all__ = [
 class VerificationReport:
     """Outcome of checking a multicoloring against its graph.
 
-    valid reflects disjointness only. Fraction targets are reported
-    separately: rho_by_degree[d] is the worst fraction*(d+1) over nodes of
-    degree d, and meets_target says whether every node kept
-    min_colors_required(k, eps, degree) colors, a share of at least
-    (1-eps)/(degree+1), when an eps was supplied.
+    valid reflects disjointness only. Shares are checked per degree, as the
+    guarantee is stated: rho_by_degree[d] is the fewest colors kept at degree
+    d times (d+1)/k, worst_ratio their least, and meets_target, when an eps
+    was supplied, whether each fewest count reaches min_colors_required(k,
+    eps, d), a share of (1-eps)/(d+1). A node's share is m.fraction_of(v).
     """
 
     valid: bool
@@ -63,7 +63,6 @@ class VerificationReport:
     edge_count: int
     violations: list[tuple[int, int, int]]  # (u, v, shared color), capped
     violation_count: int
-    fractions: dict[int, Fraction]
     worst_ratio: Fraction | None
     rho_by_degree: dict[int, Fraction]
     epsilon: Fraction | None = None
@@ -139,9 +138,8 @@ def _conflicts(g: Graph, m: Multicoloring) -> tuple[list[tuple[int, int, int]], 
     if kept is not None and kept[0]() is g:
         return list(kept[1]), kept[2]
     a = m.assignment
-    missing = [v for v in g.node_ids() if v not in a]
-    extra = [v for v in a if not g.has_node(v)]
-    if missing or extra:
+    if a.keys() != g.adj.keys():
+        missing, extra = sorted(g.adj.keys() - a.keys()), sorted(a.keys() - g.adj.keys())
         raise Incomplete(
             f"coloring does not match the node set (missing {missing[:5]}, "
             f"extra {extra[:5]})"
@@ -151,35 +149,35 @@ def _conflicts(g: Graph, m: Multicoloring) -> tuple[list[tuple[int, int, int]], 
     return violations, count
 
 
+def _kept_by_degree(g: Graph, sets: Mapping[int, tuple]) -> dict[int, tuple[int, int, int]]:
+    """{degree: (nodes, fewest colors kept, total kept)}: the one walk over g's nodes for shares."""
+    kept: dict[int, list[int]] = {}
+    for v, nbrs in g.adj.items():
+        kept.setdefault(len(nbrs), []).append(len(sets[v]))
+    return {d: (len(counts), min(counts), sum(counts)) for d, counts in sorted(kept.items())}
+
+
 def verify(g: Graph, m: Multicoloring, eps=None) -> VerificationReport:
-    """Check edge disjointness and palette fractions of m on g."""
+    """Check edge disjointness of m on g, and the fewest colors kept at each degree."""
     e = None if eps is None else _unit_eps(eps)
     violations, violation_count = _conflicts(g, m)
-    fractions = {v: m.fraction_of(v) for v in g.node_ids()}
-    worst_ratio = None
-    rho: dict[int, Fraction] = {}
-    target_ok = True
-    for v in g.node_ids():
-        d = g.degree(v)
-        ratio = fractions[v] * (d + 1)
-        if worst_ratio is None or ratio < worst_ratio:
-            worst_ratio = ratio
-        if d not in rho or ratio < rho[d]:
-            rho[d] = ratio
-        if e is not None and len(m.assignment[v]) < min_colors_required(m.palette_size, e, d):
-            target_ok = False
+    k = m.palette_size
+    fewest = {d: low for d, (_, low, _) in _kept_by_degree(g, m.assignment).items()}
+    rho = {d: Fraction(low * (d + 1), k) for d, low in fewest.items()}
+    meets = None if e is None else all(
+        low >= min_colors_required(k, e, d) for d, low in fewest.items()
+    )
     return VerificationReport(
         valid=violation_count == 0,
-        palette_size=m.palette_size,
+        palette_size=k,
         node_count=g.n,
         edge_count=g.edge_count(),
         violations=violations,
         violation_count=violation_count,
-        fractions=fractions,
-        worst_ratio=worst_ratio,
+        worst_ratio=min(rho.values(), default=None),
         rho_by_degree=rho,
         epsilon=e,
-        meets_target=None if e is None else target_ok,
+        meets_target=meets,
     )
 
 

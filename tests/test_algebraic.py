@@ -581,9 +581,10 @@ def test_color_index_round_trip():
         idx = tower_color_index(p, color)
         assert 1 <= idx <= p.palette_size
         assert tower_color_from_index(p, idx) == color
-    with pytest.raises(InvalidParams):
-        tower_color_from_index(p, 0)
-    with pytest.raises(InvalidParams):
+    for bad in (0, 2.5, True):
+        with pytest.raises(InvalidParams, match=f"^color index {bad!r} is not an int >= 1$"):
+            tower_color_from_index(p, bad)
+    with pytest.raises(InvalidParams, match=rf"^index {p.palette_size + 1} outside \[1, "):
         tower_color_from_index(p, p.palette_size + 1)
 
 

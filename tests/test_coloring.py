@@ -4,7 +4,16 @@ from fractions import Fraction
 
 import pytest
 
-from multicolor import InvalidParams, Multicoloring, coloring_from_json, coloring_to_json
+from multicolor import (
+    InvalidParams,
+    Multicoloring,
+    NodeProgram,
+    OneHopView,
+    TdmaSchedule,
+    coloring_from_json,
+    coloring_to_json,
+    replay_view,
+)
 
 
 def test_colors_must_fit_palette():
@@ -49,6 +58,22 @@ def test_sorted_input_is_range_checked_too(cols):
     """Color 0 and color k+1 are refused whether the input was sorted or not."""
     with pytest.raises(InvalidParams, match="outside \\[1, 3\\]"):
         Multicoloring(3, {1: cols})
+
+
+@pytest.mark.parametrize(
+    "cols",
+    [(True,), (1.5,), (1, 1.5, 2), (True, 2), [2.0, 1], (1, Fraction(3, 2)), ("a",)],
+    ids=["bool", "float", "float-inside", "bool-first", "integral-float", "fraction", "string"],
+)
+def test_colors_and_slots_are_ints(cols):
+    """coloring_from_json and schedule_from_json read back only JSON integers,
+    so a bool, a float or any other value is refused when the record is built."""
+    with pytest.raises(InvalidParams, match=r"^node 1: color .+ is not an int$"):
+        Multicoloring(3, {1: cols})
+    with pytest.raises(InvalidParams, match=r"^node 1: slot .+ is not an int$"):
+        TdmaSchedule(3, {1: cols})
+    with pytest.raises(InvalidParams, match=r"^node 1: color .+ is not an int$"):
+        replay_view(OneHopView(1, frozenset()), (), NodeProgram("toy", 3, lambda own, rec: cols))
 
 
 def test_fraction_is_exact():

@@ -61,3 +61,16 @@ def test_certify_views_gate_passes_on_both_certificates():
     assert [op.algo for op in ops] == ["shared-order", "algebraic-basic"]
     for op in ops:
         assert op.check(op.run(0)) == []
+
+
+def test_narrow_ids_schedule_gate_passes_for_every_algorithm():
+    """The benchmark's schedule gate: on narrow-ids, the one workload that runs
+    all four algorithms, each schedule is disjoint (verify's report), has its
+    palette, keeps its construction's guaranteed share, replays and round-trips."""
+    workloads = load("workloads")
+    workload = workloads.WORKLOADS["narrow-ids"]
+    graphs = workloads.make_inputs(workload, seed=1)
+    ops = workloads.operations(workload, graphs, seed=1)
+    assert sorted(op.algo for op in ops) == sorted(simulator.registered_algorithms())
+    for op in ops:
+        assert op.check(op.run(0)) == [], op.name

@@ -177,11 +177,13 @@ def _names(node) -> set[str]:
 
 GUARDS = {"_check_id", "_check_count", "_check_positive", "_check_budget"}
 # per-view hot paths that test an int inline and call a guard only to raise,
-# and the JSON reader, whose refusal is a TypeError its caller reports
+# the JSON reader, whose refusal is a TypeError its caller reports, and the
+# records' color normalizer, which tests a node's colors at once through their sum
 INLINE_INT_TESTS = {
     ("graph.py", "OneHopView.__post_init__"),
     ("permcolor.py", "OrderFamily.select_mask"),
     ("coloring.py", "_json_int"),
+    ("coloring.py", "_sorted_set"),
 }
 
 

@@ -163,10 +163,9 @@ def test_everyone_transmits_always_on_an_edgeless_graph():
     m = Multicoloring(2, {1: {1, 2}, 2: {1, 2}, 3: {1, 2}})
     s = to_schedule(m, g)
     u = utilization(s, g)
-    assert u.duty == {1: Fraction(1), 2: Fraction(1), 3: Fraction(1)}
+    assert [len(s.slots[v]) for v in g.node_ids()] == [s.frame_length] * 3 == [2] * 3
     assert u.mean_duty == 1 and u.min_duty == 1
-    assert u.baseline == Fraction(1, 2)
-    assert {v: d * u.frame_length for v, d in u.duty.items()} == {1: 2, 2: 2, 3: 2}
+    assert u.baseline == Fraction(1, 2) and u.frame_length == 2
 
 
 def test_utilization_is_exact_and_matches_verify():
@@ -175,15 +174,29 @@ def test_utilization_is_exact_and_matches_verify():
     s = to_schedule(m, path)
     u = utilization(s, path)
     r = verify(path, m)
-    assert u.duty == r.fractions
-    assert u.mean_duty == Fraction(Fraction(2, 6) + Fraction(1, 6) + Fraction(3, 6), 3)
-    assert u.min_duty == Fraction(1, 6)
-    assert {v: d * u.frame_length for v, d in u.duty.items()} == {1: 2, 2: 1, 3: 3}
+    shares = [m.fraction_of(v) for v in path.node_ids()]
+    assert shares == [Fraction(len(s.slots[v]), s.frame_length) for v in path.node_ids()]
+    assert shares == [Fraction(2, 6), Fraction(1, 6), Fraction(3, 6)]
+    assert u.mean_duty == Fraction(sum(shares), 3)
+    assert u.min_duty == min(shares) == Fraction(1, 6)
+    assert u.min_duty == min(rho / (d + 1) for d, rho in r.rho_by_degree.items())
     assert u.mean_duty * u.frame_length == 2 and u.baseline == Fraction(1, 6)
 
 
+def test_utilization_is_the_per_node_mean_and_minimum():
+    for seed in range(5):
+        g = gnp_graph(30, 0.15, 80, seed=seed)
+        m, _ = run_one_shot(g, "randomized", seed=seed, eps=0.5)
+        u = utilization(to_schedule(m, g), g)
+        shares = [m.fraction_of(v) for v in g.node_ids()]
+        assert u.mean_duty == sum(shares) / len(shares)
+        assert u.min_duty == min(shares)
+    empty = utilization(TdmaSchedule(4, {}), Graph(5, {}))
+    assert (empty.mean_duty, empty.min_duty) == (0, 0)
+
+
 def test_utilization_requires_every_node():
-    with pytest.raises(InvalidParams):
+    with pytest.raises(InvalidParams, match=r"^schedule misses nodes \[2\]$"):
         utilization(TdmaSchedule(2, {1: (1,)}), K2)
 
 

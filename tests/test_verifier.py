@@ -59,11 +59,13 @@ def test_verify_reports_a_shared_color():
 
 
 def test_verify_exact_target_at_eps_zero():
-    r = verify(K2, Multicoloring(2, {1: {1}, 2: {2}}), eps=0)
+    m = Multicoloring(2, {1: {1}, 2: {2}})
+    r = verify(K2, m, eps=0)
     assert r.valid
     assert r.worst_ratio == 1
     assert r.meets_target is True
-    assert r.fractions == {1: Fraction(1, 2), 2: Fraction(1, 2)}
+    assert r.rho_by_degree == {1: 1}
+    assert [m.fraction_of(v) for v in K2.node_ids()] == [Fraction(1, 2)] * 2
 
 
 def test_verify_rejects_mismatched_node_sets():
@@ -71,6 +73,9 @@ def test_verify_rejects_mismatched_node_sets():
         verify(K2, Multicoloring(2, {1: {1}}))
     with pytest.raises(Incomplete):
         verify(K2, Multicoloring(2, {1: {1}, 2: {2}, 3: {1}}))
+    message = r"^coloring does not match the node set \(missing \[2\], extra \[3, 5\]\)$"
+    with pytest.raises(Incomplete, match=message):
+        verify(K2, Multicoloring(2, {5: {1}, 1: {1}, 3: {2}}))
 
 
 def test_violation_cap_truncates_the_sample_but_not_the_count(monkeypatch):
@@ -185,6 +190,27 @@ def test_rho_groups_worst_ratio_by_degree():
     s = r.summary()
     assert s["valid"] and s["violations"] == 0
     assert s["rho_by_degree"] == {1: "1/3", 2: "1/2"}
+
+
+def test_rho_by_degree_is_the_per_node_minimum():
+    """The per-degree tally gives what a walk over every node's exact share
+    gives: the least fraction_of(v) * (d+1) at each degree, and their least."""
+    rng = random.Random(11)
+    for _ in range(200):
+        g = gnp_graph(8, 0.4, 12, seed=rng.getrandbits(32))
+        k = rng.randint(1, 30)
+        m = Multicoloring(
+            k, {v: rng.sample(range(1, k + 1), rng.randint(0, k)) for v in g.node_ids()}
+        )
+        ratios: dict[int, list[Fraction]] = {}
+        for v in g.node_ids():
+            d = g.degree(v)
+            ratios.setdefault(d, []).append(m.fraction_of(v) * (d + 1))
+        rho = {d: min(rs) for d, rs in ratios.items()}
+        r = verify(g, m)
+        assert r.rho_by_degree == rho
+        assert r.worst_ratio == min(rho.values())
+    assert verify(Graph(3, {}), Multicoloring(2, {})).worst_ratio is None
 
 
 # -- the graph of all views ----------------------------------------------------
