@@ -23,8 +23,10 @@ the paths where its beta equals x's: one zero test of mine ^ theirs per
 neighbor, and the surviving guard bits select the kept colors from M(x).
 Each params keeps a row for the own id it saw last, as an order family
 keeps beats_row: from that id's second view, the row holds each neighbor's
-packed block and up to _ROW_RESULTS decoded results, so a certificate
-sweep, which takes the views of one id in a row, computes each once.
+block as a dense int, bit j for alpha path j, cut once from the packed
+word by its guard bytes, and up to _ROW_RESULTS decoded results, so a
+certificate sweep, which takes the views of one id in a row, computes each
+once, and a view costs one small-int AND per neighbor and one lookup.
 
 Weighted union: one basic instance per degree scale 2^i is replicated with a
 weight that balances palette mass across scales; a node of degree delta only
@@ -83,6 +85,10 @@ _MEMO_COLORS = 1 << 19
 _MAX_PALETTE = 10**7
 # kept-color tuples one exclusion row keeps, as verifier._KNOWN_MASKS does for masks
 _ROW_RESULTS = 4096
+# bytes.translate tables between a row's dense blocks and bytes: a byte's top
+# bit to the digit b"0" or b"1", and those digits to the bytes 0 and 1
+_TOP_BIT = bytes(48 + (b >> 7) for b in range(256))
+_DIGIT_BIT = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def _check_slack(slack) -> Fraction:
@@ -150,9 +156,12 @@ class TowerParams:
 
         x is the own id it saw last, None before the first, so that no id,
         not even a refused 0, matches an empty row. blocks and results stay
-        None until x's second view. tower_color_indices replaces the whole
-        tuple, so a row never mixes the state of two ids; like the M memo
-        it is no part of the value.
+        None until x's second view; then blocks maps a neighbor y to the
+        dense int whose bit j is set where alpha path j of M(x) survives y,
+        and results maps the AND of a view's blocks (-1 for no neighbor) to
+        its kept colors. tower_color_indices replaces the whole tuple, so a
+        row never mixes the state of two ids; like the M memo it is no part
+        of the value.
         """
         return None, (), 0, None, None
 
@@ -368,21 +377,24 @@ def tower_color_indices(view: OneHopView, params: TowerParams) -> tuple[int, ...
     A certificate sweep asks for the views of one own id x in a row, as
     OrderFamily.beats_row's callers do, so params keep a row for the most
     recent x. The first view of an x records only x, M(x) and its raised
-    betas, so a schedule, which asks for each id once, fills no dict. From
-    the second view on, the row keeps each neighbor y's packed word
-    (raised ^ beta_y) - ones, the complement of block(x, y), for as many
-    ids as the M memo keeps, and the kept colors of each distinct set of
-    surviving guard bits, for the first _ROW_RESULTS. An id outside the id
+    betas and takes the packed path above, so a schedule, which asks for
+    each id once, fills no dict. From the second view on, the row keeps,
+    for as many ids as the M memo keeps, each neighbor y's complement of
+    block(x, y) in beats_row's dense form: the guard bits of the packed
+    word (raised ^ beta_y) - ones, cut once into bit j for path j. A view
+    then ANDs its neighbors' small ints and looks the result up among the
+    kept colors of each distinct AND, kept for the first _ROW_RESULTS; M
+    and the beta masks are read only on a block miss. An id outside the id
     space is refused on its M memo miss, before the row changes.
     """
     nbrs = view.neighbors
     if len(nbrs) > params.max_degree:  # inline: a certificate sweep makes 10^5 calls
         _check_count(len(nbrs), "degree", params.max_degree)
     x = view.node_id
-    free = params._free_colors  # refuses ids outside the id space
-    guards, ones = params._beta_masks
     row_x, own, raised, blocks, results = params._row
     if row_x != x:
+        free = params._free_colors  # refuses ids outside the id space
+        guards, ones = params._beta_masks
         own, mine = free(x)
         raised = mine | guards
         # where cached_property keeps _row: the frozen dataclass refuses setattr
@@ -392,19 +404,25 @@ def tower_color_indices(view: OneHopView, params: TowerParams) -> tuple[int, ...
             alive &= (raised ^ free(y)[1]) - ones
         return tuple(compress(own, alive.to_bytes(4 * len(own), "little")[3::4]))
     if blocks is None:  # the second view of x: the row fills from here on
-        blocks, results = {}, {}
+        # all bits set: the key of a view with no neighbor, which keeps all of M(x)
+        blocks, results = {}, {-1: own}
         params.__dict__["_row"] = x, own, raised, blocks, results
-    alive = guards
+    alive = -1
     for y in nbrs:
         block = blocks.get(y)
         if block is None:
-            block = (raised ^ free(y)[1]) - ones
+            ones = params._beta_masks[1]
+            packed = (raised ^ params._free_colors(y)[1]) - ones
+            # path j's guard bit, the top bit of byte 4j + 3, becomes binary digit
+            # j: the slice takes those bytes from the last path down, high first
+            block = int(packed.to_bytes(4 * len(own), "little")[:2:-4].translate(_TOP_BIT), 2)
             if len(blocks) < _MEMO_COLORS // len(own):  # as many ids as the M memo
                 blocks[y] = block
         alive &= block
     kept = results.get(alive)
     if kept is None:
-        kept = tuple(compress(own, alive.to_bytes(4 * len(own), "little")[3::4]))
+        # binary digit j, read from the low end, selects path j's color
+        kept = tuple(compress(own, format(alive, "b").encode()[::-1].translate(_DIGIT_BIT)))
         if len(results) < _ROW_RESULTS:
             results[alive] = kept
     return kept

@@ -26,11 +26,20 @@ def _sorted_set(v: int, vals, top: int, noun: str = "color") -> tuple[int, ...]:
     A strictly increasing tuple is kept as it is, the same object; any other
     iterable becomes tuple(sorted(set(vals))). Sorted, only the two ends need
     the range check; a bool (True is 1) can only come first, and a float
-    anywhere makes the sum a float, so one sum tests every value's type.
+    anywhere makes the sum a float, so one sum tests every value's type. A
+    value that cannot be compared with an int, or hashed, makes the compare,
+    the set or the sort raise TypeError, which is refused the same way.
     """
-    if type(vals) is not tuple or not all(map(lt, vals, vals[1:])):
-        vals = tuple(sorted(set(vals)))
-    if vals and not (type(vals[0]) is int and type(sum(vals)) is int):
+    try:
+        if type(vals) is not tuple or not all(map(lt, vals, vals[1:])):
+            vals = tuple(vals)  # read again below if the set or the sort refuses it
+            vals = tuple(sorted(set(vals)))
+        ints = not vals or (type(vals[0]) is int and type(sum(vals)) is int)
+    except TypeError:
+        if type(vals) is not tuple:  # not an iterable: no value to name
+            raise
+        ints = False
+    if not ints:
         bad = next(x for x in vals if type(x) is not int)
         raise InvalidParams(f"node {v}: {noun} {bad!r} is not an int")
     if vals and not (1 <= vals[0] and vals[-1] <= top):

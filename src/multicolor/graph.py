@@ -97,6 +97,7 @@ def _unchecked_view(node_id: int, neighbors: frozenset[int]) -> OneHopView:
     Only for the verifier's view enumeration, whose ids already lie in
     [1, id_space], never include node_id, and number at most the degree
     bound; every other caller goes through the checked constructor.
+    certify_on_neighborhood's sweep builds its views the same way inline.
     """
     view = object.__new__(OneHopView)
     fields = view.__dict__

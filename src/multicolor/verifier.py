@@ -423,10 +423,15 @@ def certify_on_neighborhood(
     which holds at least one violation, and joins them to name concrete
     view pairs.
 
-    view_colors may return an int bitmask (bit i-1 = color i) or an iterable
-    of 1-based colors; the masks of the first _KNOWN_MASKS distinct tuples
-    it returns are kept for the call. min_colors, if given, maps a degree to
-    the minimum count each view of that degree must keep.
+    view_colors may return an int bitmask (bit i-1 = color i; a bool is the
+    mask 0 or 1) or an iterable of 1-based colors. The sweep builds each
+    view inline and calls view_colors from its own loop, where an int is
+    taken as its mask and a tuple is looked up among the masks of the first
+    _KNOWN_MASKS distinct tuples it returned, kept for the call; any other
+    result, or a tuple not kept, is turned into a mask. Every mask, a kept
+    one too, is refused with InvalidParams if it is negative or reaches past
+    palette_size. min_colors, if given, maps a degree to the minimum count
+    each view of that degree must keep.
     """
     _check_positive(palette_size, "palette size")
     views = _iter_views(id_space, max_degree, max_views)
@@ -439,11 +444,7 @@ def certify_on_neighborhood(
     known: dict[tuple, int] = {}
 
     def as_mask(result) -> int:
-        if type(result) is tuple:
-            mask = known.get(result)
-            if mask is not None:
-                return mask
-        elif isinstance(result, int):
+        if isinstance(result, int):
             return result
         mask = 0
         for c in result:
@@ -457,12 +458,25 @@ def certify_on_neighborhood(
     min_by_degree: dict[int, int] = {}
     bound_failures = 0
     checked = 0
+    new = object.__new__
     for x, d, gammas in views:
         row = unions[x]
         low = min_by_degree.get(d, palette_size + 1)
         quota = 0 if need is None else need[d]  # no count is below 0
         for gamma in gammas:
-            mask = as_mask(view_colors(_unchecked_view(x, frozenset(gamma))))
+            view = new(OneHopView)  # graph._unchecked_view, inline: 10^5 views a sweep
+            fields = view.__dict__
+            fields["node_id"] = x
+            fields["neighbors"] = frozenset(gamma)
+            result = view_colors(view)
+            if type(result) is tuple:
+                mask = known.get(result)
+                if mask is None:
+                    mask = as_mask(result)
+            elif isinstance(result, int):  # a bool too, as as_mask takes it
+                mask = result
+            else:
+                mask = as_mask(result)
             if mask >> palette_size:
                 raise InvalidParams(
                     f"view ({x}, {sorted(gamma)}) selected a color beyond the palette"

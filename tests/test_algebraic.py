@@ -516,6 +516,12 @@ def test_the_row_gives_the_oracle_in_any_view_order():
         assert tower_color_indices(view, p) == expected[view]
         assert tower_color_indices(view, other) == set_difference_rule(view, other)
     assert p._row[0] == other._row[0] == 12 and p._row[3] is not None
+    # a row filled in sweep order answers each view as the first-view path does
+    swept, first = choose_tower(12, 3), choose_tower(12, 3)
+    for view in views:
+        first.__dict__.pop("_row", None)  # no row: the next view is a first view
+        assert tower_color_indices(view, swept) == tower_color_indices(view, first)
+    assert swept._row[3] is not None and first._row[3] is None
 
 
 def test_a_refused_view_leaves_the_row_of_its_own_id():
@@ -552,8 +558,11 @@ def test_the_row_keeps_its_results_and_blocks_within_their_bounds(monkeypatch):
         assert kept == tuple(c for c in own if not any(c in free[y] for y in gamma))
         results.add(kept)
     assert len(results) > _ROW_RESULTS
-    row_x, _, _, blocks, kept_by_alive = p._row
+    row_x, row_own, _, blocks, kept_by_alive = p._row
     assert row_x == x and len(kept_by_alive) == _ROW_RESULTS and len(blocks) == 200
+    # a block is dense: path j of M(x) is bit j
+    assert row_own == own and len(own) == 97
+    assert all(type(b) is int and 0 <= b < 2 ** len(own) for b in blocks.values())
 
 
 def test_count_never_falls_below_the_guarantee():

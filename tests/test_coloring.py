@@ -1,10 +1,12 @@
 """Multicoloring record validation and JSON round-trips."""
 
+import re
 from fractions import Fraction
 
 import pytest
 
 from multicolor import (
+    Graph,
     InvalidParams,
     Multicoloring,
     NodeProgram,
@@ -13,6 +15,7 @@ from multicolor import (
     coloring_from_json,
     coloring_to_json,
     replay_view,
+    run_one_shot,
 )
 
 
@@ -62,18 +65,46 @@ def test_sorted_input_is_range_checked_too(cols):
 
 @pytest.mark.parametrize(
     "cols",
-    [(True,), (1.5,), (1, 1.5, 2), (True, 2), [2.0, 1], (1, Fraction(3, 2)), ("a",)],
-    ids=["bool", "float", "float-inside", "bool-first", "integral-float", "fraction", "string"],
+    [
+        (True,),
+        (1.5,),
+        (1, 1.5, 2),
+        (True, 2),
+        [2.0, 1],
+        (1, Fraction(3, 2)),
+        ("a",),
+        [1, "a"],
+        (1, "a"),
+        [[1]],
+    ],
+    ids=[
+        "bool",
+        "float",
+        "float-inside",
+        "bool-first",
+        "integral-float",
+        "fraction",
+        "string",
+        "unorderable-list",
+        "unorderable-tuple",
+        "unhashable",
+    ],
 )
 def test_colors_and_slots_are_ints(cols):
     """coloring_from_json and schedule_from_json read back only JSON integers,
-    so a bool, a float or any other value is refused when the record is built."""
-    with pytest.raises(InvalidParams, match=r"^node 1: color .+ is not an int$"):
+    so a bool, a float or any other value is refused when the record is built,
+    also one that cannot be sorted with an int or hashed."""
+    bad = next(x for x in cols if type(x) is not int)
+    color = rf"^node 1: color {re.escape(repr(bad))} is not an int$"
+    with pytest.raises(InvalidParams, match=color):
         Multicoloring(3, {1: cols})
-    with pytest.raises(InvalidParams, match=r"^node 1: slot .+ is not an int$"):
+    with pytest.raises(InvalidParams, match=rf"^node 1: slot {re.escape(repr(bad))} is not an int$"):
         TdmaSchedule(3, {1: cols})
-    with pytest.raises(InvalidParams, match=r"^node 1: color .+ is not an int$"):
-        replay_view(OneHopView(1, frozenset()), (), NodeProgram("toy", 3, lambda own, rec: cols))
+    program = NodeProgram("toy", 3, lambda own, rec: cols)
+    with pytest.raises(InvalidParams, match=color):
+        replay_view(OneHopView(1, frozenset()), (), program)
+    with pytest.raises(InvalidParams, match=color):
+        run_one_shot(Graph(3, {1: set()}), program)
 
 
 def test_fraction_is_exact():

@@ -488,13 +488,19 @@ def test_two_id_single_order_is_forced():
 
 
 def test_select_by_orders_matches_mask_interface():
+    """The mask rule the order sweeps call equals the schedule rule on every
+    view of N=9 up to degree 3, taken own id by own id as a sweep takes them."""
     fam = OrderFamily(20, 9, seed=7)
+    views = 0
     for x in range(1, 10):
         others = [y for y in range(1, 10) if y != x]
-        for gamma in ([others[0]], others[:3], others):
-            mask = fam.select_mask(x, gamma)
-            colors = select_by_orders(OneHopView(x, frozenset(gamma)), fam)
-            assert colors == tuple(i + 1 for i in range(20) if mask >> i & 1)
+        for d in range(4):
+            for gamma in combinations(others, d):
+                mask = fam.select_mask(x, gamma)
+                colors = select_by_orders(OneHopView(x, frozenset(gamma)), fam)
+                assert colors == tuple(i + 1 for i in range(20) if mask >> i & 1)
+                views += 1
+    assert views == 9 + neighborhood_view_count(9, 3)
 
 
 @settings(max_examples=200)

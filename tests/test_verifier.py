@@ -567,6 +567,36 @@ def test_certify_rejects_out_of_palette_colors():
         certify_on_neighborhood(lambda v: {5}, 3, 1, 4)
 
 
+BEYOND = r"^view \(1, \[2\]\) selected a color beyond the palette$"  # the sweep's first view
+
+
+def test_certify_rejects_a_negative_mask():
+    with pytest.raises(InvalidParams, match=BEYOND):
+        certify_on_neighborhood(lambda v: -1, 3, 1, 4)
+
+
+def test_certify_takes_a_bool_as_the_mask_it_is():
+    """True is the mask 1, color 1, as it is for any int."""
+    as_bool = certify_on_neighborhood(lambda v: True, 3, 1, 4)
+    assert as_bool == certify_on_neighborhood(lambda v: 1, 3, 1, 4)
+    assert as_bool == certify_on_neighborhood(lambda v: (1,), 3, 1, 4)
+    assert as_bool.min_count_by_degree == {1: 1} and not as_bool.disjoint
+
+
+def test_certify_rejects_a_tuple_beyond_the_palette_when_it_repeats():
+    """A tuple's mask is checked on its first sight and on every hit of the memo."""
+    with pytest.raises(InvalidParams, match=BEYOND):
+        certify_on_neighborhood(lambda v: (5,), 3, 1, 4)
+
+    def view_colors(view):
+        # certify_on_neighborhood calls this directly: its frame holds the memo
+        sys._getframe(1).f_locals["known"][(5,)] = 1 << 4
+        return (5,)
+
+    with pytest.raises(InvalidParams, match=BEYOND):
+        certify_on_neighborhood(view_colors, 3, 1, 4)
+
+
 def test_mask_and_iterable_interfaces_agree():
     p = choose_tower(6, 2)
     as_set = certify_on_neighborhood(
