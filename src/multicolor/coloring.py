@@ -28,7 +28,8 @@ def _sorted_set(v: int, vals, top: int, noun: str = "color") -> tuple[int, ...]:
     the range check; a bool (True is 1) can only come first, and a float
     anywhere makes the sum a float, so one sum tests every value's type. A
     value that cannot be compared with an int, or hashed, makes the compare,
-    the set or the sort raise TypeError, which is refused the same way.
+    the set or the sort raise TypeError, which is refused the same way; so
+    is a set that is not an iterable at all, named with its type.
     """
     try:
         if type(vals) is not tuple or not all(map(lt, vals, vals[1:])):
@@ -37,7 +38,9 @@ def _sorted_set(v: int, vals, top: int, noun: str = "color") -> tuple[int, ...]:
         ints = not vals or (type(vals[0]) is int and type(sum(vals)) is int)
     except TypeError:
         if type(vals) is not tuple:  # not an iterable: no value to name
-            raise
+            kind = type(vals).__name__
+            msg = f"node {v}: {noun}s {vals!r} ({kind}) are not an iterable of ints"
+            raise InvalidParams(msg) from None
         ints = False
     if not ints:
         bad = next(x for x in vals if type(x) is not int)

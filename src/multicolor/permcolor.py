@@ -28,7 +28,8 @@ memoizes the keys it cuts, up to _KEY_MEMO_BYTES (16 MB) of them, so a run
 cuts each id's keys once rather than once per view that holds the id.
 Whether a concrete family serves every possible one-hop view up to degree
 Delta can be certified exhaustively, in the verifier's certificate type:
-quotas by a sweep of precedence rows, disjointness by each pair of ids'
+quotas by counting, in C, the unions of every view's precedence rows, built
+degree by degree with one OR a view, and disjointness by each pair of ids'
 rows. The rows come from the sieve's subtraction on the same packed keys,
 read through the memo, so one rule decides both. On failure the family is
 resampled from the next derived seed rather than grown.
@@ -46,7 +47,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, compress
+from itertools import accumulate, chain, combinations, compress
 
 from . import simulator
 from .coloring import Multicoloring
@@ -451,9 +452,18 @@ def certify_family(
     It equals certify_on_neighborhood's on select_mask with quota
     ceil((1-eps)*k/(delta+1)) at degree delta whenever the family is
     disjoint, as a real one is. One row per id gives each view's exact count
-    (degree-0 views get the whole palette and need no check). A view's
-    colors only shrink as Gamma grows, so ids a < b clash exactly when the
-    adjacent views (a, {b}) and (b, {a}) share a color, that is when
+    (degree-0 views get the whole palette and need no check): the orders a
+    view of x loses are the union of its neighbors' blocks, their entries in
+    beats_row(x). The unions of d blocks, in combinations' order, are built
+    as one chunk per least block a, block a ORed with each union of d-1
+    blocks after a, so each view is one OR, and each chunk is counted by
+    map in C: the most orders any of its views loses and, only when that
+    breaks the quota, how many views do. Only the unions below max_degree
+    are kept, at most C(N-1, max_degree-1) ints per id; the chunks of the
+    top degree are made one at a time.
+
+    A view's colors only shrink as Gamma grows, so ids a < b clash exactly
+    when the adjacent views (a, {b}) and (b, {a}) share a color, that is when
     row_a[b-1] | row_b[a-1] leaves an order unset. Each clash is named by
     those views and their highest shared color, the first VIOLATION_CAP in
     (a, b) order.
@@ -461,29 +471,38 @@ def certify_family(
     e = _unit_eps(eps)
     views = _iter_views(family.id_space, max_degree, max_views)
     k = family.k
-    required = {d: min_colors_required(k, e, d) for d in range(1, max_degree + 1)}
-    low_by_degree: dict[int, int] = {}
+    # a view fails its quota when it loses more than k - quota orders (a row holds k bits)
+    most_lost = {d: k - min_colors_required(k, e, d) for d in range(1, max_degree + 1)}
+    worst_by_degree: dict[int, int] = {}
     failures = 0
     checked = 0
     rows: list[list[int]] = [[]]  # rows[x] is beats_row(x), kept from x's degree-1 group
-    for x, d, gammas in views:
-        row = family.beats_row(x)
+    for x, d, _ in views:
         if d == 1:
+            row = family.beats_row(x)
             rows.append(row)
-        quota = required[d]
-        low = low_by_degree.get(d, k + 1)
-        for gamma in gammas:
-            lost = 0
-            for y in gamma:
-                lost |= row[y - 1]
-            count = k - lost.bit_count()  # a row holds k bits
-            checked += 1
-            if count < quota:
-                failures += 1
-            if count < low:
-                low = count
-        if low <= k:  # the degree has a view
-            low_by_degree[d] = low
+            blocks = level = row[: x - 1] + row[x:]  # the other ids' entries, ascending
+            n = len(blocks)
+            first = range(n + 1)  # where the unions whose least block is a or later begin
+            chunks = (blocks,)
+        else:  # block a ORed with each union of d-1 blocks after a
+            chunks = (list(map(blocks[a].__or__, level[first[a + 1] :])) for a in range(n))
+            if d < max_degree:  # kept to build degree d+1
+                chunks = list(chunks)
+                level = list(chain.from_iterable(chunks))
+                first = list(accumulate(map(len, chunks), initial=0))
+        limit = most_lost[d]
+        worst = worst_by_degree.get(d, -1)
+        for chunk in chunks:
+            checked += len(chunk)
+            most = max(map(int.bit_count, chunk), default=-1)
+            if most > worst:
+                worst = most
+            if most > limit:
+                failures += sum(map(limit.__lt__, map(int.bit_count, chunk)))
+        if worst >= 0:  # the degree has a view
+            worst_by_degree[d] = worst
+    low_by_degree = {d: k - lost for d, lost in worst_by_degree.items()}
     full = family._full
     violations = []
     for a, b in combinations(range(1, len(rows)), 2):

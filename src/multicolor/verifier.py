@@ -222,9 +222,12 @@ def _iter_views(id_space: int, max_degree: int, max_views: int = MAX_VIEWS):
     gammas is combinations(others, d) over the ids other than x, so every
     neighbor lies in [1, id_space], none is x and there are d <= max_degree
     of them; a group is empty when fewer than d ids remain. Groups come by x,
-    degree ascending. The one view enumeration and the one place its budget
-    is enforced: the count is checked when this is called, before any view
-    is made, and only then is the generator returned.
+    degree ascending. Every sweep over all views walks these groups, and
+    this is the one place their budget is enforced: the count is checked
+    when this is called, before any view is made, and only then is the
+    generator returned. The black-box sweeps make each view from gammas;
+    certify_family takes only (x, d) and builds the unions of its views'
+    rows itself, in the same order.
     """
     _check_budget(nbr_vertex_count(id_space, max_degree), max_views, "views")
     ids = range(1, id_space + 1) if max_degree else ()  # no view: no lists of others

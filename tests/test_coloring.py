@@ -76,6 +76,8 @@ def test_sorted_input_is_range_checked_too(cols):
         [1, "a"],
         (1, "a"),
         [[1]],
+        5,
+        None,
     ],
     ids=[
         "bool",
@@ -88,17 +90,28 @@ def test_sorted_input_is_range_checked_too(cols):
         "unorderable-list",
         "unorderable-tuple",
         "unhashable",
+        "not-iterable-int",
+        "not-iterable-none",
     ],
 )
 def test_colors_and_slots_are_ints(cols):
     """coloring_from_json and schedule_from_json read back only JSON integers,
     so a bool, a float or any other value is refused when the record is built,
-    also one that cannot be sorted with an int or hashed."""
-    bad = next(x for x in cols if type(x) is not int)
-    color = rf"^node 1: color {re.escape(repr(bad))} is not an int$"
+    also one that cannot be sorted with an int or hashed, and a set that is
+    not an iterable at all."""
+
+    def refusal(noun):
+        try:
+            bad = next(x for x in cols if type(x) is not int)
+        except TypeError:  # not an iterable: the set is named, with its type
+            named = rf"{re.escape(repr(cols))} \({type(cols).__name__}\)"
+            return rf"^node 1: {noun}s {named} are not an iterable of ints$"
+        return rf"^node 1: {noun} {re.escape(repr(bad))} is not an int$"
+
+    color = refusal("color")
     with pytest.raises(InvalidParams, match=color):
         Multicoloring(3, {1: cols})
-    with pytest.raises(InvalidParams, match=rf"^node 1: slot {re.escape(repr(bad))} is not an int$"):
+    with pytest.raises(InvalidParams, match=refusal("slot")):
         TdmaSchedule(3, {1: cols})
     program = NodeProgram("toy", 3, lambda own, rec: cols)
     with pytest.raises(InvalidParams, match=color):

@@ -823,15 +823,21 @@ def reference_certificate(fam, max_degree, eps):
         (436, 30, 5, 0, 0.5),
         (40, 30, 4, 1, Fraction(1, 4)),
         (7, 12, 2, 3, 0),  # quota ceil(k/(d+1))
+        (9, 4, 1, 5, 0.5),  # degrees 4 and 5 have no view
+        (3, 1, 0, 2, 0.5),  # one id: no view at all
+        (3, 2, 0, 3, 0.5),  # two ids: one view each
+        (100, 30, 2, 3, 0.5),  # 17 of 122,670 views fail: only a recount finds them
     ],
 )
 def test_certify_family_is_the_reference_certificate(k, id_space, seed, max_degree, eps):
-    """The row sweep and the row-pair test give exactly the certificate of the
-    black-box sweep over select_mask, passing or failing its quotas."""
+    """The union count and the row-pair test give exactly the certificate of
+    the black-box sweep over select_mask, passing or failing its quotas; a
+    degree that no view reaches has no fewest count."""
     fam = OrderFamily(k, id_space, seed)
     cert = certify_family(fam, max_degree, eps)
     assert cert == reference_certificate(fam, max_degree, eps)
     assert cert.disjoint  # one of two ids precedes the other in every order
+    assert list(cert.min_count_by_degree) == list(range(1, min(max_degree, id_space - 1) + 1))
 
 
 @pytest.mark.parametrize("seed", range(30))
@@ -841,7 +847,7 @@ def test_certify_family_decides_disjointness_as_the_reference(monkeypatch, seed)
     the clashes the black-box sweep does; at degree bound 1 every view is a
     pair's own view, so the certificates are equal outright."""
     rng = random.Random(seed)
-    k, id_space, max_degree = rng.randint(1, 5), rng.randint(2, 7), rng.randint(1, 3)
+    k, id_space, max_degree = rng.randint(1, 5), rng.randint(2, 7), rng.randint(1, 4)
     full = (1 << k) - 1
     table = [[rng.getrandbits(k) for _ in range(id_space)] for _ in range(id_space)]
     if seed % 3 == 0:  # complementary pairs: no color shared
@@ -873,9 +879,13 @@ def test_certify_family_names_at_most_the_cap(monkeypatch):
     assert cert == reference_certificate(fam, 1, 0.5)
 
 
-def test_certify_respects_the_view_budget():
+def test_certify_respects_the_view_budget(monkeypatch):
+    """The view count is refused before any precedence row is built."""
+    built = []
+    monkeypatch.setattr(OrderFamily, "beats_row", lambda self, x: built.append(x))
     with pytest.raises(TooLarge):
         certify_family(OrderFamily(4, 30, seed=0), 3, 0.5, max_views=100)
+    assert built == []
 
 
 def test_certified_family_passes_first_attempt_here():
